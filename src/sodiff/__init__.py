@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .constants import CONSTANTS, PhysicalConstants
 from .crystal import (
     AtomSite,
-    ChannelPotentials,
     CrystalError,
     CrystalModel,
     FormFactor,
-    channel_potentials,
     load_crystal,
     mean_potential_meV,
     parse_crystal,
@@ -28,19 +26,12 @@ from .crystal import (
 from .dispersion import (
     BRAGG,
     LAUE,
-    BranchSolution,
     DiffractionGeometry,
     DispersionError,
-    ExitField,
     backscattering_wavelength,
-    bragg_amplitudes,
     darwin_center_theta,
     darwin_fwhm_rad,
-    exit_field,
-    laue_amplitudes,
     make_geometry,
-    pendelloesung_length_A,
-    solve_branches,
 )
 from .wavefield import (
     CoherenceGrid,

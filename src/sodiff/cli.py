@@ -5,7 +5,7 @@ A run is described by a single text config with bracketed sections of
 declared pipeline and writes figure-ready CSV/JSON artifacts with a
 provenance header (config hash, code version, units).  No plotting.
 
-    sodiff run <config> [--out DIR] [--threads N] [--seed S]
+    sodiff run <config> [--out DIR]
     sodiff preset <name> [--out DIR]
     sodiff list-presets
 
@@ -257,18 +257,8 @@ class _Writer:
         self.written: list[str] = []
 
     def csv(self, name: str, columns: dict):
-        fmt = f"%.{self.precision}g"
-        path = self.dir / name
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        keys = list(columns)
-        arrays = [np.asarray(columns[k]).reshape(-1) for k in keys]
-        with open(tmp, "w") as fh:
-            for line in self.header:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(keys) + "\n")
-            for row in zip(*arrays):
-                fh.write(",".join(fmt % v for v in row) + "\n")
-        os.replace(tmp, path)
+        path = wave.write_csv(self.dir / name, columns, self.precision,
+                              self.header)
         self.written.append(name)
         return path
 
@@ -307,7 +297,7 @@ def _analysis_polarization_map(blk, ctx, writer, tag):
     summary = {}
     for beam in beams:
         if n_avg > 1:
-            pm = wave.coherence_polarization_map(ctx["cgrid"](), beam)
+            pm = wave.coherence_polarization_map(ctx["cgrid"](n_avg), beam)
         else:
             pm = wave.polarization_map(ctx["grid"](), beam)
         grid_theta, grid_rho = ctx["theta"], ctx["rho"]
@@ -337,7 +327,7 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
     for beam in beams:
         fields = {}
         if n_avg > 1:
-            cg = ctx["cgrid"]()
+            cg = ctx["cgrid"](n_avg)
             if interference:
                 fields["interference"] = oam_mod.field_from_coherence(
                     cg, beam, "interference", n_r=n_r, n_phi=n_phi,
@@ -446,8 +436,7 @@ _ANALYSIS_DISPATCH = {
 }
 
 
-def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path,
-               seed: int = 0) -> int:
+def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
     precision = int(cfg.output.get("precision", "9"))
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(out_dir, cfg, precision)
@@ -464,13 +453,14 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path,
             cache["grid"] = wave.grid_scan(geom, crys, u0, theta, rho)
         return cache["grid"]
 
-    def cgrid():
-        if "cgrid" not in cache:
-            cache["cgrid"] = wave.coherence_scan(geom, crys, u0, theta, rho)
-        return cache["cgrid"]
+    def cgrid(n_avg):
+        if ("cgrid", n_avg) not in cache:
+            cache["cgrid", n_avg] = wave.coherence_scan(geom, crys, u0, theta,
+                                                        rho, n_avg=n_avg)
+        return cache["cgrid", n_avg]
 
     ctx = {"crystal": crys, "geometry": geom, "theta": theta, "rho": rho,
-           "center": center, "grid": grid, "cgrid": cgrid, "seed": seed}
+           "center": center, "grid": grid, "cgrid": cgrid}
 
     for i, blk in enumerate(cfg.analyses, start=1):
         mode = blk["mode"]
@@ -537,21 +527,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None,
                        help="output directory (default: the config's "
                             "[output] directory)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="advisory BLAS/OpenMP thread cap")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for Monte-Carlo analysis sections")
     args = parser.parse_args(argv)
 
     if args.command == "list-presets":
         for name in list_presets():
             print(name)
         return 0
-
-    if getattr(args, "threads", 0):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
 
     try:
         if args.command == "run":
@@ -568,7 +549,7 @@ def main(argv=None) -> int:
             config_dir = Path.cwd()
         cfg = parse_config(text)
         out = args.out if args.out is not None else cfg.output.get("directory", ".")
-        return run_config(cfg, Path(out), config_dir, seed=args.seed)
+        return run_config(cfg, Path(out), config_dir)
     except (ConfigError, crystal_mod.CrystalError) as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}),
               file=sys.stderr)

@@ -123,22 +123,26 @@ def reciprocal_vector(crystal: CrystalModel, hkl) -> np.ndarray:
     return hkl @ crystal.reciprocal_matrix
 
 
-def schwinger_axis(K, H) -> tuple[np.ndarray, float]:
+def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     """Spin quantization axis and geometric strength of the spin-orbit term.
 
     Returns (u_hat, w) with u_hat = (K x H)/|K x H| and w = |K x H|/|H|^2
-    (dimensionless).  K parallel to H (or either zero) is an error: there the
-    term is identically zero and the caller must treat gamma as absent.
+    (dimensionless), broadcasting over the leading axes of K.  Where K is
+    parallel to H the term vanishes identically: there u_hat is the lab z
+    axis and w = 0.  A zero K or H is an error.
     """
     K = np.asarray(K, dtype=float)
     H = np.asarray(H, dtype=float)
-    if np.linalg.norm(K) == 0.0 or np.linalg.norm(H) == 0.0:
+    k_mag = np.sqrt(np.einsum("...i,...i->...", K, K))
+    h_mag = float(np.linalg.norm(H))
+    if h_mag == 0.0 or np.any(k_mag == 0.0):
         raise CrystalError("schwinger_axis needs non-zero K and H")
     cross = np.cross(K, H)
-    mag = float(np.linalg.norm(cross))
-    if mag <= 1e-12 * np.linalg.norm(K) * np.linalg.norm(H):
-        raise CrystalError("K parallel to H: spin-orbit axis undefined")
-    return cross / mag, mag / float(np.dot(H, H))
+    cmag = np.linalg.norm(cross, axis=-1)
+    parallel = cmag <= 1e-12 * k_mag * h_mag
+    u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
+    u_hat[parallel] = (0.0, 0.0, 1.0)
+    return u_hat, np.where(parallel, 0.0, cmag / float(H @ H))
 
 
 def site_gammas(crystal: CrystalModel, h_mag: float,
@@ -194,44 +198,6 @@ def potential_fourier(crystal: CrystalModel, H, K,
         return nuclear
     sigma_cross = np.einsum("k,kij->ij", cross / float(np.dot(H, H)), SIGMA)
     return nuclear - 2.0j * pref * B * sigma_cross
-
-
-@dataclass(frozen=True)
-class ChannelPotentials:
-    """Scalar potentials of the two decoupled spin channels along u_hat.
-
-    Channel s = +1 (-1) is the sigma.u_hat = +1 (-1) eigenstate.  For H = 0,
-    or K parallel to H, both channels coincide with the optical potential.
-    """
-
-    v0: float
-    vH: tuple[complex, complex]    # (s=+1, s=-1)
-    vmH: tuple[complex, complex]
-    u_hat: np.ndarray
-    w: float
-
-
-def channel_potentials(crystal: CrystalModel, H, K,
-                       constants: PhysicalConstants = CONSTANTS) -> ChannelPotentials:
-    """Diagonalise V(+-H, K) along the spin-orbit axis.
-
-    In the sigma.u_hat eigenbasis V(H,K) is diagonal with entries
-    v_H^s = pref * sum_j (b_j - 2i s gamma_j w) e^{iH.r_j}; the -H component
-    follows from the same sums with conjugated phases and reversed cross
-    product.
-    """
-    H = np.asarray(H, dtype=float)
-    K = np.asarray(K, dtype=float)
-    v0 = mean_potential_meV(crystal, constants)
-    A, B, _h = structure_sums(crystal, H)
-    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
-    try:
-        u_hat, w = schwinger_axis(K, H)
-    except CrystalError:
-        u_hat, w = np.array([0.0, 0.0, 1.0]), 0.0
-    vH = tuple(pref * (A - 2.0j * s * w * B) for s in (+1.0, -1.0))
-    vmH = tuple(pref * (np.conj(A) + 2.0j * s * w * np.conj(B)) for s in (+1.0, -1.0))
-    return ChannelPotentials(v0=v0, vH=vH, vmH=vmH, u_hat=u_hat, w=w)
 
 
 # ---------------------------------------------------------------------------

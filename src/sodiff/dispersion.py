@@ -37,6 +37,7 @@ from .crystal import (
     SIGMA,
     mean_potential_meV,
     reciprocal_vector,
+    schwinger_axis,
     structure_sums,
 )
 
@@ -44,9 +45,6 @@ log = logging.getLogger(__name__)
 
 BRAGG = "bragg"
 LAUE = "laue"
-
-_DEGENERACY_RTOL = 1e-13
-
 
 class DispersionError(ValueError):
     """Unsolvable diffraction configuration."""
@@ -178,45 +176,26 @@ def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str,
 
 
 # ---------------------------------------------------------------------------
-# Channel-level solver
+# Spin-channel kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchSolution:
-    """Both dispersion branches of one spin channel at one grid point."""
-
-    spin: int
-    eps1: complex
-    eps2: complex
-    X1: complex
-    X2: complex
-    energy_meV: float
-    v0: float
-    vH: complex
-    vmH: complex
-
-
-def _solve_channel(alpha0, beta, energy, v0, vH, vmH):
+def _solve_channel(beta, b, p, vH):
     """Vectorised secular-equation roots and amplitude ratios.
 
-    Returns (y1, y2, X1, X2) with y = 2 E eps + v0, ordered by ascending
-    Re(eps), ties by ascending Im(eps).  The smaller root is computed from
-    the product y1 y2 = -vH vmH / beta to avoid cancellation.
+    Solves beta y^2 + b y - p = 0 with b = (1 - beta) v0 - alpha0 and
+    p = vH vmH.  Returns (y1, y2, X1, X2) with y = 2 E eps + v0, ordered by
+    ascending Re(eps), ties by ascending Im(eps).  The smaller root is
+    computed from the product y1 y2 = -p / beta to avoid cancellation.
     """
-    alpha0 = np.asarray(alpha0, float)
-    beta = np.asarray(beta, float)
     vH = np.asarray(vH, complex)
-    vmH = np.asarray(vmH, complex)
     if np.any(np.abs(vH) == 0.0):
         raise DispersionError("forbidden reflection: V(H) = 0")
 
-    b_coef = (1.0 - beta) * v0 - alpha0
-    p = vH * vmH
-    disc = np.asarray(b_coef**2 + 4.0 * beta * p, complex)
+    disc = np.asarray(b**2 + 4.0 * beta * p, complex)
     sq = np.sqrt(disc)
     # pick the sign that maximises |b -+ sq| for the well-conditioned root
-    plus = -b_coef + sq
-    minus = -b_coef - sq
+    plus = -b + sq
+    minus = -b - sq
     use_plus = np.abs(plus) >= np.abs(minus)
     y_big = np.where(use_plus, plus, minus) / (2.0 * beta)
     y_small = (-p / beta) / y_big
@@ -229,85 +208,97 @@ def _solve_channel(alpha0, beta, energy, v0, vH, vmH):
     return y1, y2, X1, X2
 
 
-def solve_branches(geom: DiffractionGeometry, v0: float, vH: complex,
-                   vmH: complex, energy_meV: float,
-                   spin: int = +1) -> BranchSolution:
-    """Solve one spin channel at the geometry's own (theta, rho)."""
-    k = geom.incident()
-    H = np.asarray(geom.H)
-    n = np.asarray(geom.n)
-    hb2m = energy_meV / geom.k_mag**2  # hbar^2/2m consistent with E
-    alpha0 = -hb2m * (2.0 * float(k @ H) + float(H @ H))
-    g0 = float(k @ n)
-    gH = float((k + H) @ n)
-    if g0 == 0.0 or gH == 0.0:
-        raise DispersionError("grazing geometry: k.n or (k+H).n vanishes")
-    y1, y2, X1, X2 = _solve_channel(alpha0, gH / g0, energy_meV, v0, vH, vmH)
-    eps1 = (complex(y1) - v0) / (2.0 * energy_meV)
-    eps2 = (complex(y2) - v0) / (2.0 * energy_meV)
-    if abs(eps1 - eps2) <= _DEGENERACY_RTOL * max(abs(eps1), abs(eps2)):
-        raise DispersionError(
-            "degenerate dispersion branches; nudge theta by ~1 ulp and retry")
-    return BranchSolution(spin=spin, eps1=eps1, eps2=eps2, X1=complex(X1),
-                          X2=complex(X2), energy_meV=energy_meV, v0=v0,
-                          vH=complex(vH), vmH=complex(vmH))
+def _backward_error(beta, b, p, y):
+    """Backward error |beta y^2 + b y - p| / (|beta||y|^2 + |b||y| + |p|)
+    of computed roots y (both branches may be stacked on a leading axis):
+    the smallest relative change of the coefficients that makes y exact.
+    Unlike the residual of the two-beam equations it does not grow with the
+    distance from the Bragg condition."""
+    ay = np.abs(y)
+    return (np.abs((beta * y + b) * y - p)
+            / (np.abs(beta) * ay**2 + np.abs(b) * ay + np.abs(p)))
 
 
-def bragg_amplitudes(branches: BranchSolution, u0: complex, thickness_A: float,
-                     kappa_scale: float):
-    """Branch amplitudes for Bragg geometry (reflected wave exits the entry
-    face, none at the rear).  kappa_scale = |k0|/cos(gamma) in 1/A.
-
-    Returns (u1_0, u2_0, u1_H, u2_H) in a gauge where the growing branch's
-    phase factor is divided out, so thick crystals stay finite.
-    """
-    k1 = kappa_scale * branches.eps1
-    k2 = kappa_scale * branches.eps2
-    X1, X2 = branches.X1, branches.X2
-    if (k1.imag) > (k2.imag):  # branch 1 decays: swap so branch "a" grows
-        k1, k2, X1, X2 = k2, k1, X2, X1
-        swapped = True
-    else:
-        swapped = False
-    q = np.exp(1j * (k2 - k1) * thickness_A)  # |q| <= 1
-    den = X1 - q * X2
-    if abs(den) <= 1e-14 * (abs(X1) + abs(q * X2)):
-        raise DispersionError(
-            "singular Bragg boundary system (pathological thickness/angle)")
-    ua_0 = -q * X2 / den
-    ub_0 = X1 / den
-    amps = (ua_0 * u0, ub_0 * u0, X1 * ua_0 * u0, X2 * ub_0 * u0)
-    if swapped:
-        amps = (amps[1], amps[0], amps[3], amps[2])
-    return amps
-
-
-def laue_amplitudes(branches: BranchSolution, u0: complex):
-    """Branch amplitudes for Laue geometry (no reflected field at entrance)."""
-    X1, X2 = branches.X1, branches.X2
-    den = X2 - X1
-    if abs(den) <= 1e-14 * (abs(X1) + abs(X2)):
-        raise DispersionError("singular Laue boundary system (X1 = X2)")
-    u1_0 = X2 / den * u0
-    u2_0 = -X1 / den * u0
-    return (u1_0, u2_0, X1 * u1_0, X2 * u2_0)
-
-
-# ---------------------------------------------------------------------------
-# Vectorised exit-field engine
-# ---------------------------------------------------------------------------
-
-def _structure_H(geom: DiffractionGeometry, crystal: CrystalModel) -> np.ndarray:
-    """Crystal-frame reciprocal vector for the structure-factor phases.
+def _lattice_sums(geom: DiffractionGeometry, crystal: CrystalModel,
+                  constants: PhysicalConstants):
+    """(pref, A, B): the channel potentials are v_H = pref (A - 2i s w B).
 
     The geometry's H lives in the lab frame; atomic phases e^{iH.r} need
     the crystal-frame vector, recovered from the stored Miller indices.
     Hand-built geometries without hkl are taken to have their H already in
     the crystal frame.
     """
-    if geom.hkl is not None:
-        return reciprocal_vector(crystal, geom.hkl)
-    return np.asarray(geom.H, float)
+    H = (reciprocal_vector(crystal, geom.hkl) if geom.hkl is not None
+         else np.asarray(geom.H, float))
+    A, B, _ = structure_sums(crystal, H)
+    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
+    return pref, A, B
+
+
+def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
+              theta, rho, constants: PhysicalConstants) -> dict:
+    """Both spin channels of the two-beam problem over broadcast (theta, rho).
+
+    The potential is diagonalised per point along the local spin-orbit axis
+    u_hat(K x H); channel c = 0 (1) is the sigma.u_hat = +1 (-1) eigenstate
+    with v_H = pref (A -+ 2i w B).  Points where K || H carry no spin-orbit
+    term and propagate spin-diagonally.
+
+    Returns a dict: theta, rho, alpha0, beta, g0, gH, w, u_hat, v0,
+    energy_meV, kappa_scale; y and X (channel, branch, ...) from
+    _solve_channel; amp0 (channel, ..., 2), the incident spinor projected
+    on each channel; backward_error (...), the largest _backward_error of
+    the point's four roots, NaN roots skipped.  Channel-major storage keeps
+    each channel's arrays contiguous.
+    """
+    th = np.asarray(theta, float)
+    rh = np.asarray(rho, float)
+    th, rh = np.broadcast_arrays(th, rh)
+    shape = th.shape
+
+    k_mag = geom.k_mag
+    H = np.asarray(geom.H, float)
+    n = np.asarray(geom.n, float)
+    hb2m = constants.hbar2_over_2m_meV_A2
+    energy = hb2m * k_mag**2
+
+    norm = np.sqrt(1.0 + th**2 + rh**2)
+    k = k_mag * np.stack([np.ones_like(th), th, rh], axis=-1) / norm[..., None]
+
+    g0 = k @ n
+    gH = (k + H) @ n
+    if np.any(g0 == 0.0) or np.any(gH == 0.0):
+        raise DispersionError("grid touches an exactly grazing point")
+    beta = gH / g0
+    alpha0 = -hb2m * (2.0 * (k @ H) + float(H @ H))
+    u_hat, w = schwinger_axis(k, H)
+    del k  # free 24 B per point before the channel arrays are allocated
+
+    v0 = mean_potential_meV(crystal, constants)
+    pref, A, B = _lattice_sums(geom, crystal, constants)
+    b = (1.0 - beta) * v0 - alpha0
+
+    y = np.zeros((2, 2) + shape, complex)
+    X = np.zeros((2, 2) + shape, complex)
+    amp0 = np.zeros((2,) + shape + (2,), complex)
+    backward = np.zeros(shape)
+    sigma_u = np.einsum("...k,kij->...ij", u_hat, SIGMA)
+    u0_spinor = np.asarray(u0_spinor, complex)
+    for ci, s in enumerate((+1.0, -1.0)):
+        vH = pref * (A - 2.0j * s * w * B)
+        vmH = pref * (np.conj(A) + 2.0j * s * w * np.conj(B))
+        p = vH * vmH
+        y1, y2, X1, X2 = _solve_channel(beta, b, p, vH)
+        y[ci, 0], y[ci, 1] = y1, y2
+        X[ci, 0], X[ci, 1] = X1, X2
+        worst = np.fmax.reduce(_backward_error(beta, b, p, y[ci]), axis=0)
+        backward = np.fmax(backward, worst)
+        amp0[ci] = 0.5 * (IDENTITY2 + s * sigma_u) @ u0_spinor
+
+    return {"theta": th, "rho": rh, "alpha0": alpha0, "beta": beta,
+            "g0": g0, "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
+            "energy_meV": energy, "kappa_scale": k_mag**2 / g0,
+            "y": y, "X": X, "amp0": amp0, "backward_error": backward}
 
 
 def _transfer_factors(kind, y1, y2, X1, X2, v0, energy, kappa_scale, D):
@@ -342,88 +333,50 @@ def _transfer_factors(kind, y1, y2, X1, X2, v0, energy, kappa_scale, D):
     return t, r
 
 
+def _channel_roots(ch: dict, ci: int):
+    """(y1, y2, X1, X2) of channel ci from a _channels result."""
+    return ch["y"][ci, 0], ch["y"][ci, 1], ch["X"][ci, 0], ch["X"][ci, 1]
+
+
 def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                         u0_spinor, theta, rho,
                         constants: PhysicalConstants = CONSTANTS) -> dict:
     """Exit spinor envelopes over broadcastable (theta, rho) offsets.
 
-    The potential is diagonalised per point along the local spin-orbit axis
-    u_hat(K x H); both scalar channels are solved and the exit transfer
-    operator sum_s t_s P_s is applied to the incident spinor in the fixed
-    lab basis.  Points where K || H carry no spin-orbit term and propagate
-    spin-diagonally.
+    Both scalar channels of _channels are carried through the crystal and
+    the exit transfer operator sum_s t_s P_s is applied to the incident
+    spinor in the fixed lab basis.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
-    (alpha0, beta, g0, gH, w, u_hat, y, X per channel/branch).
+    (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
+    per-point root backward_error).
     """
-    th = np.asarray(theta, float)
-    rh = np.asarray(rho, float)
-    th, rh = np.broadcast_arrays(th, rh)
-    shape = th.shape
-
-    k_mag = geom.k_mag
-    H = np.asarray(geom.H, float)
-    n = np.asarray(geom.n, float)
-    D = geom.thickness_A
-    energy = constants.hbar2_over_2m_meV_A2 * k_mag**2
-
-    norm = np.sqrt(1.0 + th**2 + rh**2)
-    k = k_mag * np.stack([np.ones_like(th), th, rh], axis=-1) / norm[..., None]
-
-    g0 = k @ n
-    gH = (k + H) @ n
-    if np.any(g0 == 0.0) or np.any(gH == 0.0):
-        raise DispersionError("grid touches an exactly grazing point")
-    beta = gH / g0
-    hb2m = constants.hbar2_over_2m_meV_A2
-    alpha0 = -hb2m * (2.0 * (k @ H) + float(H @ H))
-
-    cross = np.cross(k, np.broadcast_to(H, k.shape))
-    cmag = np.linalg.norm(cross, axis=-1)
-    degenerate = cmag <= 1e-12 * k_mag * np.linalg.norm(H)
-    safe = np.where(degenerate, 1.0, cmag)
-    u_hat = cross / safe[..., None]
-    u_hat[degenerate] = np.array([0.0, 0.0, 1.0])
-    w = np.where(degenerate, 0.0, cmag / float(H @ H))
-
-    v0 = mean_potential_meV(crystal, constants)
-    A, B, _ = structure_sums(crystal, _structure_H(geom, crystal))
-    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
-    kappa_scale = k_mag**2 / g0
+    ch = _channels(geom, crystal, u0_spinor, theta, rho, constants)
+    shape = ch["g0"].shape
+    v0, energy = ch["v0"], ch["energy_meV"]
 
     psi0 = np.zeros(shape + (2,), complex)
     psiH = np.zeros(shape + (2,), complex)
-    y_all = np.zeros(shape + (2, 2), complex)
-    X_all = np.zeros(shape + (2, 2), complex)
     t_all = np.zeros(shape + (2,), complex)
     r_all = np.zeros(shape + (2,), complex)
-
-    sigma_u = np.einsum("...k,kij->...ij", u_hat, SIGMA)
-    u0_spinor = np.asarray(u0_spinor, complex)
-
-    for ci, s in enumerate((+1.0, -1.0)):
-        vH = pref * (A - 2.0j * s * w * B)
-        vmH = pref * (np.conj(A) + 2.0j * s * w * np.conj(B))
-        y1, y2, X1, X2 = _solve_channel(alpha0, beta, energy, v0, vH, vmH)
-        t, r = _transfer_factors(geom.kind, y1, y2, X1, X2, v0, energy,
-                                 kappa_scale, D)
-        proj = 0.5 * (IDENTITY2 + s * sigma_u)
-        amp0 = proj @ u0_spinor
-        psi0 += t[..., None] * amp0
-        psiH += r[..., None] * amp0
-        y_all[..., ci, 0], y_all[..., ci, 1] = y1, y2
-        X_all[..., ci, 0], X_all[..., ci, 1] = X1, X2
+    for ci in range(2):
+        t, r = _transfer_factors(geom.kind, *_channel_roots(ch, ci), v0,
+                                 energy, ch["kappa_scale"], geom.thickness_A)
+        psi0 += t[..., None] * ch["amp0"][ci]
+        psiH += r[..., None] * ch["amp0"][ci]
         t_all[..., ci], r_all[..., ci] = t, r
 
     T = np.sum(np.abs(psi0) ** 2, axis=-1)
-    R = np.sum(np.abs(psiH) ** 2, axis=-1) * np.abs(gH) / g0
+    R = np.sum(np.abs(psiH) ** 2, axis=-1) * np.abs(ch["gH"]) / ch["g0"]
 
-    return {
-        "theta": th, "rho": rh, "psi0": psi0, "psiH": psiH, "R": R, "T": T,
-        "alpha0": alpha0, "beta": beta, "g0": g0, "gH": gH, "w": w,
-        "u_hat": u_hat, "y": y_all, "X": X_all, "t": t_all, "r": r_all,
-        "v0": v0, "energy_meV": energy,
-    }
+    # (channel, branch, ...) -> (..., channel, branch), as views
+    point_major = tuple(range(2, ch["y"].ndim)) + (0, 1)
+    keep = ("theta", "rho", "alpha0", "beta", "g0", "gH", "w", "u_hat", "v0",
+            "energy_meV", "backward_error")
+    return {"psi0": psi0, "psiH": psiH, "R": R, "T": T, "t": t_all,
+            "r": r_all, "y": ch["y"].transpose(point_major),
+            "X": ch["X"].transpose(point_major),
+            **{key: ch[key] for key in keep}}
 
 
 def _window_factor(x):
@@ -463,53 +416,22 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices,
     fluxes R, T, and the geometry diagnostics of exit_amplitude_maps.
     """
-    th = np.asarray(theta, float)
-    rh = np.asarray(rho, float)
-    th, rh = np.broadcast_arrays(th, rh)
-    shape = th.shape
-
-    k_mag = geom.k_mag
-    H = np.asarray(geom.H, float)
-    n = np.asarray(geom.n, float)
-    energy = constants.hbar2_over_2m_meV_A2 * k_mag**2
+    ch = _channels(geom, crystal, u0_spinor, theta, rho, constants)
+    shape = ch["g0"].shape
+    v0, energy, kappa_scale = ch["v0"], ch["energy_meV"], ch["kappa_scale"]
+    chan = [_channel_roots(ch, ci) for ci in range(2)]
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     thicknesses = geom.thickness_A + 3.0 * span_A * (
         np.arange(n_avg) / max(n_avg - 1, 1) - 0.5)
 
-    norm = np.sqrt(1.0 + th**2 + rh**2)
-    k = k_mag * np.stack([np.ones_like(th), th, rh], axis=-1) / norm[..., None]
-    g0 = k @ n
-    gH = (k + H) @ n
-    beta = gH / g0
-    hb2m = constants.hbar2_over_2m_meV_A2
-    alpha0 = -hb2m * (2.0 * (k @ H) + float(H @ H))
-
-    cross = np.cross(k, np.broadcast_to(H, k.shape))
-    cmag = np.linalg.norm(cross, axis=-1)
-    degenerate = cmag <= 1e-12 * k_mag * np.linalg.norm(H)
-    safe = np.where(degenerate, 1.0, cmag)
-    u_hat = cross / safe[..., None]
-    u_hat[degenerate] = np.array([0.0, 0.0, 1.0])
-    w = np.where(degenerate, 0.0, cmag / float(H @ H))
-
-    v0 = mean_potential_meV(crystal, constants)
-    A, B, _ = structure_sums(crystal, _structure_H(geom, crystal))
-    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
-    kappa_scale = k_mag**2 / g0
-
-    chan = []
-    for s in (+1.0, -1.0):
-        vH = pref * (A - 2.0j * s * w * B)
-        vmH = pref * (np.conj(A) + 2.0j * s * w * np.conj(B))
-        chan.append(_solve_channel(alpha0, beta, energy, v0, vH, vmH))
-
     C0 = np.zeros(shape + (2, 2), complex)   # <t_s conj(t_s')>
     CH = np.zeros(shape + (2, 2), complex)
     if geom.kind == LAUE:
-        # Laue amplitudes are two-exponential sums, so the rectangular
-        # thickness-window average of every quadratic product is exact:
-        # <e^{i K D'}> over D +- span/2 equals e^{i K D} sinc(K span / 2).
+        # Laue amplitudes are two-exponential sums, so the Gaussian
+        # thickness-ensemble average of every quadratic product is exact:
+        # <e^{i dk D'}> over D' ~ N(D, span_A^2) equals
+        # e^{i dk D} exp(-(dk span_A)^2 / 2), with Re(dk) in the window.
         kap, At, Ar = [], [], []
         for (y1, y2, X1, X2) in chan:
             den = X2 - X1
@@ -541,13 +463,7 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         C0 /= n_avg
         CH /= n_avg
 
-    sigma_u = np.einsum("...k,kij->...ij", u_hat, SIGMA)
-    u0_spinor = np.asarray(u0_spinor, complex)
-    basis = []
-    for s in (+1.0, -1.0):
-        proj = 0.5 * (IDENTITY2 + s * sigma_u)
-        basis.append(proj @ u0_spinor)      # (..., 2)
-
+    basis = ch["amp0"]
     rho0 = np.zeros(shape + (2, 2), complex)
     rhoH = np.zeros(shape + (2, 2), complex)
     for a in range(2):
@@ -557,32 +473,12 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
             rhoH += CH[..., a, b, None, None] * outer
 
     T = np.real(np.trace(rho0, axis1=-2, axis2=-1))
-    R = np.real(np.trace(rhoH, axis1=-2, axis2=-1)) * np.abs(gH) / g0
-    return {"theta": th, "rho": rh, "rho0": rho0, "rhoH": rhoH, "R": R,
-            "T": T, "alpha0": alpha0, "beta": beta, "g0": g0, "gH": gH,
-            "w": w, "u_hat": u_hat, "v0": v0, "energy_meV": energy,
-            "thicknesses": thicknesses}
-
-
-@dataclass(frozen=True)
-class ExitField:
-    """Exit spinors and flux-weighted intensities at one (theta, rho)."""
-
-    psi0: np.ndarray
-    psiH: np.ndarray
-    R: float
-    T: float
-    geometry: DiffractionGeometry
-
-
-def exit_field(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
-               constants: PhysicalConstants = CONSTANTS) -> ExitField:
-    """Solve both spin channels at the geometry's own (theta, rho)."""
-    res = exit_amplitude_maps(geom, crystal, u0_spinor,
-                              np.array(geom.theta), np.array(geom.rho),
-                              constants)
-    return ExitField(psi0=res["psi0"], psiH=res["psiH"],
-                     R=float(res["R"]), T=float(res["T"]), geometry=geom)
+    R = (np.real(np.trace(rhoH, axis1=-2, axis2=-1))
+         * np.abs(ch["gH"]) / ch["g0"])
+    keep = ("theta", "rho", "alpha0", "beta", "g0", "gH", "w", "u_hat", "v0",
+            "energy_meV")
+    return {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T,
+            "thicknesses": thicknesses, **{key: ch[key] for key in keep}}
 
 
 def secular_residuals(result: dict) -> np.ndarray:
@@ -611,8 +507,7 @@ def secular_residuals(result: dict) -> np.ndarray:
 def scalar_reflection_scale(crystal: CrystalModel, geom: DiffractionGeometry,
                             constants: PhysicalConstants = CONSTANTS) -> float:
     """|v_H| of the spin-averaged (nuclear) channel, in meV."""
-    A, _, _ = structure_sums(crystal, _structure_H(geom, crystal))
-    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
+    pref, A, _ = _lattice_sums(geom, crystal, constants)
     return abs(pref * A)
 
 
@@ -695,9 +590,3 @@ def darwin_fwhm_rad(crystal: CrystalModel, geom: DiffractionGeometry,
     th_lo = np.interp(half, [R[lo - 1], R[lo]], [th[lo - 1], th[lo]])
     th_hi = np.interp(half, [R[hi + 1], R[hi]], [th[hi + 1], th[hi]])
     return float(th_hi - th_lo)
-
-
-def pendelloesung_length_A(branches: BranchSolution, geom: DiffractionGeometry) -> float:
-    """Oscillation period 2 pi cos(gamma) / (|k0| |eps1 - eps2|)."""
-    return float(2.0 * np.pi * abs(geom.cos_gamma)
-                 / (geom.k_mag * abs(branches.eps1 - branches.eps2)))

@@ -11,8 +11,10 @@ come out with opposite signs on otherwise identical azimuthal structure.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -22,13 +24,14 @@ from .dispersion import (
     DiffractionGeometry,
     exit_amplitude_maps,
     exit_coherence_maps,
-    secular_residuals,
 )
 
 log = logging.getLogger(__name__)
 
 REFLECTED = "reflected"
 TRANSMITTED = "transmitted"
+
+_ROOT_TOL = 1e-12  # largest accepted backward error of a secular root
 
 
 class WaveGridError(ValueError):
@@ -88,14 +91,15 @@ def _axes_ok(axis: np.ndarray) -> bool:
 
 def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
               theta_axis, rho_axis,
-              constants: PhysicalConstants = CONSTANTS,
-              validate: bool = True, rng_seed: int = 0) -> WaveGrid:
-    """Dense exit_field evaluation over the tensor grid theta x rho.
+              constants: PhysicalConstants = CONSTANTS) -> WaveGrid:
+    """Dense exit-field evaluation over the tensor grid theta x rho.
 
     Deterministic and order-independent (single vectorised evaluation).
     Exactly grazing axis values are nudged by 1e-12 rad; points where the
     boundary system is singular are retried with a nudged theta and, if
-    still unsolvable, stored as NaN and logged, never dropped.
+    still unsolvable, stored as NaN and logged, never dropped.  Every
+    secular root must have a backward error of at most 1e-12, else
+    WaveGridError is raised.
     """
     th = np.asarray(theta_axis, float).copy()
     rh = np.asarray(rho_axis, float).copy()
@@ -135,8 +139,10 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
             log.warning("grid_scan: %d points remain NaN after nudge",
                         int(still.sum()))
 
-    if validate:
-        _spot_check(res, rng_seed)
+    worst = float(np.max(res["backward_error"]))
+    if worst > _ROOT_TOL:
+        raise WaveGridError(f"secular root backward error {worst:.2e} "
+                            f"exceeds {_ROOT_TOL:.0e}")
 
     grid = WaveGrid(theta=th, rho=rh, psi0=res["psi0"], psiH=res["psiH"],
                     R=res["R"], T=res["T"], geometry=geom,
@@ -225,20 +231,6 @@ def coherence_polarization_map(grid: CoherenceGrid, beam: str):
     ok = den > 1e-300
     P = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
     return {"Px": P[0], "Py": P[1], "Pz": P[2], "intensity": den, "mask": ok}
-
-
-def _spot_check(res: dict, rng_seed: int, frac: float = 0.01,
-                tol: float = 1e-10):
-    """Random-sample secular residual check on a freshly built grid."""
-    resid = secular_residuals(res)
-    flat = resid.reshape(-1)
-    rng = np.random.default_rng(rng_seed)
-    take = max(1, int(frac * flat.size))
-    sample = flat[rng.choice(flat.size, size=take, replace=False)]
-    sample = sample[np.isfinite(sample)]
-    worst = float(sample.max()) if sample.size else 0.0
-    if worst > tol:
-        raise WaveGridError(f"secular residual spot check failed: {worst:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +393,33 @@ def read_binary(path) -> dict:
             "psi0": psi0, "psiH": psiH, "R": R, "T": T}
 
 
+def write_csv(path, columns: dict, precision: int = 9,
+              header_lines: tuple[str, ...] = ()):
+    """CSV of equal-size columns (flattened in C order) below '# ' header
+    lines, one row per element; written to a temporary file and renamed
+    into place."""
+    path = Path(path)
+    fmt = f"%.{precision}g"
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    arrays = [np.asarray(col).reshape(-1) for col in columns.values()]
+    with open(tmp, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*arrays):
+            fh.write(",".join(fmt % v for v in row) + "\n")
+    os.replace(tmp, path)
+    return path
+
+
 def write_long_csv(grid: WaveGrid, path, precision: int = 9,
                    header_lines: tuple[str, ...] = ()):
     """Long-form CSV: one row per grid point with both beams' spinors."""
-    cols = ["theta_rad", "rho_rad",
-            "re_psi0_up", "im_psi0_up", "re_psi0_dn", "im_psi0_dn",
-            "re_psiH_up", "im_psiH_up", "re_psiH_dn", "im_psiH_dn",
-            "R", "T"]
-    fmt = f"%.{precision}g"
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(grid.theta):
-            for j, r in enumerate(grid.rho):
-                p0, pH = grid.psi0[i, j], grid.psiH[i, j]
-                row = [t, r,
-                       p0[0].real, p0[0].imag, p0[1].real, p0[1].imag,
-                       pH[0].real, pH[0].imag, pH[1].real, pH[1].imag,
-                       grid.R[i, j], grid.T[i, j]]
-                fh.write(",".join(fmt % v for v in row) + "\n")
+    TH, RH = np.meshgrid(grid.theta, grid.rho, indexing="ij")
+    columns = {"theta_rad": TH, "rho_rad": RH}
+    for beam, psi in (("psi0", grid.psi0), ("psiH", grid.psiH)):
+        for i, spin in enumerate(("up", "dn")):
+            columns[f"re_{beam}_{spin}"] = psi[..., i].real
+            columns[f"im_{beam}_{spin}"] = psi[..., i].imag
+    columns["R"], columns["T"] = grid.R, grid.T
+    return write_csv(path, columns, precision, header_lines)

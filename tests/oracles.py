@@ -65,3 +65,44 @@ def numerical_Lz(values, r, phi):
 
 def gaussian_derivative(x, amp, x0, w, c):
     return amp * (x - x0) * np.exp(-((x - x0) ** 2) / (2 * w * w)) + c
+
+
+def channel_entries(V, u):
+    """Diagonal entries of a 2x2 spin matrix V in the sigma.u eigenbasis,
+    ordered (sigma.u = +1, sigma.u = -1)."""
+    sx = np.array([[0, 1], [1, 0]], complex)
+    sy = np.array([[0, -1j], [1j, 0]], complex)
+    sz = np.array([[1, 0], [0, -1]], complex)
+    evals, evecs = np.linalg.eigh(u[0] * sx + u[1] * sy + u[2] * sz)
+    D = np.diag(evecs.conj().T @ V @ evecs)
+    return D[np.argmax(evals)], D[np.argmin(evals)]
+
+
+def two_beam_point(alpha0, beta, v0, vH, vmH, energy, kappa_scale, D, bragg):
+    """Exit amplitudes (t, r) of one scalar channel at one incident point.
+
+    Roots y = 2 E eps + v0 of the secular quadratic
+    beta y^2 + ((1 - beta) v0 - alpha0) y - vH vmH = 0 give the branch
+    wavevector shifts kappa_scale eps and ratios X = -y/vH.  The boundary
+    system in plain exponentials E_i = exp(i kappa_i D) is then solved
+    directly: forward amplitudes c1 + c2 = 1 at the entrance, and no
+    diffracted field at the rear face (Bragg, X.c E = 0) or at the entrance
+    (Laue, X.c = 0).  t is the forward field at depth D; r the diffracted
+    field at the entrance (Bragg) or at depth D (Laue).
+    """
+    y = np.roots([beta, (1.0 - beta) * v0 - alpha0, -vH * vmH])
+    E = np.exp(1j * kappa_scale * (y - v0) / (2.0 * energy) * D)
+    X = -y / vH
+    rear_or_entry = X * E if bragg else X
+    c = np.linalg.solve(np.array([[1.0, 1.0], rear_or_entry]), [1.0, 0.0])
+    t = c @ E
+    r = (X @ c) if bragg else (X * E) @ c
+    return t, r
+
+
+def pendelloesung_length(k_mag, cos_gamma, vH):
+    """Laue Pendelloesung period 2 pi cos(gamma) E / (|k0| |vH|) at the
+    exact Bragg condition, with E = hbar^2 k^2 / 2m in the units of vH
+    (brute_force_potential's constant, so that E/|vH| is unit-free)."""
+    energy = TWO_PI_HBAR2_OVER_M / (4.0 * np.pi) * k_mag**2
+    return 2.0 * np.pi * cos_gamma * energy / (k_mag * abs(vH))

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` (or via
-``scripts/acceptance_report.py``).  Tolerances are fixed here, not
-calibrated anywhere else.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Tolerances are
+fixed here, not calibrated anywhere else.
 """
 
 import dataclasses
@@ -11,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import darwin_reflectivity
+from oracles import (brute_force_potential, darwin_reflectivity,
+                     pendelloesung_length)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff import instrument as ins
 from sodiff import oam
 from sodiff import wavefield as wf
-from sodiff.constants import ARCSEC_TO_RAD, CONSTANTS, DEG_TO_RAD
+from sodiff.constants import ARCSEC_TO_RAD, DEG_TO_RAD
 
 
 def _report(num, text):
@@ -362,11 +362,10 @@ def test_criterion_9_property_suites(quartz, u0_along_beam,
 def test_criterion_10_pendelloesung(quartz):
     scal = quartz.without_schwinger()
     geom = dp.make_geometry(scal, (1, 1, 0), 2.0, dp.LAUE, 1e6)
-    E = CONSTANTS.energy_meV(2.0)
-    ch = cr.channel_potentials(scal, cr.reciprocal_vector(scal, (1, 1, 0)),
-                               np.asarray(geom.k0))
-    br = dp.solve_branches(geom, ch.v0, ch.vH[0], ch.vmH[0], E)
-    lam_pred = dp.pendelloesung_length_A(br, geom)
+    sites = [(s.frac, s.b_fm, s.Z, s.form_factor) for s in scal.sites]
+    vH = brute_force_potential(sites, scal.lattice_matrix, (1, 1, 0),
+                               geom.k0, scal.cell_volume_A3, schwinger=False)
+    lam_pred = pendelloesung_length(geom.k_mag, geom.cos_gamma, vH[0, 0])
 
     n = 8192
     D0 = 4e5

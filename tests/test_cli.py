@@ -166,3 +166,25 @@ def test_crystal_file_resolution_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SODIFF_DATA_PATH", str(data_dir))
     out = tmp_path / "out"
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+
+
+def test_thickness_average_honoured_for_bragg(tmp_path):
+    """Bragg coherence maps use the configured ensemble size: N = 2 and
+    N = 32 give different maps (Laue's closed form has no N)."""
+    text = MINIMAL.replace("wavelength_A = 2.0", "backscattering = true") \
+        .replace("thickness_mm = 0.05", "thickness_mm = 0.2") \
+        .replace("theta_points = 11\ntheta_half_widths = 2\nrho_points = 1",
+                 "theta_points = 9\ntheta_half_deg = 0.3\nrho_points = 9\n"
+                 "rho_half_deg = 0.3\ncenter = zero")
+    block = "[analysis]\nmode = polarization-map\nbeams = transmitted\n"
+    text = text.replace("[analysis]\nmode = polarization\nbeams = reflected\n",
+                        block + "thickness_average = 2\n\n"
+                        + block + "thickness_average = 32\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+    n2 = (out / "run1_polarization-map_transmitted.csv").read_text()
+    n32 = (out / "run2_polarization-map_transmitted.csv").read_text()
+    assert n2.splitlines()[:4] == n32.splitlines()[:4]
+    assert n2 != n32

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_potential
 from sodiff import crystal as cr
+from sodiff import dispersion as dp
 from sodiff.constants import CONSTANTS, FM_TO_A
 
 
@@ -59,9 +60,18 @@ def test_schwinger_axis_orthogonal():
     assert abs(w - 2.0 / 3.0) < 1e-14
 
 
-def test_schwinger_axis_parallel_rejected():
-    with pytest.raises(cr.CrystalError):
-        cr.schwinger_axis(np.array([1.0, 0, 0]), np.array([-2.0, 0, 0]))
+def test_schwinger_axis_parallel_is_z_axis():
+    """K parallel to H: no spin-orbit term, the axis defaults to z; the
+    axis broadcasts over K and a zero K or H is still rejected."""
+    u, w = cr.schwinger_axis(np.array([1.0, 0, 0]), np.array([-2.0, 0, 0]))
+    assert np.array_equal(u, [0, 0, 1]) and w == 0.0
+    K = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 3.0, 0]])
+    u, w = cr.schwinger_axis(K, np.array([0, 3.0, 0]))
+    assert np.allclose(u, [[0, 0, 1], [0, 0, 1], [0, 0, 1]])
+    assert np.allclose(w, [1.0 / 3.0, 2.0 / 3.0, 0.0], rtol=1e-14, atol=0)
+    for K, H in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):
+        with pytest.raises(cr.CrystalError):
+            cr.schwinger_axis(K, H)
 
 
 def test_schwinger_axis_backscattering_limit(quartz):
@@ -179,20 +189,28 @@ def test_hermiticity_under_H_negation(site_data, h, k, l):
 
 
 def test_channel_diagonalisation_residual(quartz):
-    """V(H,K) is diagonal in the sigma.u basis with the channel entries."""
+    """V(H,K) is diagonal in the sigma.u basis with the engine's channel
+    potentials vH = -y/X as entries."""
     K = np.array([2 * np.pi / 2.0, 0.15, 0.07])
     H = cr.reciprocal_vector(quartz, (1, 1, 0))
-    ch = cr.channel_potentials(quartz, H, K)
+    # hand-built geometry (no hkl: H in the crystal frame) whose incident
+    # wavevector at (theta, rho) is K
+    geom = dp.DiffractionGeometry(k0=(float(np.linalg.norm(K)), 0.0, 0.0),
+                                  H=tuple(H), n=(1.0, 0.0, 0.0),
+                                  kind=dp.LAUE, thickness_A=1e6)
+    res = dp.exit_amplitude_maps(geom, quartz, np.array([1.0, 0.0]),
+                                 K[1] / K[0], K[2] / K[0])
+    vH = -res["y"][:, 0] / res["X"][:, 0]          # channels s = +1, -1
     V = cr.potential_fourier(quartz, H, K)
-    sig_u = np.einsum("k,kij->ij", ch.u_hat, cr.SIGMA)
+    sig_u = np.einsum("k,kij->ij", res["u_hat"], cr.SIGMA)
     evals, evecs = np.linalg.eigh(sig_u)
     # eigh sorts ascending: column 0 is s=-1, column 1 is s=+1
     D = evecs.conj().T @ V @ evecs
     off = abs(D[0, 1]) + abs(D[1, 0])
-    scale = max(abs(ch.vH[0]), abs(ch.vH[1]))
+    scale = max(abs(vH[0]), abs(vH[1]))
     assert off <= 1e-12 * scale
-    assert abs(D[1, 1] - ch.vH[0]) <= 1e-12 * scale
-    assert abs(D[0, 0] - ch.vH[1]) <= 1e-12 * scale
+    assert abs(D[1, 1] - vH[0]) <= 1e-12 * scale
+    assert abs(D[0, 0] - vH[1]) <= 1e-12 * scale
 
 
 def test_form_factors_normalised_and_monotone(quartz):

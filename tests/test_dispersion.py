@@ -5,145 +5,150 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import darwin_reflectivity
+from oracles import (brute_force_potential, channel_entries,
+                     darwin_reflectivity, pendelloesung_length, two_beam_point)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
-from sodiff.constants import CONSTANTS
 
 
-def channel_inputs(quartz, geom, spin=+1):
-    H = cr.reciprocal_vector(quartz, (1, 1, 0))
-    ch = cr.channel_potentials(quartz, H, np.asarray(geom.k0))
-    i = 0 if spin > 0 else 1
-    E = CONSTANTS.energy_meV(geom.wavelength_A)
-    return ch.v0, ch.vH[i], ch.vmH[i], E
+def one_point(crystal, geom, theta, u0=(1.0, 0.0)):
+    """Engine result at a single (theta, rho = 0)."""
+    return dp.exit_amplitude_maps(geom, crystal, np.asarray(u0, complex),
+                                  theta, 0.0)
+
+
+def reference_channel_potentials(crystal, w, hkl=(1, 1, 0)):
+    """[(vH, vmH) for s = +1, -1] from the full 2x2 V(+-H, K), for a K
+    whose spin-orbit strength |K x H|/|H|^2 is w."""
+    H = cr.reciprocal_vector(crystal, hkl)
+    e = np.cross(H, [0.0, 0.0, 1.0])
+    K = float(w) * np.linalg.norm(H) * e / np.linalg.norm(e)
+    u = np.cross(K, H)
+    u /= np.linalg.norm(u)
+    vH = channel_entries(cr.potential_fourier(crystal, H, K), u)
+    vmH = channel_entries(cr.potential_fourier(crystal, -H, K), u)
+    return list(zip(vH, vmH))
 
 
 # ---------------------------------------------------------------------------
-# solve_branches
+# branch roots
 # ---------------------------------------------------------------------------
 
 def test_secular_residual_and_eq10(quartz, thermal_bragg_100um):
-    g = dataclasses.replace(thermal_bragg_100um, theta=3e-6)
-    v0, vH, vmH, E = channel_inputs(quartz, g)
-    br = dp.solve_branches(g, v0, vH, vmH, E)
-    k = g.incident()
-    n = np.asarray(g.n)
-    H = np.asarray(g.H)
-    hb2m = E / g.k_mag**2
-    alpha0 = -hb2m * (2 * float(k @ H) + float(H @ H))
-    beta = float((k + H) @ n) / float(k @ n)
-    for eps, X in ((br.eps1, br.X1), (br.eps2, br.X2)):
-        # X from the printed amplitude-ratio relation
-        assert abs(X + (2 * E * eps + v0) / vH) < 1e-12 * abs(X)
-        # second two-beam equation residual
-        alphaH = alpha0 - 2 * E * beta * eps
-        res = -vmH + (alphaH - v0) * X
-        scale = abs(vmH) + abs((alphaH - v0) * X)
-        assert abs(res) / scale < 1e-12
+    g = thermal_bragg_100um
+    res = one_point(quartz, g, 3e-6)
+    E, v0 = res["energy_meV"], res["v0"]
+    alpha0, beta = float(res["alpha0"]), float(res["beta"])
+    channels = reference_channel_potentials(quartz, res["w"])
+    for ci, (vH, vmH) in enumerate(channels):
+        for y, X in zip(res["y"][ci], res["X"][ci]):
+            eps = (y - v0) / (2 * E)
+            # X from the printed amplitude-ratio relation
+            assert abs(X + (2 * E * eps + v0) / vH) < 1e-12 * abs(X)
+            # second two-beam equation residual
+            alphaH = alpha0 - 2 * E * beta * eps
+            res2 = -vmH + (alphaH - v0) * X
+            scale = abs(vmH) + abs((alphaH - v0) * X)
+            assert abs(res2) / scale < 1e-12
 
 
 def test_branch_ordering_deterministic(quartz, thermal_bragg_100um):
-    g = dataclasses.replace(thermal_bragg_100um, theta=-4e-6)
-    v0, vH, vmH, E = channel_inputs(quartz, g)
-    br = dp.solve_branches(g, v0, vH, vmH, E)
-    assert (br.eps1.real, br.eps1.imag) <= (br.eps2.real, br.eps2.imag)
+    res = one_point(quartz, thermal_bragg_100um, -4e-6)
+    for y1, y2 in res["y"]:
+        assert (y1.real, y1.imag) <= (y2.real, y2.imag)
 
 
 def test_total_reflection_conjugate_branches(quartz, thermal_bragg_100um):
     center = dp.darwin_center_theta(quartz, thermal_bragg_100um)
     g = dataclasses.replace(thermal_bragg_100um, theta=center)
-    v0, vH, vmH, E = channel_inputs(quartz, g)
-    br = dp.solve_branches(g, v0, vH, vmH, E)
-    assert br.eps1.imag * br.eps2.imag < 0  # opposite signs inside the zone
-    # conjugate pair: equal moduli, and |X|^2 weighted by the asymmetry
-    # factor gives total reflection
-    assert abs(br.X1) == pytest.approx(abs(br.X2), rel=1e-10)
-    assert abs(br.X1) ** 2 * abs(g.b_asym) ** -1 == pytest.approx(1.0, rel=1e-9)
+    res = one_point(quartz, g, center)
+    for (y1, y2), (X1, X2) in zip(res["y"], res["X"]):
+        # opposite signs inside the zone (Im eps = Im y / 2E)
+        assert y1.imag * y2.imag < 0
+        # conjugate pair: equal moduli, and |X|^2 weighted by the asymmetry
+        # factor gives total reflection
+        assert abs(X1) == pytest.approx(abs(X2), rel=1e-10)
+        assert abs(X1) ** 2 * abs(g.b_asym) ** -1 == pytest.approx(1.0, rel=1e-9)
 
 
-def test_forbidden_reflection_rejected(quartz, thermal_bragg_100um):
-    v0, _, _, E = channel_inputs(quartz, thermal_bragg_100um)
+def test_forbidden_reflection_rejected():
     with pytest.raises(dp.DispersionError, match="forbidden"):
-        dp.solve_branches(thermal_bragg_100um, v0, 0.0, 0.0, E)
+        dp._solve_channel(-1.0, 1e-6, 0.0, 0.0)
 
 
 def test_weak_coupling_limit_mean_refraction(quartz, thermal_bragg_100um):
     """vH -> 0 off the Bragg condition: one branch tends to the mean
     optical-potential refraction eps = -v0/2E and carries no reflection."""
-    g = dataclasses.replace(thermal_bragg_100um, theta=5e-4)
-    v0, vH, vmH, E = channel_inputs(quartz, g)
-    br = dp.solve_branches(g, v0, vH * 1e-6, vmH * 1e-6, E)
-    eps_fwd = min((br.eps1, br.eps2), key=lambda e: abs(e + v0 / (2 * E)))
+    res = one_point(quartz, thermal_bragg_100um, 5e-4)
+    E, v0 = res["energy_meV"], res["v0"]
+    vH, vmH = reference_channel_potentials(quartz, res["w"])[0]
+    beta = res["beta"]
+    b = (1.0 - beta) * v0 - res["alpha0"]
+    y1, y2, X1, X2 = dp._solve_channel(beta, b, vH * vmH * 1e-12, vH * 1e-6)
+    eps1, eps2 = (y1 - v0) / (2 * E), (y2 - v0) / (2 * E)
+    eps_fwd = min((eps1, eps2), key=lambda e: abs(e + v0 / (2 * E)))
     assert abs(eps_fwd + v0 / (2 * E)) < 1e-6 * abs(v0 / (2 * E))
-    X_fwd = br.X1 if eps_fwd == br.eps1 else br.X2
+    X_fwd = X1 if eps_fwd == eps1 else X2
     assert abs(X_fwd) < 1e-4
 
 
 def test_schwinger_branch_splitting_continuity(quartz, thermal_bragg_100um):
     """Spin splitting is nonzero with the spin-orbit term on and vanishes
-    continuously as the gammas are scaled to zero."""
-    center = dp.darwin_center_theta(quartz, thermal_bragg_100um)
-    g = dataclasses.replace(thermal_bragg_100um, theta=center)
+    continuously, linearly to first order, as the gammas are scaled to
+    zero."""
+    g = thermal_bragg_100um
+    center = dp.darwin_center_theta(quartz, g)
     splits = []
     for scale in (1.0, 0.1, 0.0):
         c = dataclasses.replace(quartz, schwinger_scale=scale)
-        v0p, vHp, vmHp, E = channel_inputs(c, g, +1)
-        v0m, vHm, vmHm, _ = channel_inputs(c, g, -1)
-        brp = dp.solve_branches(g, v0p, vHp, vmHp, E, spin=+1)
-        brm = dp.solve_branches(g, v0m, vHm, vmHm, E, spin=-1)
-        splits.append(abs(brp.eps1 - brm.eps1))
-    assert splits[0] > 10 * splits[1] > 0
+        res = one_point(c, g, center)
+        y = res["y"]
+        splits.append(abs(y[0, 0] - y[1, 0]) / (2 * res["energy_meV"]))
+    assert splits[1] > 0
+    assert splits[1] == pytest.approx(0.1 * splits[0], rel=1e-5)
     assert splits[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
-# boundary-condition amplitude solvers
+# boundary-condition amplitudes against a from-scratch per-point solve
 # ---------------------------------------------------------------------------
 
+def assert_matches_point_solve(crystal, g, theta):
+    res = one_point(crystal, g, theta)
+    kappa_scale = g.k_mag**2 / res["g0"]
+    channels = reference_channel_potentials(crystal, res["w"])
+    for ci, (vH, vmH) in enumerate(channels):
+        t, r = two_beam_point(res["alpha0"], res["beta"], res["v0"], vH, vmH,
+                              res["energy_meV"], kappa_scale, g.thickness_A,
+                              bragg=g.kind == dp.BRAGG)
+        scale = max(abs(t), abs(r))
+        assert abs(res["t"][ci] - t) <= 1e-12 * scale
+        assert abs(res["r"][ci] - r) <= 1e-12 * scale
+
+
 def test_bragg_amplitudes_boundary_identities(quartz, thermal_bragg_100um):
-    g = dataclasses.replace(thermal_bragg_100um, theta=2e-6)
-    v0, vH, vmH, E = channel_inputs(quartz, g)
-    br = dp.solve_branches(g, v0, vH, vmH, E)
-    kappa_scale = g.k_mag / g.cos_gamma
-    u1, u2, u1H, u2H = dp.bragg_amplitudes(br, 1.0, g.thickness_A, kappa_scale)
-    assert abs(u1 + u2 - 1.0) < 1e-14
-    # no reflected field at the rear face, evaluated in the stable gauge
-    E1 = np.exp(1j * kappa_scale * br.eps1 * g.thickness_A)
-    E2 = np.exp(1j * kappa_scale * br.eps2 * g.thickness_A)
-    grow = max(abs(E1), abs(E2))
-    rear = (u1H * E1 + u2H * E2) / grow
-    scale = (abs(u1H * E1) + abs(u2H * E2)) / grow + 1e-300
-    assert abs(rear) / scale < 1e-12
-    # ratio relation u(H) = X u(0)
-    assert abs(u1H - br.X1 * u1) < 1e-14
-    assert abs(u2H - br.X2 * u2) < 1e-14
+    center = dp.darwin_center_theta(quartz, thermal_bragg_100um)
+    for theta in (2e-6, center, center + 2e-5):
+        assert_matches_point_solve(quartz, thermal_bragg_100um, theta)
 
 
 def test_bragg_zero_input(quartz, thermal_bragg_100um):
-    v0, vH, vmH, E = channel_inputs(quartz, thermal_bragg_100um)
-    br = dp.solve_branches(thermal_bragg_100um, v0, vH, vmH, E)
-    amps = dp.bragg_amplitudes(br, 0.0, 1e6,
-                               thermal_bragg_100um.k_mag
-                               / thermal_bragg_100um.cos_gamma)
-    assert all(a == 0.0 for a in amps)
+    res = one_point(quartz, thermal_bragg_100um, 0.0, u0=(0.0, 0.0))
+    assert not res["psi0"].any() and not res["psiH"].any()
 
 
 def test_laue_amplitudes_boundary_identities(quartz):
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
-    v0, vH, vmH, E = channel_inputs(quartz, g)
-    br = dp.solve_branches(g, v0, vH, vmH, E)
-    u1, u2, u1H, u2H = dp.laue_amplitudes(br, 1.0)
-    assert abs(u1 + u2 - 1.0) < 1e-14
-    assert abs(br.X1 * u1 + br.X2 * u2) < 1e-12 * (abs(br.X1 * u1) + abs(br.X2 * u2))
+    for theta in (0.0, 3e-6, -2e-5):
+        assert_matches_point_solve(quartz, g, theta)
 
 
 def test_laue_zero_thickness_no_crystal(quartz, u0_along_beam):
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 0.0)
-    f = dp.exit_field(g, quartz, u0_along_beam)
-    assert np.allclose(f.psi0, u0_along_beam, atol=1e-14)
-    assert np.allclose(f.psiH, 0.0, atol=1e-14)
-    assert f.T == pytest.approx(1.0, abs=1e-14)
+    res = one_point(quartz, g, 0.0, u0=u0_along_beam)
+    assert np.allclose(res["psi0"], u0_along_beam, atol=1e-14)
+    assert np.allclose(res["psiH"], 0.0, atol=1e-14)
+    assert res["T"] == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +289,12 @@ def test_darwin_width_thermal(quartz):
 def test_pendelloesung_formula_matches_engine(quartz):
     scal = quartz.without_schwinger()
     g = dp.make_geometry(scal, (1, 1, 0), 2.0, dp.LAUE, 1e6)
-    v0, vH, vmH, E = channel_inputs(scal, g)
-    br = dp.solve_branches(g, v0, vH, vmH, E)
-    lam = dp.pendelloesung_length_A(br, g)
-    assert abs(br.eps1 - br.eps2) == pytest.approx(abs(vH) / E, rel=1e-10)
-    assert lam == pytest.approx(2 * np.pi * g.cos_gamma / (g.k_mag * abs(vH) / E),
-                                rel=1e-12)
+    res = one_point(scal, g, 0.0)
+    y1, y2 = res["y"][0]
+    lam_engine = 2 * np.pi * g.cos_gamma / (
+        g.k_mag * abs(y1 - y2) / (2 * res["energy_meV"]))
+    sites = [(s.frac, s.b_fm, s.Z, s.form_factor) for s in scal.sites]
+    vH = brute_force_potential(sites, scal.lattice_matrix, (1, 1, 0),
+                               g.k0, scal.cell_volume_A3, schwinger=False)[0, 0]
+    lam = pendelloesung_length(g.k_mag, g.cos_gamma, vH)
+    assert lam_engine == pytest.approx(lam, rel=1e-10)

@@ -17,14 +17,11 @@ def test_one_by_one_grid_equals_exit_field(quartz, thermal_bragg_100um,
                                            u0_along_beam):
     grid = wf.grid_scan(thermal_bragg_100um, quartz, u0_along_beam,
                         np.array([1.3e-6]), np.array([0.0]))
-    single = dp.exit_field(thermal_bragg_100um.__class__(
-        k0=thermal_bragg_100um.k0, H=thermal_bragg_100um.H,
-        n=thermal_bragg_100um.n, kind=thermal_bragg_100um.kind,
-        thickness_A=thermal_bragg_100um.thickness_A, theta=1.3e-6, rho=0.0,
-        hkl=thermal_bragg_100um.hkl), quartz, u0_along_beam)
-    assert np.allclose(grid.psi0[0, 0], single.psi0)
-    assert np.allclose(grid.psiH[0, 0], single.psiH)
-    assert grid.R[0, 0] == pytest.approx(single.R, rel=1e-14)
+    single = dp.exit_amplitude_maps(thermal_bragg_100um, quartz,
+                                    u0_along_beam, 1.3e-6, 0.0)
+    assert np.allclose(grid.psi0[0, 0], single["psi0"])
+    assert np.allclose(grid.psiH[0, 0], single["psiH"])
+    assert grid.R[0, 0] == pytest.approx(single["R"], rel=1e-14)
 
 
 def test_grid_scan_deterministic(quartz, thermal_bragg_100um, u0_along_beam):
@@ -40,15 +37,37 @@ def test_grid_matches_pointwise_evaluation(quartz, thermal_bragg_100um,
     """Grid values are independent of evaluation order/batching: the dense
     vectorised build equals independent single-point solves."""
     grid = small_grid(quartz, thermal_bragg_100um, u0_along_beam, n=5)
-    import dataclasses
     for i in (0, 2, 4):
         for j in (1, 3):
-            g = dataclasses.replace(thermal_bragg_100um,
-                                    theta=float(grid.theta[i]),
-                                    rho=float(grid.rho[j]))
-            f = dp.exit_field(g, quartz, u0_along_beam)
-            assert np.allclose(grid.psi0[i, j], f.psi0, rtol=1e-13)
-            assert np.allclose(grid.psiH[i, j], f.psiH, rtol=1e-13)
+            f = dp.exit_amplitude_maps(thermal_bragg_100um, quartz,
+                                       u0_along_beam, float(grid.theta[i]),
+                                       float(grid.rho[j]))
+            assert np.allclose(grid.psi0[i, j], f["psi0"], rtol=1e-13)
+            assert np.allclose(grid.psiH[i, j], f["psiH"], rtol=1e-13)
+
+
+def test_wide_window_scan_accepted(quartz, thermal_bragg_100um,
+                                   u0_along_beam):
+    """+-10 mrad about the 2 A Darwin centre (far outside the Darwin
+    width) passes the root check, with flux conserved."""
+    center = dp.darwin_center_theta(quartz, thermal_bragg_100um)
+    th = center + np.linspace(-1e-2, 1e-2, 20001)
+    grid = wf.grid_scan(thermal_bragg_100um, quartz, u0_along_beam, th,
+                        np.zeros(1))
+    assert np.max(np.abs(grid.R + grid.T - 1.0)) <= 1e-10
+
+
+def test_perturbed_root_rejected(quartz, thermal_bragg_100um, u0_along_beam,
+                                 monkeypatch):
+    solve = dp._solve_channel
+
+    def perturbed(*args):
+        y1, y2, X1, X2 = solve(*args)
+        return y1 * (1.0 + 1e-9), y2, X1, X2
+
+    monkeypatch.setattr(dp, "_solve_channel", perturbed)
+    with pytest.raises(wf.WaveGridError, match="backward error"):
+        small_grid(quartz, thermal_bragg_100um, u0_along_beam, n=5)
 
 
 def test_grid_requires_uniform_axes(quartz, thermal_bragg_100um, u0_along_beam):
