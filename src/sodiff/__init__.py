@@ -34,7 +34,6 @@ from .dispersion import (
     make_geometry,
 )
 from .wavefield import (
-    CoherenceGrid,
     WaveGrid,
     coherence_scan,
     grid_scan,
@@ -48,10 +47,8 @@ from .oam import (
     AzimuthalField,
     OamDistribution,
     aft,
-    field_from_coherence,
     field_from_grid,
     interference_distribution,
-    interference_field_from_grid,
     oam_distribution,
     oam_expectation,
     oracle_Lz,

@@ -250,9 +250,12 @@ class _Writer:
 
     def __init__(self, directory: Path, cfg: RunConfig, precision: int):
         self.dir = directory
+        self.provenance = {
+            "version": __version__, "config_hash": cfg.config_hash,
+            "units": "angles rad unless suffixed, energies meV, lengths A"}
         self.header = (f"sodiff {__version__}",
                        f"config_hash {cfg.config_hash}",
-                       "units: angles rad unless suffixed, energies meV, lengths A")
+                       f"units: {self.provenance['units']}")
         self.precision = precision
         self.written: list[str] = []
 
@@ -265,18 +268,29 @@ class _Writer:
     def json(self, name: str, payload: dict):
         path = self.dir / name
         tmp = path.with_suffix(path.suffix + ".tmp")
-        doc = {"provenance": dict(zip(("version", "config_hash", "units"),
-                                      self.header)), **payload}
+        doc = {"provenance": self.provenance, **payload}
         tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
         self.written.append(name)
         return path
 
 
+def _grid(blk, ctx):
+    """The block's exit grid: pure for thickness_average = 1, else the
+    thickness ensemble of that many points."""
+    n_avg = _get_int(blk, "thickness_average", 1)
+    if n_avg < 1:
+        raise ConfigError("key 'thickness_average': expected >= 1")
+    if n_avg > 1 and blk["mode"] == "phase-map":
+        raise ConfigError("phase-map needs thickness_average = 1: a "
+                          "thickness ensemble has no phase")
+    return ctx["grid"](n_avg)
+
+
 def _analysis_polarization(blk, ctx, writer, tag):
     beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
                         (wave.REFLECTED, wave.TRANSMITTED))
-    grid = ctx["grid"]()
+    grid = _grid(blk, ctx)
     summary = {}
     for beam in beams:
         curve = wave.polarization_curve(grid, beam, "theta")
@@ -293,15 +307,11 @@ def _analysis_polarization(blk, ctx, writer, tag):
 def _analysis_polarization_map(blk, ctx, writer, tag):
     beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
                         (wave.TRANSMITTED,))
-    n_avg = _get_int(blk, "thickness_average", 1)
+    grid = _grid(blk, ctx)
     summary = {}
     for beam in beams:
-        if n_avg > 1:
-            pm = wave.coherence_polarization_map(ctx["cgrid"](n_avg), beam)
-        else:
-            pm = wave.polarization_map(ctx["grid"](), beam)
-        grid_theta, grid_rho = ctx["theta"], ctx["rho"]
-        TH, RH = np.meshgrid(grid_theta, grid_rho, indexing="ij")
+        pm = wave.polarization_map(grid, beam)
+        TH, RH = np.meshgrid(grid.theta, grid.rho, indexing="ij")
         name = f"{tag}_{beam}.csv"
         writer.csv(name, {"theta_rad": TH.ravel(), "rho_rad": RH.ravel(),
                           "Px": pm["Px"].ravel(), "Py": pm["Py"].ravel(),
@@ -321,33 +331,15 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
     n_r = _get_int(blk, "n_r", 128)
     r_max = (_get_float(blk, "r_max_deg") * DEG_TO_RAD
              if "r_max_deg" in blk else None)
-    n_avg = _get_int(blk, "thickness_average", 1)
     physical_only = _get_bool(blk, "physical_only", True)
+    grid = _grid(blk, ctx)
     summary = {}
     for beam in beams:
         fields = {}
-        if n_avg > 1:
-            cg = ctx["cgrid"](n_avg)
-            if interference:
-                fields["interference"] = oam_mod.field_from_coherence(
-                    cg, beam, "interference", n_r=n_r, n_phi=n_phi,
-                    r_max=r_max, physical_only=physical_only)
-            else:
-                for comp in comps:
-                    fields[comp] = oam_mod.field_from_coherence(
-                        cg, beam, comp, n_r=n_r, n_phi=n_phi, r_max=r_max,
-                        physical_only=physical_only)
-        else:
-            grid = ctx["grid"]()
-            if interference:
-                fields["interference"] = oam_mod.interference_field_from_grid(
-                    grid, beam, n_r=n_r, n_phi=n_phi, r_max=r_max,
-                    center=(ctx["center"], 0.0))
-            else:
-                for comp in comps:
-                    fields[comp] = oam_mod.field_from_grid(
-                        grid, beam, comp, n_r=n_r, n_phi=n_phi, r_max=r_max,
-                        center=(ctx["center"], 0.0))
+        for what in (["interference"] if interference else comps):
+            fields[what] = oam_mod.field_from_grid(
+                grid, beam, what, n_r=n_r, n_phi=n_phi, r_max=r_max,
+                center=(ctx["center"], 0.0), physical_only=physical_only)
         cols = {}
         stats = {}
         for label, f in fields.items():
@@ -368,7 +360,7 @@ def _analysis_phase_map(blk, ctx, writer, tag):
                         ("flipped", "non-flipped"))
     margins = [int(v) for v in blk.get("loop_margins", "20 60 100").split()]
     frame = blk.get("frame", "beam")
-    grid = ctx["grid"]()
+    grid = _grid(blk, ctx)
     summary = {}
     for beam in beams:
         for comp in comps:
@@ -388,7 +380,7 @@ def _analysis_phase_map(blk, ctx, writer, tag):
 
 def _analysis_instrument(blk, ctx, writer, tag):
     factor = _get_float(blk, "resolution_sigma_factor", 5.0)
-    grid = ctx["grid"]()
+    grid = _grid(blk, ctx)
     curve = wave.polarization_curve(grid, wave.REFLECTED, "theta")
     fwhm = disp.darwin_fwhm_rad(ctx["crystal"], ctx["geometry"])
     sigma = factor * fwhm
@@ -448,19 +440,15 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
 
     cache: dict = {}
 
-    def grid():
-        if "grid" not in cache:
-            cache["grid"] = wave.grid_scan(geom, crys, u0, theta, rho)
-        return cache["grid"]
+    def grid(n_avg):
+        if n_avg not in cache:
+            cache[n_avg] = (wave.grid_scan(geom, crys, u0, theta, rho)
+                            if n_avg == 1 else
+                            wave.coherence_scan(geom, crys, u0, theta, rho,
+                                                n_avg=n_avg))
+        return cache[n_avg]
 
-    def cgrid(n_avg):
-        if ("cgrid", n_avg) not in cache:
-            cache["cgrid", n_avg] = wave.coherence_scan(geom, crys, u0, theta,
-                                                        rho, n_avg=n_avg)
-        return cache["cgrid", n_avg]
-
-    ctx = {"crystal": crys, "geometry": geom, "theta": theta, "rho": rho,
-           "center": center, "grid": grid, "cgrid": cgrid}
+    ctx = {"crystal": crys, "geometry": geom, "center": center, "grid": grid}
 
     for i, blk in enumerate(cfg.analyses, start=1):
         mode = blk["mode"]
@@ -470,9 +458,9 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
         dt = time.perf_counter() - t0
         keys = _summary_scalars(summary)
         print(f"[{tag}] grid {theta.size}x{rho.size}  wall {dt:.2f}s  {keys}")
-    if cfg.output.get("format", "csv") == "binary" and "grid" in cache:
+    if cfg.output.get("format", "csv") == "binary" and 1 in cache:
         path = out_dir / "wavegrid.sgrid"
-        wave.write_binary(cache["grid"], path)
+        wave.write_binary(cache[1], path)
         writer.written.append(path.name)
     manifest = {"artifacts": writer.written,
                 "geometry": {"kind": geom.kind, "hkl": list(geom.hkl or ()),

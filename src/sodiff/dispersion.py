@@ -401,17 +401,18 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     For crystals many extinction lengths thick, the exit amplitudes carry
     optical-path phases of thousands of radians that no transverse grid can
     resolve; observables built from them are then dominated by sampling
-    noise.  Averaging the quadratic coherences over a Gaussian ensemble of
+    noise.  Averaging the quadratic coherences over an ensemble of
     thicknesses (the incoherent mixture any real thickness gradient or
-    wavelength band produces) removes the unresolvable beats exactly while
+    wavelength band produces) removes the unresolvable beats while
     preserving every spin-orbit observable: intensities, polarization and
     the relative phase accumulated between spin channels.
 
-    For Laue geometry the Gaussian ensemble average is evaluated in closed
-    form (the amplitudes are two-exponential sums); for Bragg it falls back
-    to a discrete n_avg-point ensemble.  span_A is the ensemble sigma in
-    Angstrom and defaults to 1e-5 of the thickness, far below any real
-    tolerance yet enough to suppress branch beats below double precision.
+    The two geometries use different ensembles.  Laue averages over a
+    Gaussian of width span_A in closed form (the amplitudes are
+    two-exponential sums).  Bragg averages n_avg equally weighted
+    thicknesses spread uniformly over +-1.5 span_A.  span_A is in Angstrom
+    and defaults to 1e-5 of the thickness, far below any real tolerance
+    yet enough to suppress the Laue branch beats below double precision.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices,
     fluxes R, T, and the geometry diagnostics of exit_amplitude_maps.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavefield import CoherenceGrid, WaveGrid, REFLECTED, TRANSMITTED
+from .wavefield import WaveGrid, REFLECTED, TRANSMITTED
 
 class OamError(ValueError):
     pass
@@ -131,74 +131,29 @@ def _analysis_handedness(grid: WaveGrid, axis: str) -> int:
     return +1 if ref[0] >= 0.0 else -1
 
 
-def field_from_grid(grid: WaveGrid, beam: str, component: str,
+def field_from_grid(grid: WaveGrid, beam: str, what: str,
                     axis: str = "H", center=(0.0, 0.0), n_r: int = 128,
-                    n_phi: int = 256, r_max: float | None = None
-                    ) -> AzimuthalField:
-    """Polar resampling of one spin component of an exit beam.
+                    n_phi: int = 256, r_max: float | None = None,
+                    physical_only: bool = False) -> AzimuthalField:
+    """Polar resampling of one spin field of an exit beam.
 
-    center is in (theta, rho) radians; radial axis comes out in 1/A.
+    what is "flipped", "non-flipped" or "interference" (see
+    WaveGrid.spin_field); the interference product conj(psi_nonflip)
+    psi_flip is formed on the Cartesian grid before resampling, so phases
+    common to both spin components cancel exactly, including thickness
+    oscillations far too fast for the grid to resolve.  physical_only
+    zeroes the half-plane where the beam cannot enter the crystal (grazing
+    backscattering geometries); analysis then covers the reachable lobe
+    only.  center is in (theta, rho) radians; the radial axis comes out in
+    1/A.
     """
-    amp = grid.spin_component(beam, flipped=(component == "flipped"))
-    k = grid.geometry.k_mag
-    return to_polar(amp, k * grid.theta, k * grid.rho,
-                    center=(k * center[0], k * center[1]), n_r=n_r,
-                    n_phi=n_phi, r_max=None if r_max is None else k * r_max,
-                    handedness=_analysis_handedness(grid, axis))
-
-
-def interference_field_from_grid(grid: WaveGrid, beam: str, axis: str = "H",
-                                 center=(0.0, 0.0), n_r: int = 128,
-                                 n_phi: int = 256, r_max: float | None = None
-                                 ) -> AzimuthalField:
-    """Polar field of conj(psi_+) * psi_- (non-flipped* times flipped).
-
-    The product is formed on the Cartesian grid before resampling so that
-    phase factors common to both spin components cancel exactly, including
-    thickness oscillations far too fast for the grid to resolve.
-    """
-    up = grid.spin_component(beam, flipped=False)
-    dn = grid.spin_component(beam, flipped=True)
-    k = grid.geometry.k_mag
-    return to_polar(np.conj(up) * dn, k * grid.theta, k * grid.rho,
-                    center=(k * center[0], k * center[1]), n_r=n_r,
-                    n_phi=n_phi, r_max=None if r_max is None else k * r_max,
-                    handedness=_analysis_handedness(grid, axis))
-
-
-def field_from_coherence(grid: CoherenceGrid, beam: str, what: str,
-                         axis: str = "H", center=(0.0, 0.0), n_r: int = 128,
-                         n_phi: int = 256, r_max: float | None = None,
-                         physical_only: bool = True) -> AzimuthalField:
-    """Polar fields built from thickness-averaged coherences.
-
-    what = "interference": <conj(psi_nonflip) psi_flip> itself (the product
-    the mode analysis of spin-orbit entanglement works on);
-    "flipped": the flipped component referenced to the non-flipped phase,
-    <conj(psi_nonflip) psi_flip>/sqrt(<|psi_nonflip|^2>);
-    "non-flipped": sqrt(<|psi_nonflip|^2>), real by construction.
-
-    physical_only zeroes the half-plane where the beam cannot enter the
-    crystal (grazing backscattering geometries); analysis then covers the
-    reachable lobe only.
-    """
-    nf = grid.component_intensity(beam, flipped=False)
-    coh = grid.flip_coherence(beam)  # = <conj(psi_nonflip) psi_flip>
-
-    if what == "interference":
-        vals = coh
-    elif what == "flipped":
-        # floor the reference intensity so near-empty regions cannot blow up
-        floor = 1e-9 * float(np.nanmax(nf))
-        vals = coh / np.sqrt(np.maximum(nf, floor))
-    elif what == "non-flipped":
-        vals = np.sqrt(nf).astype(complex)
-    else:
+    if what not in ("interference", "flipped", "non-flipped"):
         raise OamError("what must be 'interference', 'flipped' or 'non-flipped'")
+    vals = grid.spin_field(beam, what)
     if physical_only:
         vals = np.where(grid.physical, vals, 0.0)
     k = grid.geometry.k_mag
-    return to_polar(vals, k * grid.theta, k * grid.rho_axis,
+    return to_polar(vals, k * grid.theta, k * grid.rho,
                     center=(k * center[0], k * center[1]), n_r=n_r,
                     n_phi=n_phi, r_max=None if r_max is None else k * r_max,
                     handedness=_analysis_handedness(grid, axis))
@@ -258,8 +213,8 @@ def interference_distribution(field_up: AzimuthalField,
                               L: int = 32) -> OamDistribution:
     """OAM distribution of conj(psi_+) psi_- from two matching polar fields.
 
-    Prefer interference_field_from_grid when starting from a WaveGrid: the
-    product should be formed before any interpolation.
+    Prefer field_from_grid(..., "interference") when starting from a
+    WaveGrid: the product should be formed before any interpolation.
     """
     if field_up.values.shape != field_dn.values.shape:
         raise OamError("fields must share one polar grid")

@@ -40,41 +40,111 @@ class WaveGridError(ValueError):
 
 @dataclass
 class WaveGrid:
-    """Dense exit spinor fields over a rectangular (theta, rho) grid."""
+    """Exit fields over a rectangular (theta, rho) grid.
+
+    A grid holds either the pure exit spinors psi0/psiH (grid_scan) or
+    their thickness-averaged spin coherences rho0/rhoH = <psi psi^dag>
+    (coherence_scan), in the lab spin basis; a pure grid is the rank-1
+    case.  Only the methods below look at which of the two a grid holds,
+    so every analysis accepts either kind.
+    """
 
     theta: np.ndarray            # (n_t,), rad, strictly increasing uniform
     rho: np.ndarray              # (n_r,), rad
-    psi0: np.ndarray             # (n_t, n_r, 2) transmitted spinor envelope
-    psiH: np.ndarray             # (n_t, n_r, 2) diffracted spinor envelope
     R: np.ndarray                # (n_t, n_r) flux-weighted reflectivity
     T: np.ndarray                # (n_t, n_r) transmission
     geometry: DiffractionGeometry
     u0: np.ndarray               # incident spinor
     crystal_id: str
-    physical: np.ndarray = None  # (n_t, n_r) beam-enters-crystal mask
+    physical: np.ndarray         # (n_t, n_r) beam-enters-crystal mask
     meta: dict = field(default_factory=dict)
+    psi0: np.ndarray = None      # (n_t, n_r, 2) transmitted spinor envelope
+    psiH: np.ndarray = None      # (n_t, n_r, 2) diffracted spinor envelope
+    rho0: np.ndarray = None      # (n_t, n_r, 2, 2) transmitted coherence
+    rhoH: np.ndarray = None      # (n_t, n_r, 2, 2) diffracted coherence
 
-    def spinor(self, beam: str) -> np.ndarray:
+    def _state(self, beam: str):
+        """(spinor or coherence map of one beam, whether it is pure)."""
+        if beam not in (TRANSMITTED, REFLECTED):
+            raise WaveGridError(f"unknown beam {beam!r}")
+        pure = self.psi0 is not None
         if beam == TRANSMITTED:
-            return self.psi0
-        if beam == REFLECTED:
-            return self.psiH
-        raise WaveGridError(f"unknown beam {beam!r}")
+            return (self.psi0 if pure else self.rho0), pure
+        return (self.psiH if pure else self.rhoH), pure
+
+    def _require_pure(self, what: str):
+        if self.psi0 is None:
+            raise WaveGridError(f"{what} needs exit spinors; a thickness "
+                                "ensemble has no common phase")
+
+    def _references(self):
+        """The normalised incident spinor and its orthogonal complement."""
+        u0 = self.u0 / np.linalg.norm(self.u0)
+        return u0, _orthogonal_spinor(u0)
 
     def beam_direction(self, beam: str) -> np.ndarray:
-        k0 = np.asarray(self.geometry.k0, float)
-        if beam == TRANSMITTED:
-            v = k0
-        else:
-            v = k0 + np.asarray(self.geometry.H, float)
+        v = np.asarray(self.geometry.k0, float)
+        if beam != TRANSMITTED:
+            v = v + np.asarray(self.geometry.H, float)
         return v / np.linalg.norm(v)
 
     def spin_component(self, beam: str, flipped: bool) -> np.ndarray:
         """Projection on the incident spinor (non-flipped) or its orthogonal
-        complement (flipped), as a complex map."""
-        u0 = self.u0 / np.linalg.norm(self.u0)
-        ref = _orthogonal_spinor(u0) if flipped else u0
-        return self.spinor(beam) @ np.conj(ref)
+        complement (flipped), as a complex map; pure grids only."""
+        self._require_pure("spin_component")
+        psi, _ = self._state(beam)
+        u0, orth = self._references()
+        return psi @ np.conj(orth if flipped else u0)
+
+    def component_intensity(self, beam: str, flipped: bool) -> np.ndarray:
+        """<|psi_flip|^2> or <|psi_nonflip|^2>."""
+        state, pure = self._state(beam)
+        if pure:
+            return np.abs(self.spin_component(beam, flipped)) ** 2
+        u0, orth = self._references()
+        ref = orth if flipped else u0
+        return np.real(np.einsum("i,...ij,j->...", np.conj(ref), state, ref))
+
+    def flip_coherence(self, beam: str) -> np.ndarray:
+        """<conj(psi_nonflip) psi_flip>: the spin-orbit interference map,
+        in which every phase common to both components cancels."""
+        state, pure = self._state(beam)
+        if pure:
+            return (np.conj(self.spin_component(beam, False))
+                    * self.spin_component(beam, True))
+        u0, orth = self._references()
+        return np.einsum("i,...ij,j->...", np.conj(orth), state, u0)
+
+    def sigma_expectations(self, beam: str):
+        """Numerators <sigma_i> (leading axis i) and the intensity: from
+        <psi|sigma_i|psi> and |psi|^2, or tr(sigma_i rho) and tr(rho)."""
+        state, pure = self._state(beam)
+        if pure:
+            num = np.einsum("...i,kij,...j->k...", np.conj(state), SIGMA, state)
+            return np.real(num), np.sum(np.abs(state) ** 2, axis=-1)
+        num = np.real(np.einsum("kij,...ji->k...", SIGMA, state))
+        return num, np.real(np.trace(state, axis1=-2, axis2=-1))
+
+    def spin_field(self, beam: str, what: str) -> np.ndarray:
+        """Complex map the OAM analyses resample.
+
+        what = "interference": flip_coherence.  On a pure grid "flipped"
+        and "non-flipped" are the spin components themselves.  An ensemble
+        has no common phase, so there "flipped" is referenced to the
+        non-flipped phase, <conj(psi_nonflip) psi_flip>/sqrt(<|psi_nonflip|^2>),
+        and "non-flipped" is sqrt(<|psi_nonflip|^2>), real by construction.
+        """
+        if what == "interference":
+            return self.flip_coherence(beam)
+        _, pure = self._state(beam)
+        if pure:
+            return self.spin_component(beam, what == "flipped")
+        nf = self.component_intensity(beam, flipped=False)
+        if what == "flipped":
+            # floor the reference intensity so near-empty regions cannot blow up
+            floor = 1e-9 * float(np.nanmax(nf))
+            return self.flip_coherence(beam) / np.sqrt(np.maximum(nf, floor))
+        return np.sqrt(nf).astype(complex)
 
 
 def _orthogonal_spinor(u: np.ndarray) -> np.ndarray:
@@ -89,6 +159,19 @@ def _axes_ok(axis: np.ndarray) -> bool:
     return bool(np.all(d > 0) and np.ptp(d) <= slack)
 
 
+def _axes(geom: DiffractionGeometry, theta_axis, rho_axis):
+    """Checked copies of the axes, with every theta row that puts k exactly
+    in the surface (g0 = 0) nudged by 1e-12 rad."""
+    th = np.asarray(theta_axis, float).copy()
+    rh = np.asarray(rho_axis, float).copy()
+    if not (_axes_ok(th) and _axes_ok(rh)):
+        raise WaveGridError("axes must be strictly increasing and uniform")
+    g0 = (geom.incident(theta=th[:, None], rho=rh[None, :])
+          @ np.asarray(geom.n, float))
+    th[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
+    return th, rh
+
+
 def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
               theta_axis, rho_axis,
               constants: PhysicalConstants = CONSTANTS) -> WaveGrid:
@@ -101,23 +184,7 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     secular root must have a backward error of at most 1e-12, else
     WaveGridError is raised.
     """
-    th = np.asarray(theta_axis, float).copy()
-    rh = np.asarray(rho_axis, float).copy()
-    if not (_axes_ok(th) and _axes_ok(rh)):
-        raise WaveGridError("axes must be strictly increasing and uniform")
-
-    n = np.asarray(geom.n, float)
-    k_mag = geom.k_mag
-
-    def g0_of(theta_vals, rho_vals):
-        k = geom.incident(theta=theta_vals[:, None], rho=rho_vals[None, :])
-        return k @ n
-
-    # nudge axis values that put k exactly in the surface (g0 = 0)
-    g0 = g0_of(th, rh)
-    bad_rows = np.any(np.abs(g0) < 1e-15 * k_mag, axis=1)
-    th[bad_rows] += 1e-12
-
+    th, rh = _axes(geom, theta_axis, rho_axis)
     res = exit_amplitude_maps(geom, crystal, u0, th[:, None], rh[None, :],
                               constants)
     psi0, psiH = res["psi0"], res["psiH"]
@@ -144,93 +211,30 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
         raise WaveGridError(f"secular root backward error {worst:.2e} "
                             f"exceeds {_ROOT_TOL:.0e}")
 
-    grid = WaveGrid(theta=th, rho=rh, psi0=res["psi0"], psiH=res["psiH"],
-                    R=res["R"], T=res["T"], geometry=geom,
+    return _grid(geom, crystal, u0, th, rh, res, psi0=res["psi0"],
+                 psiH=res["psiH"])
+
+
+def _grid(geom, crystal, u0, th, rh, res, **fields) -> WaveGrid:
+    meta = {key: res[key] for key in ("w", "alpha0", "energy_meV", "v0",
+                                      "thicknesses") if key in res}
+    return WaveGrid(theta=th, rho=rh, R=res["R"], T=res["T"], geometry=geom,
                     u0=np.asarray(u0, complex), crystal_id=crystal.material_id,
-                    physical=res["g0"] > 0.0,
-                    meta={"w": res["w"], "alpha0": res["alpha0"],
-                          "energy_meV": res["energy_meV"], "v0": res["v0"]})
-    return grid
-
-
-@dataclass
-class CoherenceGrid:
-    """Thickness-averaged spin coherence matrices over a (theta, rho) grid.
-
-    The element pattern is rho[a, b] = <psi_a conj(psi_b)> per beam, in the
-    lab spin basis.  Spin-component coherences against any reference spinor
-    follow by sandwiching.
-    """
-
-    theta: np.ndarray
-    rho_axis: np.ndarray
-    rho0: np.ndarray            # (n_t, n_r, 2, 2)
-    rhoH: np.ndarray
-    R: np.ndarray
-    T: np.ndarray
-    geometry: DiffractionGeometry
-    u0: np.ndarray
-    crystal_id: str
-    physical: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def matrix(self, beam: str) -> np.ndarray:
-        if beam == TRANSMITTED:
-            return self.rho0
-        if beam == REFLECTED:
-            return self.rhoH
-        raise WaveGridError(f"unknown beam {beam!r}")
-
-    def beam_direction(self, beam: str) -> np.ndarray:
-        k0 = np.asarray(self.geometry.k0, float)
-        v = k0 if beam == TRANSMITTED else k0 + np.asarray(self.geometry.H)
-        return v / np.linalg.norm(v)
-
-    def component_intensity(self, beam: str, flipped: bool) -> np.ndarray:
-        u0 = self.u0 / np.linalg.norm(self.u0)
-        ref = _orthogonal_spinor(u0) if flipped else u0
-        m = self.matrix(beam)
-        return np.real(np.einsum("i,...ij,j->...", np.conj(ref), m, ref))
-
-    def flip_coherence(self, beam: str) -> np.ndarray:
-        """<psi_flip conj(psi_nonflip)>: the spin-orbit interference map,
-        with every thickness-unresolvable common phase averaged out."""
-        u0 = self.u0 / np.linalg.norm(self.u0)
-        orth = _orthogonal_spinor(u0)
-        m = self.matrix(beam)
-        return np.einsum("i,...ij,j->...", np.conj(orth), m, u0)
+                    physical=res["g0"] > 0.0, meta=meta, **fields)
 
 
 def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
                    theta_axis, rho_axis, n_avg: int = 32,
                    span_A: float | None = None,
-                   constants: PhysicalConstants = CONSTANTS) -> CoherenceGrid:
-    """Thickness-ensemble companion of grid_scan (see exit_coherence_maps)."""
-    th = np.asarray(theta_axis, float)
-    rh = np.asarray(rho_axis, float)
-    if not (_axes_ok(th) and _axes_ok(rh)):
-        raise WaveGridError("axes must be strictly increasing and uniform")
+                   constants: PhysicalConstants = CONSTANTS) -> WaveGrid:
+    """Thickness-ensemble companion of grid_scan (see exit_coherence_maps):
+    a grid holding rho0/rhoH instead of psi0/psiH, on axes checked and
+    nudged off grazing incidence as grid_scan's are."""
+    th, rh = _axes(geom, theta_axis, rho_axis)
     res = exit_coherence_maps(geom, crystal, u0, th[:, None], rh[None, :],
                               n_avg=n_avg, span_A=span_A, constants=constants)
-    return CoherenceGrid(theta=th, rho_axis=rh, rho0=res["rho0"],
-                         rhoH=res["rhoH"], R=res["R"], T=res["T"],
-                         geometry=geom, u0=np.asarray(u0, complex),
-                         crystal_id=crystal.material_id,
-                         physical=res["g0"] > 0.0,
-                         meta={"w": res["w"], "alpha0": res["alpha0"],
-                               "energy_meV": res["energy_meV"],
-                               "v0": res["v0"],
-                               "thicknesses": res["thicknesses"]})
-
-
-def coherence_polarization_map(grid: CoherenceGrid, beam: str):
-    """Pointwise P_i = tr(sigma_i rho)/tr(rho) of the averaged mixture."""
-    m = grid.matrix(beam)
-    den = np.real(np.trace(m, axis1=-2, axis2=-1))
-    num = np.real(np.einsum("kij,...ji->k...", SIGMA, m))
-    ok = den > 1e-300
-    P = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
-    return {"Px": P[0], "Py": P[1], "Pz": P[2], "intensity": den, "mask": ok}
+    return _grid(geom, crystal, u0, th, rh, res, rho0=res["rho0"],
+                 rhoH=res["rhoH"])
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +252,9 @@ class PolarizationCurve:
     mask: np.ndarray     # True where P is defined
 
 
-def _sigma_expectations(psi: np.ndarray):
-    """Numerators <psi|sigma_i|psi> and the intensity <psi|psi>."""
-    num = np.real(np.einsum("...i,kij,...j->k...", np.conj(psi), SIGMA, psi))
-    den = np.sum(np.abs(psi) ** 2, axis=-1)
-    return num, den
-
-
 def polarization_map(grid: WaveGrid, beam: str):
     """Pointwise P = <sigma>/intensity over the grid; NaN where empty."""
-    num, den = _sigma_expectations(grid.spinor(beam))
+    num, den = grid.sigma_expectations(beam)
     ok = den > 1e-300
     P = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
     return {"Px": P[0], "Py": P[1], "Pz": P[2], "intensity": den, "mask": ok}
@@ -266,7 +263,7 @@ def polarization_map(grid: WaveGrid, beam: str):
 def polarization_curve(grid: WaveGrid, beam: str, axis: str = "theta"
                        ) -> PolarizationCurve:
     """P along one axis, flux-weighted marginal over the other axis."""
-    num, den = _sigma_expectations(grid.spinor(beam))
+    num, den = grid.sigma_expectations(beam)
     if axis == "theta":
         red, absc = 1, grid.theta
     elif axis == "rho":
@@ -364,6 +361,7 @@ _HDR = struct.Struct("<8sII d d d d I 12x")  # 64 bytes total
 def write_binary(grid: WaveGrid, path):
     """Compact grid dump: 64-byte header (magic, dims, axis ranges, dtype
     code 0 = complex128) followed by psi0, psiH, R, T in C order."""
+    grid._require_pure("write_binary")
     nt, nr = grid.theta.size, grid.rho.size
     header = _HDR.pack(_MAGIC, nt, nr, float(grid.theta[0]), float(grid.theta[-1]),
                        float(grid.rho[0]), float(grid.rho[-1]), 0)
@@ -415,6 +413,7 @@ def write_csv(path, columns: dict, precision: int = 9,
 def write_long_csv(grid: WaveGrid, path, precision: int = 9,
                    header_lines: tuple[str, ...] = ()):
     """Long-form CSV: one row per grid point with both beams' spinors."""
+    grid._require_pure("write_long_csv")
     TH, RH = np.meshgrid(grid.theta, grid.rho, indexing="ij")
     columns = {"theta_rad": TH, "rho_rad": RH}
     for beam, psi in (("psi0", grid.psi0), ("psiH", grid.psiH)):

@@ -118,8 +118,9 @@ def test_criterion_3_laue_pi_half_pulse(quartz, backscatter_laue_35mm,
 def test_criterion_4_interference_oam(laue_coherence_grid):
     dists = {}
     for beam in (wf.TRANSMITTED, wf.REFLECTED):
-        field = oam.field_from_coherence(laue_coherence_grid, beam,
-                                         "interference", n_phi=2048, n_r=128)
+        field = oam.field_from_grid(laue_coherence_grid, beam,
+                                    "interference", n_phi=2048, n_r=128,
+                                    physical_only=True)
         dists[beam] = oam.oam_distribution(field, L=900)
     for beam, d in dists.items():
         assert abs(d.mean + 1.0) <= 0.1, beam
@@ -136,10 +137,12 @@ def test_criterion_4_interference_oam(laue_coherence_grid):
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_flipped_oam_shift(laue_coherence_grid):
-    flip = oam.field_from_coherence(laue_coherence_grid, wf.TRANSMITTED,
-                                    "flipped", n_phi=2048, n_r=128)
-    nonf = oam.field_from_coherence(laue_coherence_grid, wf.TRANSMITTED,
-                                    "non-flipped", n_phi=2048, n_r=128)
+    flip = oam.field_from_grid(laue_coherence_grid, wf.TRANSMITTED,
+                               "flipped", n_phi=2048, n_r=128,
+                               physical_only=True)
+    nonf = oam.field_from_grid(laue_coherence_grid, wf.TRANSMITTED,
+                               "non-flipped", n_phi=2048, n_r=128,
+                               physical_only=True)
     d_f = oam.oam_distribution(flip, L=900)
     d_n = oam.oam_distribution(nonf, L=900)
     shift = d_f.mean - d_n.mean
@@ -299,13 +302,15 @@ def test_criterion_9_property_suites(quartz, u0_along_beam,
     # at azimuthal sampling fine enough for the finite-difference oracle
     checks = []
     for beam in (wf.TRANSMITTED, wf.REFLECTED):
-        f = oam.field_from_coherence(laue_coherence_grid, beam,
-                                     "interference", n_phi=65536, n_r=96)
+        f = oam.field_from_grid(laue_coherence_grid, beam,
+                                "interference", n_phi=65536, n_r=96,
+                                physical_only=True)
         d = oam.oam_distribution(f, L=30000)
         checks.append((f"fig6 {beam}", oam.oracle_Lz(f),
                        oam.oam_expectation(d), d))
-    f7 = oam.field_from_coherence(laue_coherence_grid, wf.TRANSMITTED,
-                                  "flipped", n_phi=65536, n_r=96)
+    f7 = oam.field_from_grid(laue_coherence_grid, wf.TRANSMITTED,
+                             "flipped", n_phi=65536, n_r=96,
+                             physical_only=True)
     d7 = oam.oam_distribution(f7, L=30000)
     checks.append(("fig7 flipped", oam.oracle_Lz(f7),
                    oam.oam_expectation(d7), d7))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sodiff import cli
+from sodiff import __version__, cli
 
 
 MINIMAL = """
@@ -107,12 +107,16 @@ def test_run_writes_artifacts_with_provenance(tmp_path):
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
     csv = out / "run1_polarization_reflected.csv"
     lines = csv.read_text().splitlines()
-    assert lines[0].startswith("# sodiff ")
-    assert lines[1].startswith("# config_hash ")
-    assert lines[2].startswith("# units")
+    config_hash = cli.parse_config(MINIMAL).config_hash
+    units = "angles rad unless suffixed, energies meV, lengths A"
+    assert lines[:3] == [f"# sodiff {__version__}",
+                         f"# config_hash {config_hash}", f"# units: {units}"]
     assert lines[3].split(",")[0] == "theta_rad"
     manifest = json.loads((out / "manifest.json").read_text())
     assert "run1_polarization_reflected.csv" in manifest["artifacts"]
+    assert manifest["provenance"] == {"version": __version__,
+                                      "config_hash": config_hash,
+                                      "units": units}
 
 
 def test_run_twice_byte_identical(tmp_path):
@@ -168,23 +172,83 @@ def test_crystal_file_resolution_env(tmp_path, monkeypatch):
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
 
 
-def test_thickness_average_honoured_for_bragg(tmp_path):
-    """Bragg coherence maps use the configured ensemble size: N = 2 and
-    N = 32 give different maps (Laue's closed form has no N)."""
-    text = MINIMAL.replace("wavelength_A = 2.0", "backscattering = true") \
-        .replace("thickness_mm = 0.05", "thickness_mm = 0.2") \
-        .replace("theta_points = 11\ntheta_half_widths = 2\nrho_points = 1",
-                 "theta_points = 9\ntheta_half_deg = 0.3\nrho_points = 9\n"
-                 "rho_half_deg = 0.3\ncenter = zero")
-    block = "[analysis]\nmode = polarization-map\nbeams = transmitted\n"
-    text = text.replace("[analysis]\nmode = polarization\nbeams = reflected\n",
-                        block + "thickness_average = 2\n\n"
-                        + block + "thickness_average = 32\n")
+def backscattering_config(kind: str, analyses: str, n: int = 9) -> str:
+    """MINIMAL at the backscattering wavelength of a 0.2 mm crystal, on an
+    n x n grid of +-0.3 deg about zero, with the given [analysis] blocks."""
+    return (MINIMAL.replace("kind = bragg", f"kind = {kind}")
+            .replace("wavelength_A = 2.0", "backscattering = true")
+            .replace("thickness_mm = 0.05", "thickness_mm = 0.2")
+            .replace("theta_points = 11\ntheta_half_widths = 2\nrho_points = 1",
+                     f"theta_points = {n}\ntheta_half_deg = 0.3\n"
+                     f"rho_points = {n}\nrho_half_deg = 0.3\ncenter = zero")
+            .replace("[analysis]\nmode = polarization\nbeams = reflected\n",
+                     analyses))
+
+
+def run_blocks(tmp_path, text, names):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
-    n2 = (out / "run1_polarization-map_transmitted.csv").read_text()
-    n32 = (out / "run2_polarization-map_transmitted.csv").read_text()
+    return [(out / name).read_text() for name in names]
+
+
+def test_thickness_average_honoured_for_bragg(tmp_path):
+    """Bragg coherence maps use the configured ensemble size: N = 2 and
+    N = 32 give different maps (Laue's closed form has no N)."""
+    block = "[analysis]\nmode = polarization-map\nbeams = transmitted\n"
+    text = backscattering_config("bragg", block + "thickness_average = 2\n\n"
+                                 + block + "thickness_average = 32\n")
+    n2, n32 = run_blocks(tmp_path, text,
+                         ["run1_polarization-map_transmitted.csv",
+                          "run2_polarization-map_transmitted.csv"])
     assert n2.splitlines()[:4] == n32.splitlines()[:4]
     assert n2 != n32
+
+
+@pytest.mark.parametrize("mode, artifact", [
+    ("polarization", "reflected.csv"),
+    ("instrument", "convolved_Py.csv"),
+])
+def test_thickness_average_honoured_for_curves(tmp_path, mode, artifact):
+    """polarization and instrument run on the thickness ensemble when asked:
+    N = 2 differs from the pure grid (N = 1)."""
+    block = f"[analysis]\nmode = {mode}\nbeams = reflected\n"
+    if mode == "instrument":
+        block = "[analysis]\nmode = instrument\n"
+    text = MINIMAL.replace("[analysis]\nmode = polarization\nbeams = reflected\n",
+                           block + "thickness_average = 1\n\n"
+                           + block + "thickness_average = 2\n")
+    n1, n2 = run_blocks(tmp_path, text, [f"run1_{mode}_{artifact}",
+                                         f"run2_{mode}_{artifact}"])
+    assert n1.splitlines()[:4] == n2.splitlines()[:4]
+    assert n1 != n2
+
+
+@pytest.mark.parametrize("mode, n_avg", [("phase-map", 2),
+                                         ("polarization", 0)])
+def test_bad_thickness_average_rejected(tmp_path, capsys, mode, n_avg):
+    """A thickness ensemble has no phase; an ensemble needs >= 1 point."""
+    text = MINIMAL.replace("mode = polarization",
+                           f"mode = {mode}\nthickness_average = {n_avg}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "thickness_average" in err["detail"]
+
+
+def test_physical_only_honoured_on_pure_grid(tmp_path):
+    """A Laue backscattering OAM run on the pure grid zeroes the unreachable
+    half-plane only when physical_only is true.  The <L_z> oracle reports
+    the coarse 33 x 33 fields as under-resolved."""
+    block = "[analysis]\nmode = oam\nbeams = transmitted\n"
+    text = backscattering_config("laue", block + "physical_only = true\n\n"
+                                 + block + "physical_only = false\n", n=33)
+    with pytest.warns(UserWarning, match="under-resolved"):
+        on, off = run_blocks(tmp_path, text, ["run1_oam_transmitted.csv",
+                                              "run2_oam_transmitted.csv"])
+    assert on.splitlines()[:4] == off.splitlines()[:4]
+    assert on != off

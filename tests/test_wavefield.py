@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodiff import dispersion as dp
+from sodiff import oam
 from sodiff import wavefield as wf
 
 
@@ -234,13 +235,46 @@ def test_coherence_matches_outer_products_for_thin_crystal(quartz,
     direct = (np.conj(raw.spin_component(wf.TRANSMITTED, False))
               * raw.spin_component(wf.TRANSMITTED, True))
     assert np.allclose(fc, direct, rtol=1e-8, atol=1e-15)
+    # so every analysis gives the same answer on either kind of grid
+    for beam in (wf.TRANSMITTED, wf.REFLECTED):
+        pm_raw = wf.polarization_map(raw, beam)
+        pm_coh = wf.polarization_map(coh, beam)
+        assert np.array_equal(pm_raw["mask"], pm_coh["mask"])
+        for key in ("Px", "Py", "Pz", "intensity"):
+            assert np.allclose(pm_coh[key], pm_raw[key], rtol=1e-8,
+                               atol=1e-12, equal_nan=True), (beam, key)
+        f_raw = oam.field_from_grid(raw, beam, "interference", n_r=16,
+                                    n_phi=32)
+        f_coh = oam.field_from_grid(coh, beam, "interference", n_r=16,
+                                    n_phi=32)
+        assert np.allclose(f_coh.values, f_raw.values, rtol=1e-8,
+                           atol=1e-15)
+    # an ensemble has no common phase: no spin amplitude, no phase map
+    with pytest.raises(wf.WaveGridError, match="ensemble"):
+        coh.spin_component(wf.TRANSMITTED, flipped=True)
+    with pytest.raises(wf.WaveGridError, match="ensemble"):
+        wf.phase_map(coh, "flipped", wf.TRANSMITTED)
+
+
+def test_grazing_row_nudged_in_both_scans(quartz, u0_along_beam):
+    """An axis through exactly grazing incidence (theta = 0 in Laue
+    backscattering) is accepted by both scans, which nudge the same row."""
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
+    geom = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, 2e6)
+    ax = np.linspace(-np.deg2rad(0.3), np.deg2rad(0.3), 9)
+    raw = wf.grid_scan(geom, quartz, u0_along_beam, ax, ax)
+    coh = wf.coherence_scan(geom, quartz, u0_along_beam, ax, ax)
+    assert np.nonzero(raw.theta != ax)[0].tolist() == [4]
+    assert np.array_equal(coh.theta, raw.theta)
+    assert np.array_equal(coh.physical, raw.physical)
+    assert np.isfinite(coh.R).all() and np.isfinite(coh.T).all()
 
 
 def test_averaged_reflected_transverse_polarization_weak(laue_coherence_grid):
     """Backscattering 35 mm: the averaged reflected beam's transverse
     polarization is orders of magnitude below the transmitted one."""
-    pt = wf.coherence_polarization_map(laue_coherence_grid, wf.TRANSMITTED)
-    pr = wf.coherence_polarization_map(laue_coherence_grid, wf.REFLECTED)
+    pt = wf.polarization_map(laue_coherence_grid, wf.TRANSMITTED)
+    pr = wf.polarization_map(laue_coherence_grid, wf.REFLECTED)
     phys = laue_coherence_grid.physical
     max_t = np.nanmax(np.abs(pt["Pz"][phys]))
     max_r = np.nanmax(np.abs(pr["Pz"][phys]))
