@@ -50,7 +50,6 @@ from .oam import (
     field_from_grid,
     interference_distribution,
     oam_distribution,
-    oam_expectation,
     oracle_Lz,
     to_polar,
 )

@@ -50,10 +50,10 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "crystal": {"file", "builtin", "schwinger_scale"},
     "geometry": {"kind", "hkl", "wavelength_A", "backscattering",
-                 "thickness_mm", "frame"},
+                 "thickness_mm"},
     "scan": {"theta_points", "theta_half_widths", "theta_half_deg",
              "rho_points", "rho_half_deg", "center"},
-    "analysis": {"mode", "beams", "components", "axis", "truncation_L",
+    "analysis": {"mode", "beams", "components", "truncation_L",
                  "n_phi", "n_r", "r_max_deg", "physical_only",
                  "thickness_average", "loop_margins", "resolution_sigma_factor",
                  "coil_tilt_deg", "guide_field_mT", "alpha_max_deg",
@@ -141,7 +141,7 @@ def _get_float(block, key, default=None):
 
 def _get_int(block, key, default=None):
     v = _get_float(block, key, default)
-    if v != int(v):
+    if not float(v).is_integer():
         raise ConfigError(f"key {key!r}: expected integer")
     return int(v)
 
@@ -202,8 +202,7 @@ def _build_geometry(block: dict, crys) -> disp.DiffractionGeometry:
         lam = disp.backscattering_wavelength(crys, hkl, kind)
     else:
         lam = _get_float(block, "wavelength_A")
-    frame = block.get("frame", "auto")
-    return disp.make_geometry(crys, hkl, lam, kind, thickness_A, frame=frame)
+    return disp.make_geometry(crys, hkl, lam, kind, thickness_A)
 
 
 def _build_axes(block: dict, crys, geom):
@@ -358,7 +357,8 @@ def _analysis_phase_map(blk, ctx, writer, tag):
                         (wave.REFLECTED, wave.TRANSMITTED))
     comps = _parse_list(blk, "components", ("flipped", "non-flipped"),
                         ("flipped", "non-flipped"))
-    margins = [int(v) for v in blk.get("loop_margins", "20 60 100").split()]
+    margins = [_get_int({"loop_margins": tok}, "loop_margins")
+               for tok in blk.get("loop_margins", "20 60 100").split()]
     frame = blk.get("frame", "beam")
     grid = _grid(blk, ctx)
     summary = {}
@@ -429,7 +429,12 @@ _ANALYSIS_DISPATCH = {
 
 
 def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
-    precision = int(cfg.output.get("precision", "9"))
+    precision = _get_int(cfg.output, "precision", 9)
+    if precision < 1:
+        raise ConfigError("key 'precision': expected >= 1")
+    fmt = cfg.output.get("format", "csv")
+    if fmt not in ("csv", "binary"):
+        raise ConfigError(f"[output] format must be csv or binary, got {fmt!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(out_dir, cfg, precision)
 
@@ -458,7 +463,7 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
         dt = time.perf_counter() - t0
         keys = _summary_scalars(summary)
         print(f"[{tag}] grid {theta.size}x{rho.size}  wall {dt:.2f}s  {keys}")
-    if cfg.output.get("format", "csv") == "binary" and 1 in cache:
+    if fmt == "binary" and 1 in cache:
         path = out_dir / "wavegrid.sgrid"
         wave.write_binary(cache[1], path)
         writer.written.append(path.name)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CONSTANTS, FM_TO_A, PhysicalConstants
+from .constants import CONSTANTS, FM_TO_A
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -145,11 +145,10 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     return u_hat, np.where(parallel, 0.0, cmag / float(H @ H))
 
 
-def site_gammas(crystal: CrystalModel, h_mag: float,
-                constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def site_gammas(crystal: CrystalModel, h_mag: float) -> np.ndarray:
     """gamma_j = (mu e/hbar c) Z_j (1 - f_j(|H|)) per site, in fm."""
     g = np.array([
-        constants.schwinger_gamma_fm * s.Z * (1.0 - float(s.form_factor(h_mag)))
+        CONSTANTS.schwinger_gamma_fm * s.Z * (1.0 - float(s.form_factor(h_mag)))
         for s in crystal.sites
     ])
     return crystal.schwinger_scale * g
@@ -168,15 +167,13 @@ def structure_sums(crystal: CrystalModel, H) -> tuple[complex, complex, float]:
     return complex(np.sum(b * phases)), complex(np.sum(gam * phases)), h_mag
 
 
-def mean_potential_meV(crystal: CrystalModel,
-                       constants: PhysicalConstants = CONSTANTS) -> float:
+def mean_potential_meV(crystal: CrystalModel) -> float:
     """V(0): the neutron optical potential, real and spin-independent."""
     b_sum = sum(s.b_fm for s in crystal.sites) * FM_TO_A
-    return constants.two_pi_hbar2_over_m_meV_A3 * b_sum / crystal.cell_volume_A3
+    return CONSTANTS.two_pi_hbar2_over_m_meV_A3 * b_sum / crystal.cell_volume_A3
 
 
-def potential_fourier(crystal: CrystalModel, H, K,
-                      constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def potential_fourier(crystal: CrystalModel, H, K) -> np.ndarray:
     """Spinor Fourier component V(H, K) as a 2x2 complex matrix in meV.
 
     H may be the zero vector, in which case the spin-orbit part vanishes
@@ -187,10 +184,10 @@ def potential_fourier(crystal: CrystalModel, H, K,
     if np.linalg.norm(K) == 0.0:
         raise CrystalError("K must be non-zero")
     if np.linalg.norm(H) == 0.0:
-        return mean_potential_meV(crystal, constants) * IDENTITY2
+        return mean_potential_meV(crystal) * IDENTITY2
 
     A, B, _h = structure_sums(crystal, H)
-    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
+    pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
     nuclear = pref * A * IDENTITY2
 
     cross = np.cross(K, H)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import CONSTANTS, FM_TO_A, PhysicalConstants
+from .constants import CONSTANTS, FM_TO_A
 from .crystal import (
     CrystalModel,
     IDENTITY2,
@@ -54,9 +54,10 @@ class DispersionError(ValueError):
 class DiffractionGeometry:
     """Incident beam, reflection and crystal slab for one scan.
 
-    thickness_A is measured along the inward surface normal n.  theta and
-    rho are the rocking/tilt offsets of this particular geometry instance;
-    grid scans pass arrays instead and leave these at zero.
+    thickness_A is measured along the inward surface normal n.  The
+    rocking/tilt offsets (theta, rho) are not part of the geometry: every
+    engine takes them as broadcast arrays and evaluates them through
+    kinematics().
     """
 
     k0: tuple[float, float, float]      # nominal incident wavevector, 1/A
@@ -64,8 +65,6 @@ class DiffractionGeometry:
     n: tuple[float, float, float]       # inward surface normal, unit
     kind: str                           # BRAGG or LAUE
     thickness_A: float
-    theta: float = 0.0
-    rho: float = 0.0
     hkl: tuple[int, int, int] | None = None  # for structure-factor phases
 
     def __post_init__(self):
@@ -85,46 +84,55 @@ class DiffractionGeometry:
     def wavelength_A(self) -> float:
         return 2.0 * np.pi / self.k_mag
 
-    def incident(self, theta=None, rho=None) -> np.ndarray:
-        """Exact unit-norm incident wavevector(s) at rocking/tilt offsets."""
-        th = np.asarray(self.theta if theta is None else theta, float)
-        rh = np.asarray(self.rho if rho is None else rho, float)
-        th, rh = np.broadcast_arrays(th, rh)
+    def kinematics(self, theta, rho):
+        """Incidence kinematics over broadcast rocking/tilt offsets.
+
+        Returns (k, g0, gH, alpha0): the exact incident wavevector
+        k = |k0| (1, theta, rho)/norm (..., 3), the direction cosines
+        g0 = k.n and gH = (k+H).n scaled by |k0|, and the deviation from the
+        Bragg condition alpha0 = (hbar^2/2m)(|k|^2 - |k+H|^2) in meV.  The
+        asymmetry ratio beta = gH/g0 is left to the caller, which must rule
+        out grazing incidence (g0 = 0) first.
+        """
+        th, rh = np.broadcast_arrays(np.asarray(theta, float),
+                                     np.asarray(rho, float))
         norm = np.sqrt(1.0 + th**2 + rh**2)
-        k = np.stack([np.ones_like(th), th, rh], axis=-1) / norm[..., None]
-        return self.k_mag * k
+        unit = np.stack([np.ones_like(th), th, rh], axis=-1)
+        k = self.k_mag * unit / norm[..., None]
+        H = np.asarray(self.H, float)
+        n = np.asarray(self.n, float)
+        alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
+        return k, k @ n, (k + H) @ n, alpha0
 
     @property
     def cos_gamma(self) -> float:
-        k = self.incident()
-        return float(k @ np.asarray(self.n)) / self.k_mag
+        """Incidence direction cosine k.n/|k0| at the nominal beam."""
+        _, g0, _, _ = self.kinematics(0.0, 0.0)
+        return float(g0) / self.k_mag
 
     @property
     def b_asym(self) -> float:
-        k = self.incident()
-        n = np.asarray(self.n)
-        return float(k @ n) / float((k + np.asarray(self.H)) @ n)
-
-    def sin_bragg(self) -> float:
-        return float(np.linalg.norm(self.H)) / (2.0 * self.k_mag)
+        """Asymmetry factor g0/gH at the nominal beam."""
+        _, g0, gH, _ = self.kinematics(0.0, 0.0)
+        return float(g0) / float(gH)
 
 
 def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
-                  thickness_A: float, frame: str = "auto") -> DiffractionGeometry:
+                  thickness_A: float) -> DiffractionGeometry:
     """Symmetric-geometry builder in the canonical lab frame.
 
     Bragg: reflecting planes parallel to the surface, H antiparallel to the
     inward normal.  Laue: planes perpendicular to the surface.  The Bragg
     angle follows from |H| = 2|k0| sin(theta_B).
 
-    frame picks the direction the nominal beam (the lab x axis) points at:
-    "incidence" puts it exactly on the kinematic Bragg condition;
-    "axis" aligns it with the backscattering axis -H, the natural frame
-    near sin(theta_B) = 1 where the vortex structure is centred on H.
-    "auto" switches to the axis frame for sin(theta_B) > 0.99.  In the
-    axis frame the Laue surface degenerates to the grazing -y normal
-    (flat-surface idealisation); the rocking half-plane theta < 0 is then
-    the side on which the beam actually enters the crystal.
+    The nominal beam (the lab x axis) is placed by sin(theta_B).  Up to
+    0.99 it lies exactly on the kinematic Bragg condition,
+    H = |H| (-sin, cos, 0).  Above 0.99 it is aligned with the
+    backscattering axis, H = -|H| x, the natural frame where the vortex
+    structure is centred on H; there n = +x for Bragg, and the Laue
+    surface degenerates to the grazing -y normal (flat-surface
+    idealisation), so that the rocking half-plane theta < 0 is the side on
+    which the beam actually enters the crystal.
     """
     h_vec = reciprocal_vector(crystal, hkl)
     h_mag = float(np.linalg.norm(h_vec))
@@ -133,32 +141,19 @@ def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
     if s > 1.0 + 1e-8:
         raise DispersionError(
             f"Bragg condition unreachable: |H|/2|k0| = {s:.6f} > 1")
-    s = min(s, 1.0)
-    c = np.sqrt(max(0.0, 1.0 - s * s))
-    if frame == "auto":
-        frame = "axis" if s > 0.99 else "incidence"
-    if frame == "axis":
-        H = h_mag * np.array([-1.0, 0.0, 0.0])
-        n = np.array([1.0, 0.0, 0.0]) if kind == BRAGG else np.array([0.0, -1.0, 0.0])
-    elif frame == "incidence":
-        H = h_mag * np.array([-s, c, 0.0])
-        if kind == BRAGG:
-            n = np.array([s, -c, 0.0])
-        elif kind == LAUE:
-            n = np.array([c, s, 0.0]) if c > 1e-8 else np.array([0.0, -1.0, 0.0])
-        else:
-            raise DispersionError(f"unknown geometry kind {kind!r}")
+    if s > 0.99:
+        H = (-h_mag, 0.0, 0.0)
+        n = (1.0, 0.0, 0.0) if kind == BRAGG else (0.0, -1.0, 0.0)
     else:
-        raise DispersionError(f"unknown frame {frame!r}")
-    if kind not in (BRAGG, LAUE):
-        raise DispersionError(f"unknown geometry kind {kind!r}")
-    return DiffractionGeometry(k0=(k_mag, 0.0, 0.0), H=tuple(H), n=tuple(n),
-                               kind=kind, thickness_A=thickness_A,
+        c = np.sqrt(1.0 - s * s)
+        H = tuple(h_mag * np.array([-s, c, 0.0]))
+        n = (s, -c, 0.0) if kind == BRAGG else (c, s, 0.0)
+    return DiffractionGeometry(k0=(k_mag, 0.0, 0.0), H=H, n=n, kind=kind,
+                               thickness_A=thickness_A,
                                hkl=tuple(int(i) for i in hkl))
 
 
-def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str,
-                              constants: PhysicalConstants = CONSTANTS) -> float:
+def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str) -> float:
     """Wavelength at which the backscattered reflectivity actually peaks.
 
     Laue geometry is unshifted (lambda = 2d); in Bragg geometry refraction
@@ -170,8 +165,8 @@ def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str,
     d = crystal.d_spacing(hkl)
     if kind == LAUE:
         return 2.0 * d
-    v0 = mean_potential_meV(crystal, constants)
-    energy = constants.energy_meV(2.0 * d)
+    v0 = mean_potential_meV(crystal)
+    energy = CONSTANTS.energy_meV(2.0 * d)
     return 2.0 * d * (1.0 - v0 / (2.0 * energy))
 
 
@@ -219,8 +214,7 @@ def _backward_error(beta, b, p, y):
             / (np.abs(beta) * ay**2 + np.abs(b) * ay + np.abs(p)))
 
 
-def _lattice_sums(geom: DiffractionGeometry, crystal: CrystalModel,
-                  constants: PhysicalConstants):
+def _lattice_sums(geom: DiffractionGeometry, crystal: CrystalModel):
     """(pref, A, B): the channel potentials are v_H = pref (A - 2i s w B).
 
     The geometry's H lives in the lab frame; atomic phases e^{iH.r} need
@@ -231,12 +225,12 @@ def _lattice_sums(geom: DiffractionGeometry, crystal: CrystalModel,
     H = (reciprocal_vector(crystal, geom.hkl) if geom.hkl is not None
          else np.asarray(geom.H, float))
     A, B, _ = structure_sums(crystal, H)
-    pref = constants.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
+    pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
     return pref, A, B
 
 
 def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
-              theta, rho, constants: PhysicalConstants) -> dict:
+              theta, rho) -> dict:
     """Both spin channels of the two-beam problem over broadcast (theta, rho).
 
     The potential is diagonalised per point along the local spin-orbit axis
@@ -251,31 +245,21 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
     the point's four roots, NaN roots skipped.  Channel-major storage keeps
     each channel's arrays contiguous.
     """
-    th = np.asarray(theta, float)
-    rh = np.asarray(rho, float)
-    th, rh = np.broadcast_arrays(th, rh)
+    th, rh = np.broadcast_arrays(np.asarray(theta, float),
+                                 np.asarray(rho, float))
     shape = th.shape
-
     k_mag = geom.k_mag
-    H = np.asarray(geom.H, float)
-    n = np.asarray(geom.n, float)
-    hb2m = constants.hbar2_over_2m_meV_A2
-    energy = hb2m * k_mag**2
+    energy = CONSTANTS.hbar2_over_2m_meV_A2 * k_mag**2
 
-    norm = np.sqrt(1.0 + th**2 + rh**2)
-    k = k_mag * np.stack([np.ones_like(th), th, rh], axis=-1) / norm[..., None]
-
-    g0 = k @ n
-    gH = (k + H) @ n
+    k, g0, gH, alpha0 = geom.kinematics(th, rh)
     if np.any(g0 == 0.0) or np.any(gH == 0.0):
         raise DispersionError("grid touches an exactly grazing point")
     beta = gH / g0
-    alpha0 = -hb2m * (2.0 * (k @ H) + float(H @ H))
-    u_hat, w = schwinger_axis(k, H)
+    u_hat, w = schwinger_axis(k, geom.H)
     del k  # free 24 B per point before the channel arrays are allocated
 
-    v0 = mean_potential_meV(crystal, constants)
-    pref, A, B = _lattice_sums(geom, crystal, constants)
+    v0 = mean_potential_meV(crystal)
+    pref, A, B = _lattice_sums(geom, crystal)
     b = (1.0 - beta) * v0 - alpha0
 
     y = np.zeros((2, 2) + shape, complex)
@@ -339,8 +323,7 @@ def _channel_roots(ch: dict, ci: int):
 
 
 def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
-                        u0_spinor, theta, rho,
-                        constants: PhysicalConstants = CONSTANTS) -> dict:
+                        u0_spinor, theta, rho) -> dict:
     """Exit spinor envelopes over broadcastable (theta, rho) offsets.
 
     Both scalar channels of _channels are carried through the crystal and
@@ -351,7 +334,7 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
     per-point root backward_error).
     """
-    ch = _channels(geom, crystal, u0_spinor, theta, rho, constants)
+    ch = _channels(geom, crystal, u0_spinor, theta, rho)
     shape = ch["g0"].shape
     v0, energy = ch["v0"], ch["energy_meV"]
 
@@ -394,8 +377,7 @@ def _window_factor(x):
 
 def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                         u0_spinor, theta, rho, n_avg: int = 32,
-                        span_A: float | None = None,
-                        constants: PhysicalConstants = CONSTANTS) -> dict:
+                        span_A: float | None = None) -> dict:
     """Thickness-ensemble-averaged spin coherence matrices <psi psi^dag>.
 
     For crystals many extinction lengths thick, the exit amplitudes carry
@@ -417,7 +399,7 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices,
     fluxes R, T, and the geometry diagnostics of exit_amplitude_maps.
     """
-    ch = _channels(geom, crystal, u0_spinor, theta, rho, constants)
+    ch = _channels(geom, crystal, u0_spinor, theta, rho)
     shape = ch["g0"].shape
     v0, energy, kappa_scale = ch["v0"], ch["energy_meV"], ch["kappa_scale"]
     chan = [_channel_roots(ch, ci) for ci in range(2)]
@@ -505,44 +487,31 @@ def secular_residuals(result: dict) -> np.ndarray:
 # Derived scan helpers
 # ---------------------------------------------------------------------------
 
-def scalar_reflection_scale(crystal: CrystalModel, geom: DiffractionGeometry,
-                            constants: PhysicalConstants = CONSTANTS) -> float:
+def scalar_reflection_scale(crystal: CrystalModel,
+                            geom: DiffractionGeometry) -> float:
     """|v_H| of the spin-averaged (nuclear) channel, in meV."""
-    pref, A, _ = _lattice_sums(geom, crystal, constants)
+    pref, A, _ = _lattice_sums(geom, crystal)
     return abs(pref * A)
 
 
-def deviation_slope(geom: DiffractionGeometry,
-                    constants: PhysicalConstants = CONSTANTS,
-                    step: float = 1e-9) -> float:
-    """d alpha0 / d theta at the scan centre, meV/rad (numeric)."""
-    hb2m = constants.hbar2_over_2m_meV_A2
-    H = np.asarray(geom.H)
-
-    def a0(th):
-        k = geom.incident(theta=th, rho=geom.rho)
-        return -hb2m * (2.0 * float(k @ H) + float(H @ H))
-
-    return (a0(geom.theta + step) - a0(geom.theta - step)) / (2.0 * step)
+def deviation_slope(geom: DiffractionGeometry) -> float:
+    """d alpha0 / d theta at theta = 0, meV/rad (central difference)."""
+    step = 1e-9
+    up, down = (geom.kinematics(th, 0.0)[3] for th in (step, -step))
+    return float(up - down) / (2.0 * step)
 
 
-def darwin_center_theta(crystal: CrystalModel, geom: DiffractionGeometry,
-                        constants: PhysicalConstants = CONSTANTS) -> float:
+def darwin_center_theta(crystal: CrystalModel, geom: DiffractionGeometry) -> float:
     """Rocking offset of the refraction-shifted Darwin curve centre.
 
     Solves alpha0(theta) = v0 (1 - beta) by Newton iteration; returns 0 for
     backscattering-degenerate geometries where the slope vanishes.
     """
-    v0 = mean_potential_meV(crystal, constants)
-    hb2m = constants.hbar2_over_2m_meV_A2
-    H = np.asarray(geom.H)
-    n = np.asarray(geom.n)
+    v0 = mean_potential_meV(crystal)
 
     def f(th):
-        k = geom.incident(theta=th, rho=geom.rho)
-        alpha0 = -hb2m * (2.0 * float(k @ H) + float(H @ H))
-        beta = float((k + H) @ n) / float(k @ n)
-        return alpha0 - v0 * (1.0 - beta)
+        _, g0, gH, alpha0 = geom.kinematics(th, 0.0)
+        return float(alpha0) - v0 * (1.0 - float(gH) / float(g0))
 
     th = 0.0
     for _ in range(60):
@@ -557,30 +526,29 @@ def darwin_center_theta(crystal: CrystalModel, geom: DiffractionGeometry,
     return th
 
 
-def darwin_fwhm_rad(crystal: CrystalModel, geom: DiffractionGeometry,
-                    constants: PhysicalConstants = CONSTANTS,
-                    n_theta: int = 4001) -> float:
+def darwin_fwhm_rad(crystal: CrystalModel, geom: DiffractionGeometry) -> float:
     """FWHM of the thick-crystal scalar-channel rocking curve, numeric.
 
     The crystal's spin-orbit term is switched off (scalar theory) and the
     thickness is raised far beyond the extinction length so the plateau is
-    saturated; the width comes from half-maximum crossings of R(theta).
+    saturated; the width comes from the half-maximum crossings of R(theta)
+    sampled at 4001 points.
     """
     if geom.kind != BRAGG:
         raise DispersionError("Darwin width is defined for Bragg geometry")
     scal = crystal.without_schwinger()
-    vh = scalar_reflection_scale(scal, geom, constants)
-    slope = abs(deviation_slope(geom, constants))
+    vh = scalar_reflection_scale(scal, geom)
+    slope = abs(deviation_slope(geom))
     if slope == 0.0:
         raise DispersionError("vanishing deviation slope (backscattering)")
     halfwidth = 6.0 * vh * np.sqrt(abs(geom.b_asym) + 1.0) / slope
-    center = darwin_center_theta(scal, geom, constants)
+    center = darwin_center_theta(scal, geom)
     # plateau-centre decay depth 1/Im(kappa); thickness far beyond it
-    z_ext = 2.0 * constants.hbar2_over_2m_meV_A2 * geom.k_mag * abs(geom.cos_gamma) / vh
+    z_ext = 2.0 * CONSTANTS.hbar2_over_2m_meV_A2 * geom.k_mag * abs(geom.cos_gamma) / vh
     thick = replace(geom, thickness_A=100.0 * z_ext)
-    th = center + np.linspace(-halfwidth, halfwidth, n_theta)
+    th = center + np.linspace(-halfwidth, halfwidth, 4001)
     res = exit_amplitude_maps(thick, scal, np.array([1.0, 0.0]), th,
-                              np.zeros_like(th), constants)
+                              np.zeros_like(th))
     R = res["R"]
     half = 0.5 * R.max()
     above = R >= half

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .constants import ARCSEC_TO_RAD, CONSTANTS, DEG_TO_RAD, PhysicalConstants
+from .constants import ARCSEC_TO_RAD, CONSTANTS, DEG_TO_RAD
 
 
 class InstrumentError(ValueError):
@@ -244,18 +244,17 @@ class CoilModel:
     coil_length_m: float = 0.01
     guide_length_m: float = 0.6
     wavelength_A: float = 1.8
-    constants: PhysicalConstants = field(default=CONSTANTS)
 
     @property
     def speed_m_s(self) -> float:
-        return self.constants.velocity_m_s(self.wavelength_A)
+        return CONSTANTS.velocity_m_s(self.wavelength_A)
 
     @property
     def coil_field_T(self) -> float:
         """Field amplitude implied by the calibration invariant: the full
         precession over the tilted coil path at zero divergence equals the
         nominal flip angle."""
-        gamma = self.constants.gamma_n_rad_s_T
+        gamma = CONSTANTS.gamma_n_rad_s_T
         path = self.coil_length_m / np.cos(self.tilt_rad)
         return self.flip_angle_rad * self.speed_m_s / (gamma * path)
 
@@ -275,7 +274,7 @@ def coil_tilt_phase(model: CoilModel, alpha_rad) -> np.ndarray:
         raise InstrumentError("coil tilt geometry out of range")
     coil = model.flip_angle_rad * (1.0 / np.cos(th) - 1.0 / np.cos(th - alpha))
     if model.guide_field_T != 0.0:
-        gamma = model.constants.gamma_n_rad_s_T
+        gamma = CONSTANTS.gamma_n_rad_s_T
         guide = (gamma * model.guide_field_T * model.guide_length_m
                  / model.speed_m_s) * (1.0 / np.cos(alpha) - 1.0)
         coil = coil + guide

@@ -7,10 +7,9 @@ mode distribution p[l] = 2 pi integral |psi_l|^2 r dr normalised by the
 total intensity.  An independent finite-difference estimator of <L_z>
 cross-checks the whole decomposition path.
 
-Azimuth handedness: phi is right-handed about the chosen analysis axis.
-For analysis about the reciprocal lattice vector (the default for
-diffraction fields, where H has a negative component along the beam) this
-mirrors the lab k_z axis, i.e. phi = atan2(-k_z, k_y).
+Azimuth handedness: field_from_grid takes phi right-handed about the
+reciprocal lattice vector H.  Where H has a negative component along the
+beam this mirrors the lab k_z axis, i.e. phi = atan2(-k_z, k_y).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavefield import WaveGrid, REFLECTED, TRANSMITTED
+from .wavefield import WaveGrid
 
 class OamError(ValueError):
     pass
@@ -120,19 +119,8 @@ def _bilinear(values, x_axis, y_axis, X, Y):
     return np.where(inside, v, 0.0)
 
 
-def _analysis_handedness(grid: WaveGrid, axis: str) -> int:
-    """Right-handed azimuth about H (default) or about the exit beam."""
-    if axis == "H":
-        ref = np.asarray(grid.geometry.H, float)
-    elif axis in (TRANSMITTED, REFLECTED):
-        ref = grid.beam_direction(axis)
-    else:
-        raise OamError("axis must be 'H', 'transmitted' or 'reflected'")
-    return +1 if ref[0] >= 0.0 else -1
-
-
 def field_from_grid(grid: WaveGrid, beam: str, what: str,
-                    axis: str = "H", center=(0.0, 0.0), n_r: int = 128,
+                    center=(0.0, 0.0), n_r: int = 128,
                     n_phi: int = 256, r_max: float | None = None,
                     physical_only: bool = False) -> AzimuthalField:
     """Polar resampling of one spin field of an exit beam.
@@ -145,7 +133,7 @@ def field_from_grid(grid: WaveGrid, beam: str, what: str,
     zeroes the half-plane where the beam cannot enter the crystal (grazing
     backscattering geometries); analysis then covers the reachable lobe
     only.  center is in (theta, rho) radians; the radial axis comes out in
-    1/A.
+    1/A.  The azimuth is right-handed about H.
     """
     if what not in ("interference", "flipped", "non-flipped"):
         raise OamError("what must be 'interference', 'flipped' or 'non-flipped'")
@@ -156,7 +144,7 @@ def field_from_grid(grid: WaveGrid, beam: str, what: str,
     return to_polar(vals, k * grid.theta, k * grid.rho,
                     center=(k * center[0], k * center[1]), n_r=n_r,
                     n_phi=n_phi, r_max=None if r_max is None else k * r_max,
-                    handedness=_analysis_handedness(grid, axis))
+                    handedness=+1 if grid.geometry.H[0] >= 0.0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +187,6 @@ def oam_distribution(field: AzimuthalField, L: int = 32) -> OamDistribution:
                            total_intensity=total)
 
 
-def oam_expectation(dist: OamDistribution) -> float:
-    """<L> in units of hbar: sum over l of l p[l], renormalised over the
-    truncation window (the residual is reported on the distribution)."""
-    s = float(np.sum(dist.p))
-    if s <= 0.0:
-        return 0.0
-    return float(np.sum(dist.ells * dist.p) / s)
-
-
 def interference_distribution(field_up: AzimuthalField,
                               field_dn: AzimuthalField,
                               L: int = 32) -> OamDistribution:
@@ -230,18 +209,18 @@ def interference_distribution(field_up: AzimuthalField,
     return oam_distribution(prod, L=L)
 
 
-def oracle_Lz(field: AzimuthalField, warn_tol: float = 1e-3) -> float:
+def oracle_Lz(field: AzimuthalField) -> float:
     """<L_z> in hbar by central differences of the azimuthal derivative.
 
     Completely independent of the Fourier path: <psi| -i d/dphi |psi> over
     <psi|psi> with periodic wraparound.  A half-resolution re-estimate
-    triggers an 'under-resolved' warning when it moves by more than
-    warn_tol relatively.
+    triggers an 'under-resolved' warning when it moves by more than 1e-3
+    relatively.
     """
     val = _lz_estimate(field.values, field.r, field.phi)
     half = _lz_estimate(field.values[:, ::2], field.r, field.phi[::2])
     denom = max(abs(val), 1e-30)
-    if abs(val - half) / denom > warn_tol:
+    if abs(val - half) / denom > 1e-3:
         warnings.warn("oracle_Lz: azimuthal grid under-resolved "
                       f"(delta {abs(val - half) / denom:.2e})")
     return val

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
 from .crystal import CrystalModel, SIGMA
 from .dispersion import (
     DiffractionGeometry,
@@ -132,7 +131,8 @@ class WaveGrid:
         and "non-flipped" are the spin components themselves.  An ensemble
         has no common phase, so there "flipped" is referenced to the
         non-flipped phase, <conj(psi_nonflip) psi_flip>/sqrt(<|psi_nonflip|^2>),
-        and "non-flipped" is sqrt(<|psi_nonflip|^2>), real by construction.
+        and "non-flipped" is sqrt(<|psi_nonflip|^2>), real by construction
+        (the intensity floored at 0).
         """
         if what == "interference":
             return self.flip_coherence(beam)
@@ -144,7 +144,7 @@ class WaveGrid:
             # floor the reference intensity so near-empty regions cannot blow up
             floor = 1e-9 * float(np.nanmax(nf))
             return self.flip_coherence(beam) / np.sqrt(np.maximum(nf, floor))
-        return np.sqrt(nf).astype(complex)
+        return np.sqrt(np.maximum(nf, 0.0)).astype(complex)
 
 
 def _orthogonal_spinor(u: np.ndarray) -> np.ndarray:
@@ -166,15 +166,13 @@ def _axes(geom: DiffractionGeometry, theta_axis, rho_axis):
     rh = np.asarray(rho_axis, float).copy()
     if not (_axes_ok(th) and _axes_ok(rh)):
         raise WaveGridError("axes must be strictly increasing and uniform")
-    g0 = (geom.incident(theta=th[:, None], rho=rh[None, :])
-          @ np.asarray(geom.n, float))
+    _, g0, _, _ = geom.kinematics(th[:, None], rh[None, :])
     th[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
     return th, rh
 
 
 def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
-              theta_axis, rho_axis,
-              constants: PhysicalConstants = CONSTANTS) -> WaveGrid:
+              theta_axis, rho_axis) -> WaveGrid:
     """Dense exit-field evaluation over the tensor grid theta x rho.
 
     Deterministic and order-independent (single vectorised evaluation).
@@ -185,8 +183,7 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     WaveGridError is raised.
     """
     th, rh = _axes(geom, theta_axis, rho_axis)
-    res = exit_amplitude_maps(geom, crystal, u0, th[:, None], rh[None, :],
-                              constants)
+    res = exit_amplitude_maps(geom, crystal, u0, th[:, None], rh[None, :])
     psi0, psiH = res["psi0"], res["psiH"]
 
     finite = np.isfinite(psi0).all(axis=-1) & np.isfinite(psiH).all(axis=-1)
@@ -195,8 +192,7 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
         log.warning("grid_scan: %d singular points, retrying with nudge",
                     ii.size)
         retry = exit_amplitude_maps(
-            geom, crystal, u0, th[ii] * (1.0 + 1e-12) + 1e-15, rh[jj],
-            constants)
+            geom, crystal, u0, th[ii] * (1.0 + 1e-12) + 1e-15, rh[jj])
         for name in ("psi0", "psiH"):
             res[name][ii, jj] = retry[name]
         res["R"][ii, jj] = retry["R"]
@@ -225,14 +221,13 @@ def _grid(geom, crystal, u0, th, rh, res, **fields) -> WaveGrid:
 
 def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
                    theta_axis, rho_axis, n_avg: int = 32,
-                   span_A: float | None = None,
-                   constants: PhysicalConstants = CONSTANTS) -> WaveGrid:
+                   span_A: float | None = None) -> WaveGrid:
     """Thickness-ensemble companion of grid_scan (see exit_coherence_maps):
     a grid holding rho0/rhoH instead of psi0/psiH, on axes checked and
     nudged off grazing incidence as grid_scan's are."""
     th, rh = _axes(geom, theta_axis, rho_axis)
     res = exit_coherence_maps(geom, crystal, u0, th[:, None], rh[None, :],
-                              n_avg=n_avg, span_A=span_A, constants=constants)
+                              n_avg=n_avg, span_A=span_A)
     return _grid(geom, crystal, u0, th, rh, res, rho0=res["rho0"],
                  rhoH=res["rhoH"])
 
@@ -283,14 +278,13 @@ def polarization_curve(grid: WaveGrid, beam: str, axis: str = "theta"
 # Phase maps and winding numbers
 # ---------------------------------------------------------------------------
 
-def phase_map(grid: WaveGrid, component: str, beam: str,
-              frame: str = "beam", floor: float = 1e-300):
+def phase_map(grid: WaveGrid, component: str, beam: str, frame: str = "beam"):
     """Wrapped phase of the flipped/non-flipped spin component.
 
     frame="beam" mirrors the rho axis for beams propagating against the
     nominal beam direction, so the map is expressed in the exit beam's own
     right-handed transverse frame.  frame="lab" keeps grid axes as stored.
-    Amplitudes below ``floor`` are masked.
+    Amplitudes of 1e-300 or less are masked.
     """
     if component not in ("flipped", "non-flipped"):
         raise WaveGridError("component must be 'flipped' or 'non-flipped'")
@@ -302,7 +296,7 @@ def phase_map(grid: WaveGrid, component: str, beam: str,
         raise WaveGridError("frame must be 'beam' or 'lab'")
     if mirror:
         amp = amp[:, ::-1]
-    mask = np.abs(amp) > floor
+    mask = np.abs(amp) > 1e-300
     phase = np.where(mask, np.angle(amp), np.nan)
     return {"phase": phase, "mask": mask, "mirrored": mirror,
             "theta": grid.theta, "rho": (-grid.rho[::-1] if mirror else grid.rho)}

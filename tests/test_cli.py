@@ -38,9 +38,14 @@ def run_cli(args):
 # config validation
 # ---------------------------------------------------------------------------
 
-def test_unknown_key_rejected_with_pointer():
-    bad = MINIMAL.replace("theta_points = 11", "theta_pointz = 11")
-    with pytest.raises(cli.ConfigError, match="theta_pointz"):
+@pytest.mark.parametrize("old, new, key", [
+    ("theta_points = 11", "theta_pointz = 11", "theta_pointz"),
+    ("beams = reflected", "beams = reflected\naxis = rho", "axis"),
+    ("kind = bragg", "kind = bragg\nframe = axis", "frame"),
+], ids=["theta_pointz", "analysis-axis", "geometry-frame"])
+def test_unknown_key_rejected_with_pointer(old, new, key):
+    bad = MINIMAL.replace(old, new)
+    with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
         cli.parse_config(bad)
 
 
@@ -79,6 +84,25 @@ def test_empty_theta_range_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert "theta" in err["detail"]
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("precision = 9", "precision = nine", "precision"),
+    ("theta_points = 11", "theta_points = inf", "theta_points"),
+    ("mode = polarization", "mode = phase-map\nloop_margins = 20 6x",
+     "loop_margins"),
+    ("precision = 9", "precision = 9\nformat = binray", "format"),
+], ids=["precision", "theta_points-inf", "loop_margins", "format"])
+def test_unparsable_value_exits_config(tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINIMAL.replace(old, new))
+    code = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert key in err["detail"]
 
 
 def test_missing_config_file_io_exit(tmp_path, capsys):

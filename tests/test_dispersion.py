@@ -60,15 +60,15 @@ def test_branch_ordering_deterministic(quartz, thermal_bragg_100um):
 
 def test_total_reflection_conjugate_branches(quartz, thermal_bragg_100um):
     center = dp.darwin_center_theta(quartz, thermal_bragg_100um)
-    g = dataclasses.replace(thermal_bragg_100um, theta=center)
-    res = one_point(quartz, g, center)
+    res = one_point(quartz, thermal_bragg_100um, center)
+    b_asym = float(res["g0"] / res["gH"])   # asymmetry factor at the centre
     for (y1, y2), (X1, X2) in zip(res["y"], res["X"]):
         # opposite signs inside the zone (Im eps = Im y / 2E)
         assert y1.imag * y2.imag < 0
         # conjugate pair: equal moduli, and |X|^2 weighted by the asymmetry
         # factor gives total reflection
         assert abs(X1) == pytest.approx(abs(X2), rel=1e-10)
-        assert abs(X1) ** 2 * abs(g.b_asym) ** -1 == pytest.approx(1.0, rel=1e-9)
+        assert abs(X1) ** 2 * abs(b_asym) ** -1 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_forbidden_reflection_rejected():
@@ -277,6 +277,26 @@ def test_geometry_kind_asymmetry_signs(quartz):
         assert dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, 1e6).b_asym > 0
     lamB = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
     assert dp.make_geometry(quartz, (1, 1, 0), lamB, dp.BRAGG, 1e6).b_asym < 0
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+def test_frame_switches_at_sin_bragg_099(quartz, kind):
+    """Above sin(theta_B) = 0.99 the nominal beam lies on the
+    backscattering axis (H along -x); up to it, on the kinematic Bragg
+    condition, H = |H| (-sin, cos, 0)."""
+    d = quartz.d_spacing((1, 1, 0))
+    h_mag = 2 * np.pi / d
+    above = dp.make_geometry(quartz, (1, 1, 0), 2 * d * (0.99 + 1e-6), kind, 1e6)
+    assert above.H == (-h_mag, 0.0, 0.0)
+    assert above.n == ((1.0, 0.0, 0.0) if kind == dp.BRAGG else (0.0, -1.0, 0.0))
+    below = dp.make_geometry(quartz, (1, 1, 0), 2 * d * (0.99 - 1e-6), kind, 1e6)
+    s = h_mag / (2 * below.k_mag)
+    assert s == pytest.approx(0.99 - 1e-6, rel=1e-12)
+    c = np.sqrt(1 - s * s)
+    assert np.allclose(below.H, h_mag * np.array([-s, c, 0.0]),
+                       rtol=1e-14, atol=0)
+    expected_n = (s, -c, 0.0) if kind == dp.BRAGG else (c, s, 0.0)
+    assert np.allclose(below.n, expected_n, rtol=1e-14, atol=0)
 
 
 def test_darwin_width_thermal(quartz):

@@ -85,12 +85,12 @@ def test_linear_state_half_half():
     d = oam.oam_distribution(pf, L=4)
     assert d.p[d.ells == 1][0] == pytest.approx(0.5, abs=1e-12)
     assert d.p[d.ells == -1][0] == pytest.approx(0.5, abs=1e-12)
-    assert oam.oam_expectation(d) == pytest.approx(0.0, abs=1e-12)
+    assert d.mean == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_delta_at_three():
     d = oam.oam_distribution(polar_field(gauss_vortex(3)), L=8)
-    assert oam.oam_expectation(d) == pytest.approx(3.0, abs=1e-12)
+    assert d.mean == pytest.approx(3.0, abs=1e-12)
 
 
 def test_zero_intensity_rejected():
@@ -118,7 +118,7 @@ def test_oracle_matches_expectation_random_smooth():
 
     pf = polar_field(field, n_r=192, n_phi=4096)
     d = oam.oam_distribution(pf, L=16)
-    assert abs(oam.oracle_Lz(pf) - oam.oam_expectation(d)) \
+    assert abs(oam.oracle_Lz(pf) - d.mean) \
         <= 1e-5 * max(1.0, abs(d.mean))
     # and against the fully independent spectral-quadrature oracle
     assert abs(numerical_Lz(pf.values, pf.r, pf.phi) - d.mean) < 1e-9
@@ -178,7 +178,7 @@ def test_translation_non_invariance():
     # and limits the finite-difference accuracy
     with pytest.warns(UserWarning, match="under-resolved"):
         lz_off = oam.oracle_Lz(off)
-    assert abs(lz_off - oam.oam_expectation(d_off)) \
+    assert abs(lz_off - d_off.mean) \
         <= 1e-2 * max(1.0, abs(d_off.mean))
 
 

@@ -270,6 +270,19 @@ def test_grazing_row_nudged_in_both_scans(quartz, u0_along_beam):
     assert np.isfinite(coh.R).all() and np.isfinite(coh.T).all()
 
 
+def test_ensemble_non_flipped_field_finite(quartz, u0_along_beam):
+    """A near-zero span leaves the closed-form Laue ensemble slightly
+    negative (about -1e-3) on the nudged grazing row of a 129^2 grid; the
+    non-flipped field floors it at zero instead of taking sqrt of it."""
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
+    geom = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, 2e7)
+    ax = np.linspace(-np.deg2rad(0.3), np.deg2rad(0.3), 129)
+    coh = wf.coherence_scan(geom, quartz, u0_along_beam, ax, ax, span_A=1e-9)
+    assert coh.component_intensity(wf.TRANSMITTED, flipped=False).min() < 0
+    f = oam.field_from_grid(coh, wf.TRANSMITTED, "non-flipped")
+    assert np.isfinite(f.values).all()
+
+
 def test_averaged_reflected_transverse_polarization_weak(laue_coherence_grid):
     """Backscattering 35 mm: the averaged reflected beam's transverse
     polarization is orders of magnitude below the transmitted one."""
