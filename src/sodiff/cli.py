@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import importlib.resources
 import json
+import logging
 import os
 import sys
 import time
@@ -359,6 +360,8 @@ def _analysis_phase_map(blk, ctx, writer, tag):
                         ("flipped", "non-flipped"))
     margins = [_get_int({"loop_margins": tok}, "loop_margins")
                for tok in blk.get("loop_margins", "20 60 100").split()]
+    if any(m < 0 for m in margins):
+        raise ConfigError("key 'loop_margins': expected margins >= 0")
     frame = blk.get("frame", "beam")
     grid = _grid(blk, ctx)
     summary = {}
@@ -508,6 +511,15 @@ def preset_text(name: str) -> str:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _JsonLogFormatter(logging.Formatter):
+    """A log record as one JSON line: level, source logger and message."""
+
+    def format(self, record):
+        return json.dumps({"log": record.levelname.lower(),
+                           "source": record.name,
+                           "detail": record.getMessage()})
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sodiff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -527,6 +539,12 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    # log records (the scans' warnings) reach stderr as JSON lines, like
+    # the error lines below
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonLogFormatter())
+    logger = logging.getLogger("sodiff")
+    logger.addHandler(handler)
     try:
         if args.command == "run":
             path = Path(args.config)
@@ -556,6 +574,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "io", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_IO
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -285,36 +285,52 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
             "y": y, "X": X, "amp0": amp0, "backward_error": backward}
 
 
-def _transfer_factors(kind, y1, y2, X1, X2, v0, energy, kappa_scale, D):
-    """Exit amplitude per unit incident amplitude for one spin channel.
-
-    Returns (t, r): forward (at depth D) and diffracted (entry face for
-    Bragg, depth D for Laue) envelope amplitudes; overall plane-wave phase
-    factors common to all grid points are dropped.
-    """
+def _transfer_setup(kind, y1, y2, X1, X2, v0, energy, kappa_scale):
+    """The thickness-independent part of one spin channel's transfer
+    factors: (i g1, i g2, X1, X2, X1 -+ X2, X1 X2) with g the branch
+    wavenumbers.  Bragg relabels the branches a = growing, b = decaying and
+    takes g1 = kap_b - kap_a, g2 = kap_b, so that q = e^{i g1 D} has
+    |q| <= 1; Laue keeps the branch order, with X2 - X1."""
     eps1 = (y1 - v0) / (2.0 * energy)
     eps2 = (y2 - v0) / (2.0 * energy)
     kap1 = kappa_scale * eps1
     kap2 = kappa_scale * eps2
     if kind == BRAGG:
-        # label a = growing branch, b = decaying; q = Eb/Ea has |q| <= 1
         a_first = kap1.imag <= kap2.imag
         kap_a = np.where(a_first, kap1, kap2)
         kap_b = np.where(a_first, kap2, kap1)
         X_a = np.where(a_first, X1, X2)
         X_b = np.where(a_first, X2, X1)
-        q = np.exp(1j * (kap_b - kap_a) * D)
-        E_b = np.exp(1j * kap_b * D)
-        den = X_a - q * X_b
-        t = E_b * (X_a - X_b) / den
-        r = X_a * X_b * (1.0 - q) / den
-    else:
-        E1 = np.exp(1j * kap1 * D)
-        E2 = np.exp(1j * kap2 * D)
-        den = X2 - X1
-        t = (X2 * E1 - X1 * E2) / den
-        r = X1 * X2 * (E1 - E2) / den
-    return t, r
+        return (1j * (kap_b - kap_a), 1j * kap_b, X_a, X_b, X_a - X_b,
+                X_a * X_b)
+    return 1j * kap1, 1j * kap2, X1, X2, X2 - X1, X1 * X2
+
+
+def _transfer_factors(kind, setup, D):
+    """Exit amplitude per unit incident amplitude for one spin channel at
+    thickness D, from its _transfer_setup.
+
+    Returns (t, r): forward (at depth D) and diffracted (entry face for
+    Bragg, depth D for Laue) envelope amplitudes; overall plane-wave phase
+    factors common to all grid points are dropped.
+
+    No complex product here or in the ensemble sums has a temporary as its
+    right operand: numpy evaluates ``a * (b - c)`` on arrays of 256 KiB or
+    more in place as ``(b - c) * a``, and complex multiplication (fused
+    multiply-add) is not bitwise commutative, so the values would depend on
+    the array size and a tiled grid would differ from a whole-grid call.
+    """
+    ig1, ig2, X1, X2, diff, prod = setup
+    if kind == BRAGG:
+        q = np.exp(ig1 * D)
+        E_b = np.exp(ig2 * D)
+        den = X1 - q * X2
+        one_minus_q = 1.0 - q
+        return diff * E_b / den, prod * one_minus_q / den
+    E1 = np.exp(ig1 * D)
+    E2 = np.exp(ig2 * D)
+    beat = E1 - E2
+    return (X2 * E1 - X1 * E2) / diff, prod * beat / diff
 
 
 def _channel_roots(ch: dict, ci: int):
@@ -343,8 +359,9 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     t_all = np.zeros(shape + (2,), complex)
     r_all = np.zeros(shape + (2,), complex)
     for ci in range(2):
-        t, r = _transfer_factors(geom.kind, *_channel_roots(ch, ci), v0,
-                                 energy, ch["kappa_scale"], geom.thickness_A)
+        setup = _transfer_setup(geom.kind, *_channel_roots(ch, ci), v0,
+                                energy, ch["kappa_scale"])
+        t, r = _transfer_factors(geom.kind, setup, geom.thickness_A)
         psi0 += t[..., None] * ch["amp0"][ci]
         psiH += r[..., None] * ch["amp0"][ci]
         t_all[..., ci], r_all[..., ci] = t, r
@@ -427,22 +444,23 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
             for b in range(2):
                 for i in range(2):
                     for j in range(2):
+                        # conj(...) leads every product below: see
+                        # _transfer_factors on operand order
                         dk = kap[a][i] - np.conj(kap[b][j])
                         win = _window_factor(dk * span_A) * np.exp(1j * dk * D)
-                        C0[..., a, b] += At[a][i] * np.conj(At[b][j]) * win
-                        CH[..., a, b] += Ar[a][i] * np.conj(Ar[b][j]) * win
+                        C0[..., a, b] += np.conj(At[b][j]) * At[a][i] * win
+                        CH[..., a, b] += np.conj(Ar[b][j]) * Ar[a][i] * win
     else:
+        setups = [_transfer_setup(geom.kind, *roots, v0, energy, kappa_scale)
+                  for roots in chan]
         for D in thicknesses:
-            ts, rs = [], []
-            for (y1, y2, X1, X2) in chan:
-                t, r = _transfer_factors(geom.kind, y1, y2, X1, X2, v0,
-                                         energy, kappa_scale, D)
-                ts.append(t)
-                rs.append(r)
+            ts, rs = zip(*(_transfer_factors(geom.kind, setup, D)
+                           for setup in setups))
             for a in range(2):
                 for b in range(2):
-                    C0[..., a, b] += ts[a] * np.conj(ts[b])
-                    CH[..., a, b] += rs[a] * np.conj(rs[b])
+                    # conj(...) first: see _transfer_factors
+                    C0[..., a, b] += np.conj(ts[b]) * ts[a]
+                    CH[..., a, b] += np.conj(rs[b]) * rs[a]
         C0 /= n_avg
         CH /= n_avg
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,7 @@ REFLECTED = "reflected"
 TRANSMITTED = "transmitted"
 
 _ROOT_TOL = 1e-12  # largest accepted backward error of a secular root
+_TILE_POINTS = 1 << 13  # grid points per theta-row tile of a scan
 
 
 class WaveGridError(ValueError):
@@ -159,77 +161,153 @@ def _axes_ok(axis: np.ndarray) -> bool:
     return bool(np.all(d > 0) and np.ptp(d) <= slack)
 
 
-def _axes(geom: DiffractionGeometry, theta_axis, rho_axis):
-    """Checked copies of the axes, with every theta row that puts k exactly
-    in the surface (g0 = 0) nudged by 1e-12 rad."""
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan(geom: DiffractionGeometry, crystal: CrystalModel, u0, theta_axis,
+          rho_axis, solve, state: dict):
+    """Tiled evaluation shared by grid_scan and coherence_scan.
+
+    Checks copies of the axes, then walks theta-row tiles of at most
+    _TILE_POINTS points (at least one row).  Each tile nudges by 1e-12 rad
+    every theta row that puts k exactly in the surface (g0 = 0), calls
+    solve(theta_rows, rho) for the engine result and a per-tile statistic,
+    and copies the kept fields into full-grid arrays allocated up front:
+    the ``state`` arrays (name -> trailing shape), R, T, the physical mask
+    and the per-point meta entries.  The engine's values do not depend on
+    the array size (see dispersion._transfer_factors), so the grid equals
+    one whole-grid call bit for bit.  With more than one tile, the tiles
+    are shared among one thread per CPU in the process's affinity mask (the
+    calling thread and a pool): numpy releases the GIL, and each tile
+    writes only its own rows.
+
+    Returns the WaveGrid and the per-tile statistics in tile order, for the
+    caller to reduce and raise or log on once per scan.
+    """
     th = np.asarray(theta_axis, float).copy()
     rh = np.asarray(rho_axis, float).copy()
+    if not (th.size and rh.size):
+        raise WaveGridError("axes must not be empty")
     if not (_axes_ok(th) and _axes_ok(rh)):
         raise WaveGridError("axes must be strictly increasing and uniform")
-    _, g0, _, _ = geom.kinematics(th[:, None], rh[None, :])
-    th[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
-    return th, rh
+    shape = (th.size, rh.size)
+    kept = {name: np.empty(shape + tail, complex) for name, tail in state.items()}
+    kept.update((name, np.empty(shape)) for name in ("R", "T", "w", "alpha0"))
+    physical = np.empty(shape, bool)
+    rows = max(1, _TILE_POINTS // rh.size)
+    starts = range(0, th.size, rows)
+
+    def tile(i0):
+        band = slice(i0, i0 + rows)
+        t = th[band]  # a view: the nudge lands in th
+        _, g0, _, _ = geom.kinematics(t[:, None], rh[None, :])
+        t[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
+        res, stat = solve(t, rh)
+        for name, out in kept.items():
+            out[band] = res[name]
+        physical[band] = res["g0"] > 0.0
+        scalars = {key: res[key] for key in ("energy_meV", "v0", "thicknesses")
+                   if key in res}
+        return stat, scalars
+
+    # every k-th tile to each of `workers` threads; the calling thread is
+    # one of them, since each thread keeps the memory its tiles freed in its
+    # own malloc arena, so one pool thread fewer lowers the peak RSS
+    workers = min(_cpus(), len(starts))
+    shares = [starts[k::workers] for k in range(workers)]
+
+    def run(share):
+        return [tile(i0) for i0 in share]
+
+    if workers > 1:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(run, shares[1:])
+            by_share = [run(shares[0]), *others]
+    else:
+        by_share = [run(starts)]
+    done = [None] * len(starts)
+    for k, results in enumerate(by_share):
+        done[k::workers] = results
+
+    stats, scalars = zip(*done)
+    meta = {"w": kept.pop("w"), "alpha0": kept.pop("alpha0"), **scalars[0]}
+    grid = WaveGrid(theta=th, rho=rh, R=kept.pop("R"), T=kept.pop("T"),
+                    geometry=geom, u0=np.asarray(u0, complex),
+                    crystal_id=crystal.material_id, physical=physical,
+                    meta=meta, **kept)
+    return grid, stats
+
+
+def _nonfinite(res, names) -> np.ndarray:
+    """(theta, rho) mask of the points where a named field is not finite."""
+    bad = np.zeros(res["R"].shape, bool)
+    for name in names:
+        a = res[name]
+        bad |= ~np.isfinite(a).all(axis=tuple(range(bad.ndim, a.ndim)))
+    return bad
 
 
 def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
               theta_axis, rho_axis) -> WaveGrid:
     """Dense exit-field evaluation over the tensor grid theta x rho.
 
-    Deterministic and order-independent (single vectorised evaluation).
-    Exactly grazing axis values are nudged by 1e-12 rad; points where the
-    boundary system is singular are retried with a nudged theta and, if
-    still unsolvable, stored as NaN and logged, never dropped.  Every
-    secular root must have a backward error of at most 1e-12, else
-    WaveGridError is raised.
+    Deterministic and independent of evaluation order: the grid is solved
+    in theta-row tiles, possibly on several threads, and equals one
+    whole-grid exit_amplitude_maps call bit for bit; only psi0, psiH, R, T,
+    the physical mask and the meta entries are kept.  Exactly grazing axis
+    values are nudged by 1e-12 rad; points where the boundary system is
+    singular are retried with a nudged theta and, if still unsolvable,
+    stored as NaN, never dropped (one log warning per scan).  Every secular
+    root must have a backward error of at most 1e-12, else WaveGridError is
+    raised once the whole grid is done.
     """
-    th, rh = _axes(geom, theta_axis, rho_axis)
-    res = exit_amplitude_maps(geom, crystal, u0, th[:, None], rh[None, :])
-    psi0, psiH = res["psi0"], res["psiH"]
+    def solve(t, rh):
+        res = exit_amplitude_maps(geom, crystal, u0, t[:, None], rh[None, :])
+        bad = _nonfinite(res, ("psi0", "psiH"))
+        singular = int(bad.sum())
+        if singular:
+            ii, jj = np.nonzero(bad)
+            retry = exit_amplitude_maps(
+                geom, crystal, u0, t[ii] * (1.0 + 1e-12) + 1e-15, rh[jj])
+            for name in ("psi0", "psiH", "R", "T"):
+                res[name][ii, jj] = retry[name]
+        nan = int(_nonfinite(res, ("psi0", "psiH")).sum()) if singular else 0
+        return res, (singular, nan, float(np.max(res["backward_error"])))
 
-    finite = np.isfinite(psi0).all(axis=-1) & np.isfinite(psiH).all(axis=-1)
-    if not finite.all():
-        ii, jj = np.nonzero(~finite)
-        log.warning("grid_scan: %d singular points, retrying with nudge",
-                    ii.size)
-        retry = exit_amplitude_maps(
-            geom, crystal, u0, th[ii] * (1.0 + 1e-12) + 1e-15, rh[jj])
-        for name in ("psi0", "psiH"):
-            res[name][ii, jj] = retry[name]
-        res["R"][ii, jj] = retry["R"]
-        res["T"][ii, jj] = retry["T"]
-        still = ~(np.isfinite(res["psi0"]).all(-1) & np.isfinite(res["psiH"]).all(-1))
-        if still.any():
-            log.warning("grid_scan: %d points remain NaN after nudge",
-                        int(still.sum()))
-
-    worst = float(np.max(res["backward_error"]))
-    if worst > _ROOT_TOL:
-        raise WaveGridError(f"secular root backward error {worst:.2e} "
+    grid, stats = _scan(geom, crystal, u0, theta_axis, rho_axis, solve,
+                        {"psi0": (2,), "psiH": (2,)})
+    singular, nan, worst = zip(*stats)
+    if sum(singular):
+        log.warning("grid_scan: %d singular points retried with a nudged "
+                    "theta, %d remain NaN", sum(singular), sum(nan))
+    if max(worst) > _ROOT_TOL:
+        raise WaveGridError(f"secular root backward error {max(worst):.2e} "
                             f"exceeds {_ROOT_TOL:.0e}")
-
-    return _grid(geom, crystal, u0, th, rh, res, psi0=res["psi0"],
-                 psiH=res["psiH"])
-
-
-def _grid(geom, crystal, u0, th, rh, res, **fields) -> WaveGrid:
-    meta = {key: res[key] for key in ("w", "alpha0", "energy_meV", "v0",
-                                      "thicknesses") if key in res}
-    return WaveGrid(theta=th, rho=rh, R=res["R"], T=res["T"], geometry=geom,
-                    u0=np.asarray(u0, complex), crystal_id=crystal.material_id,
-                    physical=res["g0"] > 0.0, meta=meta, **fields)
+    return grid
 
 
 def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
                    theta_axis, rho_axis, n_avg: int = 32,
                    span_A: float | None = None) -> WaveGrid:
     """Thickness-ensemble companion of grid_scan (see exit_coherence_maps):
-    a grid holding rho0/rhoH instead of psi0/psiH, on axes checked and
-    nudged off grazing incidence as grid_scan's are."""
-    th, rh = _axes(geom, theta_axis, rho_axis)
-    res = exit_coherence_maps(geom, crystal, u0, th[:, None], rh[None, :],
-                              n_avg=n_avg, span_A=span_A)
-    return _grid(geom, crystal, u0, th, rh, res, rho0=res["rho0"],
-                 rhoH=res["rhoH"])
+    a grid holding rho0/rhoH instead of psi0/psiH, solved in the same
+    theta-row tiles on axes checked and nudged off grazing incidence as
+    grid_scan's are, and equal to one whole-grid exit_coherence_maps call
+    bit for bit.  Points left NaN are logged once per scan."""
+    def solve(t, rh):
+        res = exit_coherence_maps(geom, crystal, u0, t[:, None], rh[None, :],
+                                  n_avg=n_avg, span_A=span_A)
+        return res, int(_nonfinite(res, ("rho0", "rhoH")).sum())
+
+    grid, nan = _scan(geom, crystal, u0, theta_axis, rho_axis, solve,
+                      {"rho0": (2, 2), "rhoH": (2, 2)})
+    if sum(nan):
+        log.warning("coherence_scan: %d points are NaN", sum(nan))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +381,10 @@ def phase_map(grid: WaveGrid, component: str, beam: str, frame: str = "beam"):
 
 
 def rectangle_loop(shape: tuple[int, int], margin: int) -> list[tuple[int, int]]:
-    """Closed counter-clockwise rectangular index loop ``margin`` cells in
-    from the array edge."""
+    """Closed counter-clockwise rectangular index loop ``margin`` (>= 0)
+    cells in from the array edge."""
+    if margin < 0:
+        raise WaveGridError(f"negative loop margin {margin}")
     nt, nr = shape
     i0, i1 = margin, nt - 1 - margin
     j0, j1 = margin, nr - 1 - margin

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -92,7 +93,11 @@ def test_empty_theta_range_exit_code(tmp_path, capsys):
     ("mode = polarization", "mode = phase-map\nloop_margins = 20 6x",
      "loop_margins"),
     ("precision = 9", "precision = 9\nformat = binray", "format"),
-], ids=["precision", "theta_points-inf", "loop_margins", "format"])
+    ("rho_points = 1\n\n[analysis]\nmode = polarization",
+     "rho_points = 11\n\n[analysis]\nmode = phase-map\nloop_margins = -3",
+     "loop_margins"),
+], ids=["precision", "theta_points-inf", "loop_margins", "format",
+        "loop_margins-negative"])
 def test_unparsable_value_exits_config(tmp_path, capsys, old, new, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MINIMAL.replace(old, new))
@@ -103,6 +108,28 @@ def test_unparsable_value_exits_config(tmp_path, capsys, old, new, key):
     err = json.loads(lines[0])
     assert err["error"] == "config"
     assert key in err["detail"]
+
+
+def test_log_warning_reaches_stderr_as_json(tmp_path, capsys, monkeypatch):
+    """A warning the scans log during a run is one JSON line on stderr,
+    like the error lines; the handler is gone once main returns."""
+    def warn_and_succeed(cfg, out_dir, config_dir):
+        logging.getLogger("sodiff.wavefield").warning(
+            "grid_scan: %d singular points retried with a nudged theta, "
+            "%d remain NaN", 3, 1)
+        return 0
+
+    monkeypatch.setattr(cli, "run_config", warn_and_succeed)
+    handlers = list(logging.getLogger("sodiff").handlers)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL)
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{
+        "log": "warning", "source": "sodiff.wavefield",
+        "detail": "grid_scan: 3 singular points retried with a nudged "
+                  "theta, 1 remain NaN"}]
+    assert logging.getLogger("sodiff").handlers == handlers
 
 
 def test_missing_config_file_io_exit(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,99 @@ def test_grid_requires_uniform_axes(quartz, thermal_bragg_100um, u0_along_beam):
                      np.array([0.0, 1e-6, 3e-6]), np.array([0.0]))
 
 
+def tiling_case(quartz, case):
+    """(geometry, theta axis, rho axis) of a 131 x 127 grid: 2 A Bragg or
+    Laue over +-20 urad, or Laue backscattering over +-0.3 deg with theta
+    row 65 exactly grazing (theta = 0)."""
+    if case == "laue-back":
+        lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
+        geom = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, 2e6)
+        half = np.deg2rad(0.3)
+    else:
+        kind, thick = {"bragg": (dp.BRAGG, 1e6), "laue": (dp.LAUE, 2e5)}[case]
+        geom = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, thick)
+        half = 2e-5
+    return geom, half * np.arange(-65, 66) / 65, np.linspace(-half, half, 127)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+@pytest.mark.parametrize("case", ["bragg", "laue", "laue-back"])
+def test_tiling_invisible(quartz, u0_along_beam, monkeypatch, case, scan,
+                          workers):
+    """A scan split into theta-row tiles of 40 rows (the last one partial),
+    on one or two threads, equals one whole-grid engine call bit for bit.
+    The whole grid's complex arrays exceed 256 KiB, where numpy evaluates
+    a product with a temporary right operand in place with its operands
+    swapped, while the tiles' arrays stay below; so this also checks that
+    the engine's values do not depend on the array size."""
+    geom, th, rh = tiling_case(quartz, case)
+    monkeypatch.setattr(wf, "_TILE_POINTS", 40 * rh.size)
+    monkeypatch.setattr(wf, "_cpus", lambda: workers)
+    if scan == "grid":
+        grid = wf.grid_scan(geom, quartz, u0_along_beam, th, rh)
+        fields = ("psi0", "psiH")
+        whole = dp.exit_amplitude_maps(geom, quartz, u0_along_beam,
+                                       grid.theta[:, None], rh[None, :])
+    else:
+        grid = wf.coherence_scan(geom, quartz, u0_along_beam, th, rh)
+        fields = ("rho0", "rhoH")
+        whole = dp.exit_coherence_maps(geom, quartz, u0_along_beam,
+                                       grid.theta[:, None], rh[None, :])
+    nudged = th.copy()
+    if case == "laue-back":
+        nudged[65] += 1e-12
+    assert np.array_equal(grid.theta, nudged)
+    assert np.array_equal(grid.rho, rh)
+    for name in fields + ("R", "T"):
+        assert np.array_equal(getattr(grid, name), whole[name]), name
+    assert np.array_equal(grid.physical, whole["g0"] > 0.0)
+    assert list(grid.meta) == [key for key in ("w", "alpha0", "energy_meV",
+                                               "v0", "thicknesses")
+                               if key in whole]
+    for key, value in grid.meta.items():
+        assert np.array_equal(value, whole[key]), key
+
+
+def test_tiling_stress_many_threads(quartz, u0_along_beam, monkeypatch):
+    """One-row tiles on eight threads (more than the cores) with a short
+    thread switch interval: every row, the nudged grazing one included,
+    still equals the whole-grid engine call."""
+    geom, th, rh = tiling_case(quartz, "laue-back")
+    monkeypatch.setattr(wf, "_TILE_POINTS", rh.size)
+    monkeypatch.setattr(wf, "_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        grid = wf.grid_scan(geom, quartz, u0_along_beam, th, rh)
+    finally:
+        sys.setswitchinterval(interval)
+    whole = dp.exit_amplitude_maps(geom, quartz, u0_along_beam,
+                                   grid.theta[:, None], rh[None, :])
+    assert np.nonzero(grid.theta != th)[0].tolist() == [65]
+    for name in ("psi0", "psiH", "R", "T"):
+        assert np.array_equal(getattr(grid, name), whole[name]), name
+
+
+def test_grid_scan_memory_bounded_by_kept_fields(quartz, thermal_bragg_100um,
+                                                 u0_along_beam, monkeypatch):
+    """A 512^2 scan on two threads allocates at most its kept arrays plus
+    1 KiB per point of the two tiles in flight (about 0.7 KiB measured);
+    the per-point diagnostics of the whole grid never exist at once."""
+    monkeypatch.setattr(wf, "_cpus", lambda: 2)
+    ax = np.linspace(-2e-5, 2e-5, 512)
+    tracemalloc.start()
+    try:
+        grid = wf.grid_scan(thermal_bragg_100um, quartz, u0_along_beam, ax, ax)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (grid.psi0, grid.psiH, grid.R, grid.T,
+                                  grid.physical, grid.meta["w"],
+                                  grid.meta["alpha0"]))
+    assert peak <= kept + 2 * 1024 * wf._TILE_POINTS
+
+
 # ---------------------------------------------------------------------------
 # polarization
 # ---------------------------------------------------------------------------
@@ -134,6 +230,11 @@ def test_winding_synthetic_vortex():
     assert wf.winding_number(phase, loop, mask) == 1
     phase2, _ = synthetic_phase(-2)
     assert wf.winding_number(phase2, loop) == -2
+
+
+def test_rectangle_loop_rejects_negative_margin():
+    with pytest.raises(wf.WaveGridError, match="negative"):
+        wf.rectangle_loop((11, 11), -3)
 
 
 def test_winding_constant_zero():
