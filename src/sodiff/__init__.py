@@ -18,7 +18,6 @@ from .crystal import (
     load_crystal,
     mean_potential_meV,
     parse_crystal,
-    potential_fourier,
     reciprocal_vector,
     reference_quartz,
     schwinger_axis,

@@ -1,4 +1,4 @@
-"""Crystal model and spinor-valued Fourier components of the potential.
+"""Crystal model and the lattice sums of the potential's Fourier components.
 
 The potential seen by the neutron is a sum of Fermi pseudopotentials plus
 the spin-orbit coupling of the moving neutron to the intra-crystal electric
@@ -10,7 +10,7 @@ K, is the 2x2 spin matrix
 
 with gamma_j = (mu e / hbar c) Z_j (1 - f_j(|H|)).  We normalise the lattice
 sum per unit cell volume so V carries energy units and V(0) is the usual
-neutron optical potential.
+neutron optical potential; dispersion.Reflection assembles one reflection.
 
 All operations here are pure functions over immutable inputs.
 """
@@ -171,30 +171,6 @@ def mean_potential_meV(crystal: CrystalModel) -> float:
     """V(0): the neutron optical potential, real and spin-independent."""
     b_sum = sum(s.b_fm for s in crystal.sites) * FM_TO_A
     return CONSTANTS.two_pi_hbar2_over_m_meV_A3 * b_sum / crystal.cell_volume_A3
-
-
-def potential_fourier(crystal: CrystalModel, H, K) -> np.ndarray:
-    """Spinor Fourier component V(H, K) as a 2x2 complex matrix in meV.
-
-    H may be the zero vector, in which case the spin-orbit part vanishes
-    identically (f(0) = 1) and the result is V(0) times the identity.
-    """
-    H = np.asarray(H, dtype=float)
-    K = np.asarray(K, dtype=float)
-    if np.linalg.norm(K) == 0.0:
-        raise CrystalError("K must be non-zero")
-    if np.linalg.norm(H) == 0.0:
-        return mean_potential_meV(crystal) * IDENTITY2
-
-    A, B, _h = structure_sums(crystal, H)
-    pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
-    nuclear = pref * A * IDENTITY2
-
-    cross = np.cross(K, H)
-    if np.linalg.norm(cross) == 0.0:
-        return nuclear
-    sigma_cross = np.einsum("k,kij->ij", cross / float(np.dot(H, H)), SIGMA)
-    return nuclear - 2.0j * pref * B * sigma_cross
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ tilting rho toward z: k(theta, rho) = |k0| (1, theta, rho)/norm.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -214,19 +215,40 @@ def _backward_error(beta, b, p, y):
             / (np.abs(beta) * ay**2 + np.abs(b) * ay + np.abs(p)))
 
 
-def _lattice_sums(geom: DiffractionGeometry, crystal: CrystalModel):
-    """(pref, A, B): the channel potentials are v_H = pref (A - 2i s w B).
+_REFLECTION_CACHE_SIZE = 32
 
-    The geometry's H lives in the lab frame; atomic phases e^{iH.r} need
-    the crystal-frame vector, recovered from the stored Miller indices.
-    Hand-built geometries without hkl are taken to have their H already in
-    the crystal frame.
-    """
-    H = (reciprocal_vector(crystal, geom.hkl) if geom.hkl is not None
-         else np.asarray(geom.H, float))
-    A, B, _ = structure_sums(crystal, H)
+
+@dataclass(frozen=True)
+class Reflection:
+    """One reflection of one crystal, independent of the incident beam:
+    the channel potentials are v_H = pref (A -+ 2i w B)."""
+
+    H: tuple[float, float, float]   # crystal-frame reciprocal vector, 1/A
+    h_mag: float                    # |H|, 1/A
+    A: complex                      # sum_j b_j e^{iH.r_j}, fm
+    B: complex                      # sum_j gamma_j e^{iH.r_j}, fm
+    pref: float                     # (2 pi hbar^2/m) / V_cell, meV/fm
+    v0: float                       # V(0), meV
+
+
+def _reflection(geom: DiffractionGeometry, crystal: CrystalModel) -> Reflection:
+    """The geometry's reflection of the crystal, built once per distinct
+    (crystal value, hkl) and kept in a bounded LRU cache.  Atomic phases
+    e^{iH.r} need the crystal-frame H, recovered from the stored Miller
+    indices; hand-built geometries without hkl are taken to have their H
+    already in the crystal frame, and are keyed on it."""
+    if geom.hkl is not None:
+        return _build_reflection(crystal, geom.hkl, None)
+    return _build_reflection(crystal, None, tuple(float(h) for h in geom.H))
+
+
+@functools.lru_cache(maxsize=_REFLECTION_CACHE_SIZE)
+def _build_reflection(crystal: CrystalModel, hkl, H) -> Reflection:
+    H = reciprocal_vector(crystal, hkl) if hkl is not None else np.asarray(H, float)
+    A, B, h_mag = structure_sums(crystal, H)
     pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
-    return pref, A, B
+    return Reflection(H=tuple(float(h) for h in H), h_mag=h_mag, A=A, B=B,
+                      pref=pref, v0=mean_potential_meV(crystal))
 
 
 def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
@@ -236,7 +258,9 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
     The potential is diagonalised per point along the local spin-orbit axis
     u_hat(K x H); channel c = 0 (1) is the sigma.u_hat = +1 (-1) eigenstate
     with v_H = pref (A -+ 2i w B).  Points where K || H carry no spin-orbit
-    term and propagate spin-diagonally.
+    term and propagate spin-diagonally.  pref, A, B and v0 are read from
+    the geometry's cached Reflection of the crystal; only the kinematics,
+    the axis and the roots are computed per call.
 
     Returns a dict: theta, rho, alpha0, beta, g0, gH, w, u_hat, v0,
     energy_meV, kappa_scale; y and X (channel, branch, ...) from
@@ -258,8 +282,8 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
     u_hat, w = schwinger_axis(k, geom.H)
     del k  # free 24 B per point before the channel arrays are allocated
 
-    v0 = mean_potential_meV(crystal)
-    pref, A, B = _lattice_sums(geom, crystal)
+    refl = _reflection(geom, crystal)
+    pref, A, B, v0 = refl.pref, refl.A, refl.B, refl.v0
     b = (1.0 - beta) * v0 - alpha0
 
     y = np.zeros((2, 2) + shape, complex)
@@ -482,34 +506,16 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
             "thicknesses": thicknesses, **{key: ch[key] for key in keep}}
 
 
-def secular_residuals(result: dict) -> np.ndarray:
-    """Relative residual of the second two-beam equation for every stored
-    branch; the first equation is satisfied identically by X = -y/vH."""
-    alpha0 = result["alpha0"][..., None, None]
-    beta = result["beta"][..., None, None]
-    E = result["energy_meV"]
-    v0 = result["v0"]
-    y = result["y"]
-    X = result["X"]
-    # rebuild channel potentials from stored data: vH = -y/X
-    vH = -y / X
-    vmH = np.conj(vH)  # real scattering lengths
-    eps = (y - v0) / (2.0 * E)
-    alphaH = alpha0 - 2.0 * E * beta * eps
-    res = -vmH + (alphaH - v0) * X
-    scale = np.abs(vmH) + np.abs((alphaH - v0) * X) + 1e-300
-    return np.abs(res) / scale
-
-
 # ---------------------------------------------------------------------------
 # Derived scan helpers
 # ---------------------------------------------------------------------------
 
 def scalar_reflection_scale(crystal: CrystalModel,
                             geom: DiffractionGeometry) -> float:
-    """|v_H| of the spin-averaged (nuclear) channel, in meV."""
-    pref, A, _ = _lattice_sums(geom, crystal)
-    return abs(pref * A)
+    """|v_H| = |pref A| of the spin-averaged (nuclear) channel, in meV,
+    read from the geometry's cached Reflection of the crystal."""
+    refl = _reflection(geom, crystal)
+    return abs(refl.pref * refl.A)
 
 
 def deviation_slope(geom: DiffractionGeometry) -> float:

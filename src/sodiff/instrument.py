@@ -48,8 +48,8 @@ class ResolutionKernel:
 
 
 def _reflect_pad_convolve(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    m = kernel.size // 2
-    padded = np.concatenate([y[m:0:-1], y, y[-2:-m - 2:-1]])
+    # reflected again as often as needed when the kernel is wider than y
+    padded = np.pad(y, kernel.size // 2, mode="reflect")
     return np.convolve(padded, kernel, mode="valid")
 
 

@@ -465,21 +465,31 @@ def read_binary(path) -> dict:
             "psi0": psi0, "psiH": psiH, "R": R, "T": T}
 
 
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_csv(path, columns: dict, precision: int = 9,
               header_lines: tuple[str, ...] = ()):
     """CSV of equal-size columns (flattened in C order) below '# ' header
     lines, one row per element; written to a temporary file and renamed
-    into place."""
+    into place.  Values are printed with %.<precision>g, _CSV_CHUNK_ROWS
+    rows per % operation; the columns' common dtype prints int, bool and
+    float values exactly as formatting each on its own would."""
     path = Path(path)
-    fmt = f"%.{precision}g"
-    tmp = path.with_suffix(path.suffix + ".tmp")
     arrays = [np.asarray(col).reshape(-1) for col in columns.values()]
+    n_rows = arrays[0].size if arrays else 0
+    if any(a.size != n_rows for a in arrays):
+        raise WaveGridError("CSV columns must have equal sizes")
+    row = ",".join([f"%.{precision}g"] * len(arrays)) + "\n"
+    tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(fmt % v for v in row) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            block = np.column_stack(
+                [a[start:start + _CSV_CHUNK_ROWS] for a in arrays])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     os.replace(tmp, path)
     return path
 

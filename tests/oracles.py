@@ -1,11 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written from scratch against textbook
-closed forms or brute-force definitions, sharing no code path with the
-package internals it checks.
+Everything here, except the former package helpers at the end, is
+deliberately written from scratch against textbook closed forms or
+brute-force definitions, sharing no code path with the package internals
+it checks.
 """
 
 import numpy as np
+
+from sodiff.constants import CONSTANTS, FM_TO_A
+from sodiff.crystal import (IDENTITY2, SIGMA, CrystalError, mean_potential_meV,
+                            structure_sums)
 
 GAMMA_COEF_FM = -1.91304273 * 2.8179403262 * 5.446170214e-4 / 2.0  # mu e/hbar c
 TWO_PI_HBAR2_OVER_M = 4.0 * np.pi * 81.8042 / (2.0 * np.pi) ** 2    # meV A^3
@@ -106,3 +111,53 @@ def pendelloesung_length(k_mag, cos_gamma, vH):
     (brute_force_potential's constant, so that E/|vH| is unit-free)."""
     energy = TWO_PI_HBAR2_OVER_M / (4.0 * np.pi) * k_mag**2
     return 2.0 * np.pi * cos_gamma * energy / (k_mag * abs(vH))
+
+
+# ---------------------------------------------------------------------------
+# Former package helpers, kept as test references.  Unlike the oracles
+# above they reuse the package's lattice sums; they check the engine's
+# assembly of the potential and its roots, not the sums themselves.
+# ---------------------------------------------------------------------------
+
+def potential_fourier(crystal, H, K):
+    """Spinor Fourier component V(H, K) as a 2x2 complex matrix in meV.
+
+    H may be the zero vector, in which case the spin-orbit part vanishes
+    identically (f(0) = 1) and the result is V(0) times the identity.
+    """
+    H = np.asarray(H, dtype=float)
+    K = np.asarray(K, dtype=float)
+    if np.linalg.norm(K) == 0.0:
+        raise CrystalError("K must be non-zero")
+    if np.linalg.norm(H) == 0.0:
+        return mean_potential_meV(crystal) * IDENTITY2
+
+    A, B, _h = structure_sums(crystal, H)
+    pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
+    nuclear = pref * A * IDENTITY2
+
+    cross = np.cross(K, H)
+    if np.linalg.norm(cross) == 0.0:
+        return nuclear
+    sigma_cross = np.einsum("k,kij->ij", cross / float(np.dot(H, H)), SIGMA)
+    return nuclear - 2.0j * pref * B * sigma_cross
+
+
+def secular_residuals(result):
+    """Relative residual of the second two-beam equation for every stored
+    branch of an exit_amplitude_maps result; the first equation is
+    satisfied identically by X = -y/vH."""
+    alpha0 = result["alpha0"][..., None, None]
+    beta = result["beta"][..., None, None]
+    E = result["energy_meV"]
+    v0 = result["v0"]
+    y = result["y"]
+    X = result["X"]
+    # rebuild channel potentials from stored data: vH = -y/X
+    vH = -y / X
+    vmH = np.conj(vH)  # real scattering lengths
+    eps = (y - v0) / (2.0 * E)
+    alphaH = alpha0 - 2.0 * E * beta * eps
+    res = -vmH + (alphaH - v0) * X
+    scale = np.abs(vmH) + np.abs((alphaH - v0) * X) + 1e-300
+    return np.abs(res) / scale

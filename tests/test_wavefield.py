@@ -427,3 +427,52 @@ def test_long_csv_export(tmp_path, quartz, thermal_bragg_100um, u0_along_beam):
     assert lines[0] == "# demo"
     assert lines[1].startswith("theta_rad,rho_rad,re_psi0_up")
     assert len(lines) == 2 + 25
+
+
+def per_row_csv(columns, precision, header_lines):
+    """The CSV text formatted one value at a time, row by row."""
+    fmt = f"%.{precision}g"
+    arrays = [np.asarray(col).reshape(-1) for col in columns.values()]
+    text = "".join(f"# {line}\n" for line in header_lines)
+    text += ",".join(columns) + "\n"
+    for row in zip(*arrays):
+        text += ",".join(fmt % v for v in row) + "\n"
+    return text
+
+
+def csv_columns(n_rows):
+    rng = np.random.default_rng(7)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-310,
+                        1.7976931348623157e308, 1 / 3, -1e-300])
+    mixed = rng.normal(scale=1e3, size=n_rows)
+    mixed[:special.size] = special
+    return {
+        "float": mixed.reshape(-1, 1),                 # flattened in C order
+        "tiny": rng.normal(size=n_rows) * 1e-310,      # subnormals
+        "int": rng.integers(-2**62, 2**62, size=n_rows),
+        "bool": rng.random(n_rows) < 0.5,
+        "f32": rng.normal(size=n_rows).astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("precision", [1, 9, 17])
+@pytest.mark.parametrize("chunk", [7, None])
+def test_write_csv_bytes_equal_per_row_formatting(tmp_path, monkeypatch,
+                                                  precision, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(wf, "_CSV_CHUNK_ROWS", chunk)
+    n_rows = 2 * wf._CSV_CHUNK_ROWS + 5       # last chunk partial
+    header = ("demo", "config_hash 0123")
+    cases = {"all": csv_columns(n_rows),
+             "int-bool": {k: v for k, v in csv_columns(n_rows).items()
+                          if k in ("int", "bool")},
+             "bool": {"bool": csv_columns(n_rows)["bool"]}}
+    for name, columns in cases.items():
+        path = wf.write_csv(tmp_path / f"{name}.csv", columns, precision, header)
+        assert path.read_bytes() == \
+            per_row_csv(columns, precision, header).encode(), name
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(wf.WaveGridError, match="equal sizes"):
+        wf.write_csv(tmp_path / "bad.csv", {"a": np.zeros(3), "b": np.zeros(4)})
