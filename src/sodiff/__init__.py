@@ -45,21 +45,15 @@ from .wavefield import (
 from .oam import (
     AzimuthalField,
     OamDistribution,
-    aft,
     field_from_grid,
-    interference_distribution,
     oam_distribution,
     oracle_Lz,
     to_polar,
 )
 from .instrument import (
     CoilModel,
-    MeasuredScan,
     ResolutionKernel,
     coil_divergence_spread,
     coil_tilt_phase,
     convolve_resolution,
-    fit_gaussian_derivative,
-    ingest_scan,
-    linear_fit,
 )

@@ -466,9 +466,9 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
         dt = time.perf_counter() - t0
         keys = _summary_scalars(summary)
         print(f"[{tag}] grid {theta.size}x{rho.size}  wall {dt:.2f}s  {keys}")
-    if fmt == "binary" and 1 in cache:
+    if fmt == "binary":
         path = out_dir / "wavegrid.sgrid"
-        wave.write_binary(cache[1], path)
+        wave.write_binary(grid(1), path)
         writer.written.append(path.name)
     manifest = {"artifacts": writer.written,
                 "geometry": {"kind": geom.kind, "hkl": list(geom.hkl or ()),

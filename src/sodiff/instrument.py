@@ -1,22 +1,17 @@
-"""Experiment-facing models: resolution smearing, scan fits, coil tilt.
+"""Experiment-facing models: resolution smearing and coil tilt.
 
-These are the pieces needed to compare the dynamical-theory curves with
+These are the pieces needed to set the dynamical-theory curves beside
 measured rocking scans: a Gaussian resolution convolution for the
-monochromator spread, a Gaussian-derivative fit for antisymmetric
-polarization signals, weighted linear fits, the tilted-coil divergence
-phase model, and a small CSV reader for measured scans.
+monochromator spread and the tilted-coil divergence phase model.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-from .constants import ARCSEC_TO_RAD, CONSTANTS, DEG_TO_RAD
+from .constants import CONSTANTS
 
 
 class InstrumentError(ValueError):
@@ -70,155 +65,6 @@ def convolve_resolution(abscissa, P, intensity, kernel: ResolutionKernel):
     num = _reflect_pad_convolve(P * inten, k)
     den = _reflect_pad_convolve(inten, k)
     return num / np.maximum(den, 1e-300), den
-
-
-# ---------------------------------------------------------------------------
-# Scan container and I/O
-# ---------------------------------------------------------------------------
-
-_UNIT_TO_RAD = {"rad": 1.0, "arcsec": ARCSEC_TO_RAD, "asec": ARCSEC_TO_RAD,
-                "deg": DEG_TO_RAD, "degree": DEG_TO_RAD, "mrad": 1e-3}
-
-
-@dataclass
-class MeasuredScan:
-    """One measured 1D scan: abscissa (stored in rad), values, uncertainties."""
-
-    x_rad: np.ndarray
-    value: np.ndarray
-    sigma: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        bad = ~np.isfinite(self.x_rad) | ~np.isfinite(self.value)
-        if np.any(bad):
-            raise InstrumentError("scan contains non-finite entries")
-        if self.sigma is not None and np.any(self.sigma <= 0):
-            raise InstrumentError("uncertainties must be positive")
-
-
-def ingest_scan(path: str | Path) -> MeasuredScan:
-    """Read the documented scan CSV: a header line ``abscissa_unit,<unit>``,
-    a column header ``x,value[,sigma]``, then numeric rows.  Comment lines
-    start with '#'.  Malformed rows are reported with their line number."""
-    unit = None
-    cols = None
-    xs, vs, ss = [], [], []
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not any(line.strip() and not line.lstrip().startswith("#")
-               for line in lines):
-        raise InstrumentError(f"{path}: empty scan file")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if unit is None:
-            if parts[0] != "abscissa_unit" or len(parts) != 2:
-                raise InstrumentError(
-                    f"{path}:{lineno}: expected 'abscissa_unit,<unit>' header")
-            if parts[1] not in _UNIT_TO_RAD:
-                raise InstrumentError(f"{path}:{lineno}: unknown unit {parts[1]!r}")
-            unit = parts[1]
-            continue
-        if cols is None:
-            if parts[:2] != ["x", "value"] or len(parts) not in (2, 3):
-                raise InstrumentError(
-                    f"{path}:{lineno}: expected column header 'x,value[,sigma]'")
-            cols = parts
-            continue
-        if len(parts) != len(cols):
-            raise InstrumentError(f"{path}:{lineno}: expected {len(cols)} cells")
-        try:
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
-            if len(cols) == 3:
-                ss.append(float(parts[2]))
-        except ValueError as exc:
-            raise InstrumentError(f"{path}:{lineno}: non-numeric cell ({exc})")
-    if cols is None or not xs:
-        raise InstrumentError(f"{path}: no data rows")
-    scale = _UNIT_TO_RAD[unit]
-    sigma = np.asarray(ss) if ss else None
-    return MeasuredScan(x_rad=np.asarray(xs) * scale, value=np.asarray(vs),
-                        sigma=sigma, meta={"abscissa_unit": unit,
-                                           "source": str(path)})
-
-
-# ---------------------------------------------------------------------------
-# Fits
-# ---------------------------------------------------------------------------
-
-def _gaussian_derivative(x, amp, x0, width, baseline):
-    return amp * (x - x0) * np.exp(-((x - x0) ** 2) / (2.0 * width ** 2)) + baseline
-
-
-@dataclass(frozen=True)
-class FitResult:
-    names: tuple[str, ...]
-    values: tuple[float, ...]
-    covariance: np.ndarray
-    converged: bool
-    residual_rms: float
-
-    def as_dict(self) -> dict:
-        return {"parameters": dict(zip(self.names, self.values)),
-                "covariance": self.covariance.tolist(),
-                "converged": self.converged,
-                "residual_rms": self.residual_rms}
-
-    def to_json(self, path):
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-
-
-def fit_gaussian_derivative(scan: MeasuredScan) -> FitResult:
-    """Least squares of A (x-x0) exp(-(x-x0)^2/2w^2) + c to a scan.
-
-    The first derivative of a Gaussian is the canonical shape of an
-    antisymmetric polarization signal smeared by a Gaussian resolution.
-    """
-    x, y = scan.x_rad, scan.value
-    if x.size < 5:
-        raise InstrumentError("need at least 5 points")
-    span = x.max() - x.min()
-    w0 = span / 6.0
-    x0 = float(x[np.argmax(y)] + x[np.argmin(y)]) / 2.0
-    a0 = (y.max() - y.min()) / max(span / 3.0, 1e-300) * 0.5
-    p0 = [a0 if a0 != 0 else 1.0, x0, w0, float(np.median(y))]
-    sigma = scan.sigma
-    try:
-        popt, pcov = curve_fit(_gaussian_derivative, x, y, p0=p0, sigma=sigma,
-                               absolute_sigma=sigma is not None, maxfev=20000)
-    except RuntimeError as exc:
-        resid = y - _gaussian_derivative(x, *p0)
-        raise InstrumentError(
-            f"gaussian-derivative fit did not converge (rms residual "
-            f"{np.sqrt(np.mean(resid**2)):.3g})") from exc
-    popt[2] = abs(popt[2])
-    resid = y - _gaussian_derivative(x, *popt)
-    return FitResult(names=("amplitude", "center", "width", "baseline"),
-                     values=tuple(float(v) for v in popt), covariance=pcov,
-                     converged=True,
-                     residual_rms=float(np.sqrt(np.mean(resid ** 2))))
-
-
-def linear_fit(scan: MeasuredScan) -> FitResult:
-    """Weighted least-squares line value = slope * x + intercept."""
-    x, y = scan.x_rad, scan.value
-    w = 1.0 / scan.sigma ** 2 if scan.sigma is not None else np.ones_like(y)
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    Aw = A * w[:, None]
-    cov = np.linalg.inv(A.T @ Aw)
-    p = cov @ (Aw.T @ y)
-    resid = y - A @ p
-    if scan.sigma is None:
-        dof = max(x.size - 2, 1)
-        cov = cov * float(resid @ resid) / dof
-    return FitResult(names=("slope", "intercept"),
-                     values=(float(p[0]), float(p[1])), covariance=cov,
-                     converged=True,
-                     residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
 # ---------------------------------------------------------------------------

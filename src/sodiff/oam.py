@@ -151,17 +151,6 @@ def field_from_grid(grid: WaveGrid, beam: str, what: str,
 # Azimuthal Fourier transform and mode distribution
 # ---------------------------------------------------------------------------
 
-def aft(field: AzimuthalField, ell: int) -> np.ndarray:
-    """Radial profile of azimuthal mode ell: (1/2pi) int psi e^{-i l phi} dphi.
-
-    Uniform-node quadrature, exact for band-limited content below Nyquist.
-    """
-    if abs(ell) > field.n_phi // 2 - 1:
-        raise OamError(f"mode {ell} beyond Nyquist for n_phi={field.n_phi}")
-    phase = np.exp(-1j * ell * field.phi)
-    return np.mean(field.values * phase[None, :], axis=1)
-
-
 def _aft_all(field: AzimuthalField) -> np.ndarray:
     """All DFT modes at once, shape (n_r, n_phi), bin k holding mode
     fftfreq-style integers."""
@@ -185,28 +174,6 @@ def oam_distribution(field: AzimuthalField, L: int = 32) -> OamDistribution:
     mean = float(np.sum(ells * p) / np.sum(p)) if p.sum() > 0 else 0.0
     return OamDistribution(ells=ells, p=p, residual=residual, mean=mean,
                            total_intensity=total)
-
-
-def interference_distribution(field_up: AzimuthalField,
-                              field_dn: AzimuthalField,
-                              L: int = 32) -> OamDistribution:
-    """OAM distribution of conj(psi_+) psi_- from two matching polar fields.
-
-    Prefer field_from_grid(..., "interference") when starting from a
-    WaveGrid: the product should be formed before any interpolation.
-    """
-    if field_up.values.shape != field_dn.values.shape:
-        raise OamError("fields must share one polar grid")
-    if (not np.allclose(field_up.r, field_dn.r)
-            or field_up.handedness != field_dn.handedness):
-        raise OamError("fields must share one polar grid")
-    prod = AzimuthalField(values=np.conj(field_up.values) * field_dn.values,
-                          r=field_up.r, phi=field_up.phi,
-                          center=field_up.center,
-                          handedness=field_up.handedness,
-                          source_intensity=0.0, coverage=min(
-                              field_up.coverage, field_dn.coverage))
-    return oam_distribution(prod, L=L)
 
 
 def oracle_Lz(field: AzimuthalField) -> float:

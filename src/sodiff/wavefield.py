@@ -129,18 +129,15 @@ class WaveGrid:
     def spin_field(self, beam: str, what: str) -> np.ndarray:
         """Complex map the OAM analyses resample.
 
-        what = "interference": flip_coherence.  On a pure grid "flipped"
-        and "non-flipped" are the spin components themselves.  An ensemble
-        has no common phase, so there "flipped" is referenced to the
-        non-flipped phase, <conj(psi_nonflip) psi_flip>/sqrt(<|psi_nonflip|^2>),
+        what = "interference": flip_coherence.  "flipped" is referenced to
+        the non-flipped phase, <conj(psi_nonflip) psi_flip>/sqrt(<|psi_nonflip|^2>),
         and "non-flipped" is sqrt(<|psi_nonflip|^2>), real by construction
-        (the intensity floored at 0).
+        (the intensity floored at 0).  Neither depends on a phase common to
+        both components, so a pure grid and an ensemble of zero spread give
+        the same fields.
         """
         if what == "interference":
             return self.flip_coherence(beam)
-        _, pure = self._state(beam)
-        if pure:
-            return self.spin_component(beam, what == "flipped")
         nf = self.component_intensity(beam, flipped=False)
         if what == "flipped":
             # floor the reference intensity so near-empty regions cannot blow up
@@ -425,7 +422,7 @@ def winding_number(phase: np.ndarray, loop, mask: np.ndarray = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Grid export: long-form CSV and a compact binary format
+# Grid export: a compact binary format and CSV
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SODIFFG1"
@@ -493,16 +490,3 @@ def write_csv(path, columns: dict, precision: int = 9,
     os.replace(tmp, path)
     return path
 
-
-def write_long_csv(grid: WaveGrid, path, precision: int = 9,
-                   header_lines: tuple[str, ...] = ()):
-    """Long-form CSV: one row per grid point with both beams' spinors."""
-    grid._require_pure("write_long_csv")
-    TH, RH = np.meshgrid(grid.theta, grid.rho, indexing="ij")
-    columns = {"theta_rad": TH, "rho_rad": RH}
-    for beam, psi in (("psi0", grid.psi0), ("psiH", grid.psiH)):
-        for i, spin in enumerate(("up", "dn")):
-            columns[f"re_{beam}_{spin}"] = psi[..., i].real
-            columns[f"im_{beam}_{spin}"] = psi[..., i].imag
-    columns["R"], columns["T"] = grid.R, grid.T
-    return write_csv(path, columns, precision, header_lines)

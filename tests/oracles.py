@@ -11,6 +11,7 @@ import numpy as np
 from sodiff.constants import CONSTANTS, FM_TO_A
 from sodiff.crystal import (IDENTITY2, SIGMA, CrystalError, mean_potential_meV,
                             structure_sums)
+from sodiff.oam import OamError
 
 GAMMA_COEF_FM = -1.91304273 * 2.8179403262 * 5.446170214e-4 / 2.0  # mu e/hbar c
 TWO_PI_HBAR2_OVER_M = 4.0 * np.pi * 81.8042 / (2.0 * np.pi) ** 2    # meV A^3
@@ -68,8 +69,15 @@ def numerical_Lz(values, r, phi):
     return float(np.real(num / den))
 
 
-def gaussian_derivative(x, amp, x0, w, c):
-    return amp * (x - x0) * np.exp(-((x - x0) ** 2) / (2 * w * w)) + c
+def aft(field, ell):
+    """Radial profile of azimuthal mode ell of an oam.AzimuthalField,
+    (1/2pi) int psi e^{-i l phi} dphi, by direct quadrature over the
+    uniform nodes: the reference for the package's FFT of all modes.
+    Exact for band-limited content below Nyquist."""
+    if abs(ell) > field.n_phi // 2 - 1:
+        raise OamError(f"mode {ell} beyond Nyquist for n_phi={field.n_phi}")
+    phase = np.exp(-1j * ell * field.phi)
+    return np.mean(field.values * phase[None, :], axis=1)
 
 
 def channel_entries(V, u):

@@ -1,9 +1,15 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sodiff
 from sodiff import __version__, cli
+from sodiff import wavefield as wf
 
 
 MINIMAL = """
@@ -178,6 +184,36 @@ def test_run_twice_byte_identical(tmp_path):
     assert run_cli(["run", str(cfg), "--out", str(out2)]) == 0
     for name in ("run1_polarization_reflected.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_binary_grid_written_without_pure_grid_analysis(tmp_path):
+    """format = binary dumps the pure grid even when no analysis built it."""
+    text = (MINIMAL.replace("mode = polarization\nbeams = reflected",
+                            "mode = coil-model\nalpha_points = 11")
+            .replace("precision = 9", "format = binary\nprecision = 9"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+    assert "wavegrid.sgrid" in json.loads(
+        (out / "manifest.json").read_text())["artifacts"]
+    back = wf.read_binary(out / "wavegrid.sgrid")
+    assert back["theta"].size == 11 and back["rho"].size == 1
+    assert back["psi0"].shape == back["psiH"].shape == (11, 1, 2)
+    assert back["R"].shape == back["T"].shape == (11, 1)
+
+
+def test_import_loads_no_scipy():
+    """The package needs numpy alone: a fresh import pulls in no scipy."""
+    env = dict(os.environ)
+    src = str(Path(sodiff.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, sodiff; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_list_presets_sorted_and_complete(capsys):

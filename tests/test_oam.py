@@ -3,8 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import numerical_Lz
+from oracles import aft, numerical_Lz
 from sodiff import oam
+from sodiff import wavefield as wf
+
+
+def two_component_grid(geom, up, dn, ax):
+    """Hand-built pure WaveGrid whose non-flipped and flipped components
+    (about u0 = (1, 0)) are up and dn, sampled on the square transverse
+    axis ax in 1/A, in both beams."""
+    psi = np.stack([up, dn], axis=-1)
+    shape = up.shape
+    return wf.WaveGrid(theta=ax / geom.k_mag, rho=ax / geom.k_mag,
+                       R=np.zeros(shape), T=np.ones(shape), geometry=geom,
+                       u0=np.array([1.0, 0.0], complex), crystal_id="test",
+                       physical=np.ones(shape, bool), psi0=psi, psiH=psi)
 
 
 def polar_field(func, n_r=128, n_phi=256, r_max=4.0):
@@ -35,29 +48,29 @@ def cartesian_vortex(ell=1, n=301, width=1.0, extent=4.0):
 
 def test_aft_pure_vortex_exact():
     pf = polar_field(gauss_vortex(1))
-    g = oam.aft(pf, 1)
+    g = aft(pf, 1)
     assert np.allclose(g, np.exp(-pf.r**2 / 2), atol=1e-12)
     for ell in (0, -1, 2, 5):
-        assert np.max(np.abs(oam.aft(pf, ell))) < 1e-12
+        assert np.max(np.abs(aft(pf, ell))) < 1e-12
 
 
 def test_aft_constant_field():
     pf = polar_field(lambda R, PHI: np.ones_like(R))
-    assert np.max(np.abs(oam.aft(pf, 0) - 1.0)) < 1e-13
-    assert np.max(np.abs(oam.aft(pf, 3))) < 1e-13
+    assert np.max(np.abs(aft(pf, 0) - 1.0)) < 1e-13
+    assert np.max(np.abs(aft(pf, 3))) < 1e-13
 
 
 def test_aft_cosine_splits_half():
     pf = polar_field(lambda R, PHI: np.exp(-R**2 / 2) * np.cos(PHI))
     g = np.exp(-pf.r**2 / 2) / 2.0
-    assert np.allclose(oam.aft(pf, 1), g, atol=1e-13)
-    assert np.allclose(oam.aft(pf, -1), g, atol=1e-13)
+    assert np.allclose(aft(pf, 1), g, atol=1e-13)
+    assert np.allclose(aft(pf, -1), g, atol=1e-13)
 
 
 def test_aft_nyquist_guard():
     pf = polar_field(gauss_vortex(1), n_phi=32)
     with pytest.raises(oam.OamError):
-        oam.aft(pf, 16)
+        aft(pf, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +166,13 @@ def test_shift_theorem(k_steps):
                                 coverage=pf.coverage)
     dphi = k_steps * 2 * np.pi / pf.n_phi
     for ell in (0, 1, 2):
-        a = oam.aft(pf, ell)
-        b = oam.aft(rolled, ell)
+        a = aft(pf, ell)
+        b = aft(rolled, ell)
         assert np.allclose(b, a * np.exp(-1j * ell * dphi), atol=1e-12)
+    # the FFT of all modes equals the direct quadrature mode by mode
+    modes = oam._aft_all(rolled)
+    for ell in range(1 - pf.n_phi // 2, pf.n_phi // 2):
+        assert np.max(np.abs(modes[:, ell % pf.n_phi] - aft(rolled, ell))) < 1e-12
     d0 = oam.oam_distribution(pf, L=6)
     d1 = oam.oam_distribution(rolled, L=6)
     assert np.allclose(d0.p, d1.p, atol=1e-13)
@@ -182,34 +199,30 @@ def test_translation_non_invariance():
         <= 1e-2 * max(1.0, abs(d_off.mean))
 
 
-def test_interference_identical_fields_delta():
-    pf = polar_field(gauss_vortex(2))
-    d = oam.interference_distribution(pf, pf, L=6)
+def test_interference_identical_fields_delta(thermal_bragg_100um):
+    """Identical spin components interfere to |psi|^2, which carries no OAM;
+    a unit-modulus vortex keeps the product exactly 1 under resampling
+    (on a disk inside the grid, so that no node falls on its edge)."""
+    f, ax = cartesian_vortex(ell=2)
+    f = f / np.abs(f)
+    grid = two_component_grid(thermal_bragg_100um, f, f, ax)
+    d = oam.oam_distribution(oam.field_from_grid(
+        grid, wf.TRANSMITTED, "interference",
+        r_max=3.5 / thermal_bragg_100um.k_mag), L=6)
     assert d.p[d.ells == 0][0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_interference_common_phase_invariance():
+def test_interference_common_phase_invariance(thermal_bragg_100um):
     rng = np.random.default_rng(3)
     c = rng.normal()
-
-    def phase(R, PHI):
-        X, Y = R * np.cos(PHI), R * np.sin(PHI)
-        return np.exp(1j * (0.7 * X + 0.2 * Y**2 + c))
-
-    up = polar_field(gauss_vortex(0))
-    dn = polar_field(gauss_vortex(1))
-    up_p = polar_field(lambda R, P: gauss_vortex(0)(R, P) * phase(R, P))
-    dn_p = polar_field(lambda R, P: gauss_vortex(1)(R, P) * phase(R, P))
-    d0 = oam.interference_distribution(up, dn, L=6)
-    d1 = oam.interference_distribution(up_p, dn_p, L=6)
+    up, ax = cartesian_vortex(ell=0)
+    dn, _ = cartesian_vortex(ell=1)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    phase = np.exp(1j * (0.7 * X + 0.2 * Y**2 + c))
+    d0, d1 = (oam.oam_distribution(oam.field_from_grid(
+        two_component_grid(thermal_bragg_100um, a, b, ax), wf.TRANSMITTED,
+        "interference"), L=6) for a, b in ((up, dn), (up * phase, dn * phase)))
     assert np.allclose(d0.p, d1.p, atol=1e-12)
-
-
-def test_interference_grid_mismatch_rejected():
-    a = polar_field(gauss_vortex(1), n_r=64, n_phi=128)
-    b = polar_field(gauss_vortex(1), n_r=64, n_phi=64)
-    with pytest.raises(oam.OamError):
-        oam.interference_distribution(a, b, L=4)
 
 
 def test_to_polar_center_outside_rejected():

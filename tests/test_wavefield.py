@@ -371,17 +371,37 @@ def test_grazing_row_nudged_in_both_scans(quartz, u0_along_beam):
     assert np.isfinite(coh.R).all() and np.isfinite(coh.T).all()
 
 
-def test_ensemble_non_flipped_field_finite(quartz, u0_along_beam):
-    """A near-zero span leaves the closed-form Laue ensemble slightly
-    negative (about -1e-3) on the nudged grazing row of a 129^2 grid; the
-    non-flipped field floors it at zero instead of taking sqrt of it."""
+@pytest.fixture(scope="module")
+def laue_2mm_pure_and_ensemble(quartz, u0_along_beam):
+    """grid_scan and zero-spread coherence_scan of 2 mm Laue
+    backscattering over a 129^2 grid of +-0.3 deg."""
     lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
     geom = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, 2e7)
     ax = np.linspace(-np.deg2rad(0.3), np.deg2rad(0.3), 129)
-    coh = wf.coherence_scan(geom, quartz, u0_along_beam, ax, ax, span_A=1e-9)
+    return (wf.grid_scan(geom, quartz, u0_along_beam, ax, ax),
+            wf.coherence_scan(geom, quartz, u0_along_beam, ax, ax, span_A=1e-9))
+
+
+def test_ensemble_non_flipped_field_finite(laue_2mm_pure_and_ensemble):
+    """A near-zero span leaves the closed-form Laue ensemble slightly
+    negative (about -1e-3) on the nudged grazing row of a 129^2 grid; the
+    non-flipped field floors it at zero instead of taking sqrt of it."""
+    _, coh = laue_2mm_pure_and_ensemble
     assert coh.component_intensity(wf.TRANSMITTED, flipped=False).min() < 0
     f = oam.field_from_grid(coh, wf.TRANSMITTED, "non-flipped")
     assert np.isfinite(f.values).all()
+
+
+def test_flipped_field_same_for_pure_and_ensemble(laue_2mm_pure_and_ensemble):
+    """The flipped and non-flipped OAM fields are referenced to the
+    non-flipped phase on both kinds of grid, so a pure grid and its
+    zero-spread ensemble give the same mean l."""
+    for beam in (wf.TRANSMITTED, wf.REFLECTED):
+        for what in ("flipped", "non-flipped"):
+            means = [oam.oam_distribution(oam.field_from_grid(
+                grid, beam, what, physical_only=True)).mean
+                for grid in laue_2mm_pure_and_ensemble]
+            assert abs(means[0] - means[1]) <= 1e-6, (beam, what, means)
 
 
 def test_averaged_reflected_transverse_polarization_weak(laue_coherence_grid):
@@ -417,16 +437,6 @@ def test_binary_rejects_foreign_file(tmp_path):
     path.write_bytes(b"\x00" * 200)
     with pytest.raises(wf.WaveGridError):
         wf.read_binary(path)
-
-
-def test_long_csv_export(tmp_path, quartz, thermal_bragg_100um, u0_along_beam):
-    grid = small_grid(quartz, thermal_bragg_100um, u0_along_beam, n=5)
-    path = tmp_path / "grid.csv"
-    wf.write_long_csv(grid, path, header_lines=("demo",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1].startswith("theta_rad,rho_rad,re_psi0_up")
-    assert len(lines) == 2 + 25
 
 
 def per_row_csv(columns, precision, header_lines):
