@@ -10,6 +10,11 @@ change.  This explains a difference that `diff A/SHA256SUMS B/SHA256SUMS`
 reports, for example a last-digit move of a cancellation-limited value; it
 does not replace that byte-identity check.
 
+A second table says for each such file whether its data lines (the lines
+not starting with '#') are byte-identical.  It separates a move of the
+header lines alone (a new config hash) from a move of the data, including
+a -0/0 change that the value comparison counts as equal.
+
 Files present in only one directory, and files whose columns or row counts
 differ, are listed and make the exit status 1.
 
@@ -29,6 +34,12 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if len(lines) == 1:
         return names, np.zeros((0, len(names)))
     return names, np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+
+
+def data_lines(path: Path) -> list[bytes]:
+    """The file's lines, terminators kept, except those starting with '#'."""
+    return [ln for ln in path.read_bytes().splitlines(keepends=True)
+            if not ln.startswith(b"#")]
 
 
 def column_changes(a: np.ndarray, b: np.ndarray) -> tuple[int, float, float]:
@@ -66,6 +77,10 @@ def compare(root_a: Path, root_b: Path) -> int:
             rows, dabs, drel = column_changes(a[:, k], b[:, k])
             print(f"{rel.as_posix():<48} {name:<20} {rows:>6} {dabs:>10.3g} "
                   f"{drel:>10.3g}")
+    print(f"\n{'file':<48} data_lines")
+    for rel in sorted(files_a & files_b):
+        same = data_lines(root_a / rel) == data_lines(root_b / rel)
+        print(f"{rel.as_posix():<48} {'identical' if same else 'differ'}")
     return status
 
 

@@ -56,7 +56,7 @@ _SCHEMA = {
              "rho_points", "rho_half_deg", "center"},
     "analysis": {"mode", "beams", "components", "truncation_L",
                  "n_phi", "n_r", "r_max_deg", "physical_only",
-                 "thickness_average", "loop_margins", "resolution_sigma_factor",
+                 "ensemble", "loop_margins", "resolution_sigma_factor",
                  "coil_tilt_deg", "guide_field_mT", "alpha_max_deg",
                  "alpha_points", "frame"},
     "output": {"directory", "format", "precision"},
@@ -276,15 +276,13 @@ class _Writer:
 
 
 def _grid(blk, ctx):
-    """The block's exit grid: pure for thickness_average = 1, else the
-    thickness ensemble of that many points."""
-    n_avg = _get_int(blk, "thickness_average", 1)
-    if n_avg < 1:
-        raise ConfigError("key 'thickness_average': expected >= 1")
-    if n_avg > 1 and blk["mode"] == "phase-map":
-        raise ConfigError("phase-map needs thickness_average = 1: a "
-                          "thickness ensemble has no phase")
-    return ctx["grid"](n_avg)
+    """The block's exit grid: the thickness ensemble for ensemble = true,
+    else the pure exit spinors."""
+    ensemble = _get_bool(blk, "ensemble")
+    if ensemble and blk["mode"] == "phase-map":
+        raise ConfigError("phase-map needs ensemble = false: a thickness "
+                          "ensemble has no phase")
+    return ctx["grid"](ensemble)
 
 
 def _analysis_polarization(blk, ctx, writer, tag):
@@ -448,13 +446,11 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
 
     cache: dict = {}
 
-    def grid(n_avg):
-        if n_avg not in cache:
-            cache[n_avg] = (wave.grid_scan(geom, crys, u0, theta, rho)
-                            if n_avg == 1 else
-                            wave.coherence_scan(geom, crys, u0, theta, rho,
-                                                n_avg=n_avg))
-        return cache[n_avg]
+    def grid(ensemble):
+        if ensemble not in cache:
+            scan = wave.coherence_scan if ensemble else wave.grid_scan
+            cache[ensemble] = scan(geom, crys, u0, theta, rho)
+        return cache[ensemble]
 
     ctx = {"crystal": crys, "geometry": geom, "center": center, "grid": grid}
 
@@ -468,7 +464,7 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
         print(f"[{tag}] grid {theta.size}x{rho.size}  wall {dt:.2f}s  {keys}")
     if fmt == "binary":
         path = out_dir / "wavegrid.sgrid"
-        wave.write_binary(grid(1), path)
+        wave.write_binary(grid(False), path)
         writer.written.append(path.name)
     manifest = {"artifacts": writer.written,
                 "geometry": {"kind": geom.kind, "hkl": list(geom.hkl or ()),

@@ -309,16 +309,18 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
             "y": y, "X": X, "amp0": amp0, "backward_error": backward}
 
 
-def _transfer_setup(kind, y1, y2, X1, X2, v0, energy, kappa_scale):
-    """The thickness-independent part of one spin channel's transfer
-    factors: (i g1, i g2, X1, X2, X1 -+ X2, X1 X2) with g the branch
-    wavenumbers.  Bragg relabels the branches a = growing, b = decaying and
-    takes g1 = kap_b - kap_a, g2 = kap_b, so that q = e^{i g1 D} has
-    |q| <= 1; Laue keeps the branch order, with X2 - X1."""
-    eps1 = (y1 - v0) / (2.0 * energy)
-    eps2 = (y2 - v0) / (2.0 * energy)
-    kap1 = kappa_scale * eps1
-    kap2 = kappa_scale * eps2
+def _transfer_setup(kind, ch: dict, ci: int):
+    """Thickness-independent part of the transfer factors of channel ci of
+    the _channels result ch: (i g1, i g2, X1, X2, diff, X1 X2), from the
+    branch wavenumbers kap = kappa_scale (y - v0) / 2E.  Bragg relabels the
+    branches 1 = a = growing, 2 = b = decaying, takes g1 = kap_b - kap_a,
+    g2 = kap_b (so |e^{i g1 D}| <= 1) and diff = X_a - X_b; Laue keeps the
+    branch order, g = kap and diff = X2 - X1."""
+    kappa_scale, v0, energy = ch["kappa_scale"], ch["v0"], ch["energy_meV"]
+    y, X = ch["y"], ch["X"]
+    # real * complex: exact under the operand swap of _transfer_factors
+    kap1, kap2 = [kappa_scale * (y[ci, b] - v0) / (2 * energy) for b in (0, 1)]
+    X1, X2 = X[ci, 0], X[ci, 1]
     if kind == BRAGG:
         a_first = kap1.imag <= kap2.imag
         kap_a = np.where(a_first, kap1, kap2)
@@ -357,11 +359,6 @@ def _transfer_factors(kind, setup, D):
     return (X2 * E1 - X1 * E2) / diff, prod * beat / diff
 
 
-def _channel_roots(ch: dict, ci: int):
-    """(y1, y2, X1, X2) of channel ci from a _channels result."""
-    return ch["y"][ci, 0], ch["y"][ci, 1], ch["X"][ci, 0], ch["X"][ci, 1]
-
-
 def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                         u0_spinor, theta, rho) -> dict:
     """Exit spinor envelopes over broadcastable (theta, rho) offsets.
@@ -376,16 +373,14 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     """
     ch = _channels(geom, crystal, u0_spinor, theta, rho)
     shape = ch["g0"].shape
-    v0, energy = ch["v0"], ch["energy_meV"]
 
     psi0 = np.zeros(shape + (2,), complex)
     psiH = np.zeros(shape + (2,), complex)
     t_all = np.zeros(shape + (2,), complex)
     r_all = np.zeros(shape + (2,), complex)
     for ci in range(2):
-        setup = _transfer_setup(geom.kind, *_channel_roots(ch, ci), v0,
-                                energy, ch["kappa_scale"])
-        t, r = _transfer_factors(geom.kind, setup, geom.thickness_A)
+        t, r = _transfer_factors(geom.kind, _transfer_setup(geom.kind, ch, ci),
+                                 geom.thickness_A)
         psi0 += t[..., None] * ch["amp0"][ci]
         psiH += r[..., None] * ch["amp0"][ci]
         t_all[..., ci], r_all[..., ci] = t, r
@@ -404,7 +399,8 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 
 
 def _window_factor(x):
-    """Gaussian ensemble weight exp(-x^2/2) on the beat frequency x = dk*sigma.
+    """Gaussian ensemble weight exp(-x^2/2) on the real beat frequency
+    x = Re(dk) sigma.
 
     A Gaussian thickness spread of width sigma multiplies every beat term
     e^{i dk D} of a quadratic product by exp(-(dk sigma)^2/2): beats from
@@ -412,12 +408,14 @@ def _window_factor(x):
     precision while the spin-orbit phase differences that carry the physics
     (dk ~ rad/m) are untouched to one part in 1e10.
     """
-    x = np.asarray(x)
-    return np.exp(-0.5 * np.real(x) ** 2)
+    return np.exp(-0.5 * x**2)
+
+
+_BRAGG_ENSEMBLE_POINTS = 32
 
 
 def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
-                        u0_spinor, theta, rho, n_avg: int = 32,
+                        u0_spinor, theta, rho,
                         span_A: float | None = None) -> dict:
     """Thickness-ensemble-averaged spin coherence matrices <psi psi^dag>.
 
@@ -432,22 +430,19 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 
     The two geometries use different ensembles.  Laue averages over a
     Gaussian of width span_A in closed form (the amplitudes are
-    two-exponential sums).  Bragg averages n_avg equally weighted
-    thicknesses spread uniformly over +-1.5 span_A.  span_A is in Angstrom
-    and defaults to 1e-5 of the thickness, far below any real tolerance
-    yet enough to suppress the Laue branch beats below double precision.
+    two-exponential sums).  Bragg averages _BRAGG_ENSEMBLE_POINTS equally
+    weighted thicknesses uniform over +-1.5 span_A.  span_A (Angstrom)
+    defaults to 1e-5 of the thickness, far below any real tolerance yet
+    enough to suppress the Laue branch beats below double precision.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices,
-    fluxes R, T, and the geometry diagnostics of exit_amplitude_maps.
+    fluxes R, T, and g0 (> 0 where the beam enters the crystal).
     """
     ch = _channels(geom, crystal, u0_spinor, theta, rho)
     shape = ch["g0"].shape
-    v0, energy, kappa_scale = ch["v0"], ch["energy_meV"], ch["kappa_scale"]
-    chan = [_channel_roots(ch, ci) for ci in range(2)]
+    setups = [_transfer_setup(geom.kind, ch, ci) for ci in range(2)]
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
-    thicknesses = geom.thickness_A + 3.0 * span_A * (
-        np.arange(n_avg) / max(n_avg - 1, 1) - 0.5)
 
     C0 = np.zeros(shape + (2, 2), complex)   # <t_s conj(t_s')>
     CH = np.zeros(shape + (2, 2), complex)
@@ -456,28 +451,25 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         # thickness-ensemble average of every quadratic product is exact:
         # <e^{i dk D'}> over D' ~ N(D, span_A^2) equals
         # e^{i dk D} exp(-(dk span_A)^2 / 2), with Re(dk) in the window.
-        kap, At, Ar = [], [], []
-        for (y1, y2, X1, X2) in chan:
-            den = X2 - X1
-            kap.append(np.stack([kappa_scale * (y1 - v0) / (2 * energy),
-                                 kappa_scale * (y2 - v0) / (2 * energy)]))
-            At.append(np.stack([X2 / den, -X1 / den]))
-            Ar.append(np.stack([X1 * X2 / den, -X1 * X2 / den]))
+        ig = [(ig1, ig2) for ig1, ig2, *_ in setups]
+        At = [(X2 / diff, -X1 / diff) for _, _, X1, X2, diff, _ in setups]
+        Ar = [(prod / diff, -prod / diff) for *_, diff, prod in setups]
         D = geom.thickness_A
         for a in range(2):
             for b in range(2):
                 for i in range(2):
                     for j in range(2):
-                        # conj(...) leads every product below: see
-                        # _transfer_factors on operand order
-                        dk = kap[a][i] - np.conj(kap[b][j])
-                        win = _window_factor(dk * span_A) * np.exp(1j * dk * D)
+                        # i dk with dk = g_ai - conj(g_bj); conj(...) leads
+                        # every product below: see _transfer_factors
+                        idk = ig[a][i] + np.conj(ig[b][j])
+                        win = (_window_factor(idk.imag * span_A)
+                               * np.exp(idk * D))
                         C0[..., a, b] += np.conj(At[b][j]) * At[a][i] * win
                         CH[..., a, b] += np.conj(Ar[b][j]) * Ar[a][i] * win
     else:
-        setups = [_transfer_setup(geom.kind, *roots, v0, energy, kappa_scale)
-                  for roots in chan]
-        for D in thicknesses:
+        n = _BRAGG_ENSEMBLE_POINTS
+        steps = np.arange(n) / (n - 1) - 0.5
+        for D in geom.thickness_A + 3.0 * span_A * steps:
             ts, rs = zip(*(_transfer_factors(geom.kind, setup, D)
                            for setup in setups))
             for a in range(2):
@@ -485,8 +477,8 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                     # conj(...) first: see _transfer_factors
                     C0[..., a, b] += np.conj(ts[b]) * ts[a]
                     CH[..., a, b] += np.conj(rs[b]) * rs[a]
-        C0 /= n_avg
-        CH /= n_avg
+        C0 /= n
+        CH /= n
 
     basis = ch["amp0"]
     rho0 = np.zeros(shape + (2, 2), complex)
@@ -500,10 +492,7 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     T = np.real(np.trace(rho0, axis1=-2, axis2=-1))
     R = (np.real(np.trace(rhoH, axis1=-2, axis2=-1))
          * np.abs(ch["gH"]) / ch["g0"])
-    keep = ("theta", "rho", "alpha0", "beta", "g0", "gH", "w", "u_hat", "v0",
-            "energy_meV")
-    return {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T,
-            "thicknesses": thicknesses, **{key: ch[key] for key in keep}}
+    return {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T, "g0": ch["g0"]}
 
 
 # ---------------------------------------------------------------------------

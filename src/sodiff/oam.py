@@ -14,12 +14,15 @@ beam this mirrors the lab k_z axis, i.e. phi = atan2(-k_z, k_y).
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .wavefield import WaveGrid
+
+log = logging.getLogger(__name__)
+
 
 class OamError(ValueError):
     pass
@@ -84,8 +87,7 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
     KY = cy + r[:, None] * np.cos(phi)[None, :]
     KZ = cz + handedness * r[:, None] * np.sin(phi)[None, :]
 
-    out = _bilinear(values, ky, kz, KY, KZ)
-    inside = ((KY >= ky[0]) & (KY <= ky[-1]) & (KZ >= kz[0]) & (KZ <= kz[-1]))
+    out, inside = _bilinear(values, ky, kz, KY, KZ)
 
     dky = ky[1] - ky[0] if ky.size > 1 else 1.0
     dkz = kz[1] - kz[0] if kz.size > 1 else 1.0
@@ -99,13 +101,17 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
 
 
 def _bilinear(values, x_axis, y_axis, X, Y):
-    """Bilinear gather with zero fill outside the axes' span."""
+    """Bilinear gather with zero fill outside the axes' span, and the mask
+    of the nodes inside.  That is decided in index space: a node up to 1e-9
+    of a cell past an edge is clamped onto it, not zeroed."""
     nx, ny = x_axis.size, y_axis.size
     dx = x_axis[1] - x_axis[0]
     dy = y_axis[1] - y_axis[0]
     fx = (X - x_axis[0]) / dx
     fy = (Y - y_axis[0]) / dy
-    inside = (fx >= 0) & (fx <= nx - 1) & (fy >= 0) & (fy <= ny - 1)
+    tol = 1e-9
+    inside = ((fx >= -tol) & (fx <= nx - 1 + tol)
+              & (fy >= -tol) & (fy <= ny - 1 + tol))
     fx = np.clip(fx, 0, nx - 1 - 1e-12)
     fy = np.clip(fy, 0, ny - 1 - 1e-12)
     ix = np.clip(fx.astype(int), 0, nx - 2)
@@ -116,7 +122,7 @@ def _bilinear(values, x_axis, y_axis, X, Y):
          + values[ix + 1, iy] * tx * (1 - ty)
          + values[ix, iy + 1] * (1 - tx) * ty
          + values[ix + 1, iy + 1] * tx * ty)
-    return np.where(inside, v, 0.0)
+    return np.where(inside, v, 0.0), inside
 
 
 def field_from_grid(grid: WaveGrid, beam: str, what: str,
@@ -181,15 +187,15 @@ def oracle_Lz(field: AzimuthalField) -> float:
 
     Completely independent of the Fourier path: <psi| -i d/dphi |psi> over
     <psi|psi> with periodic wraparound.  A half-resolution re-estimate
-    triggers an 'under-resolved' warning when it moves by more than 1e-3
-    relatively.
+    that moves by more than 1e-3 relatively logs an 'under-resolved'
+    warning.
     """
     val = _lz_estimate(field.values, field.r, field.phi)
     half = _lz_estimate(field.values[:, ::2], field.r, field.phi[::2])
     denom = max(abs(val), 1e-30)
     if abs(val - half) / denom > 1e-3:
-        warnings.warn("oracle_Lz: azimuthal grid under-resolved "
-                      f"(delta {abs(val - half) / denom:.2e})")
+        log.warning("oracle_Lz: azimuthal grid under-resolved (delta %.2e)",
+                    abs(val - half) / denom)
     return val
 
 

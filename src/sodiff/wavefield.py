@@ -14,7 +14,7 @@ import logging
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +56,7 @@ class WaveGrid:
     T: np.ndarray                # (n_t, n_r) transmission
     geometry: DiffractionGeometry
     u0: np.ndarray               # incident spinor
-    crystal_id: str
     physical: np.ndarray         # (n_t, n_r) beam-enters-crystal mask
-    meta: dict = field(default_factory=dict)
     psi0: np.ndarray = None      # (n_t, n_r, 2) transmitted spinor envelope
     psiH: np.ndarray = None      # (n_t, n_r, 2) diffracted spinor envelope
     rho0: np.ndarray = None      # (n_t, n_r, 2, 2) transmitted coherence
@@ -165,8 +163,8 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scan(geom: DiffractionGeometry, crystal: CrystalModel, u0, theta_axis,
-          rho_axis, solve, state: dict):
+def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
+          state: dict):
     """Tiled evaluation shared by grid_scan and coherence_scan.
 
     Checks copies of the axes, then walks theta-row tiles of at most
@@ -174,13 +172,12 @@ def _scan(geom: DiffractionGeometry, crystal: CrystalModel, u0, theta_axis,
     every theta row that puts k exactly in the surface (g0 = 0), calls
     solve(theta_rows, rho) for the engine result and a per-tile statistic,
     and copies the kept fields into full-grid arrays allocated up front:
-    the ``state`` arrays (name -> trailing shape), R, T, the physical mask
-    and the per-point meta entries.  The engine's values do not depend on
-    the array size (see dispersion._transfer_factors), so the grid equals
-    one whole-grid call bit for bit.  With more than one tile, the tiles
-    are shared among one thread per CPU in the process's affinity mask (the
-    calling thread and a pool): numpy releases the GIL, and each tile
-    writes only its own rows.
+    the ``state`` arrays (name -> trailing shape), R, T and the physical
+    mask.  The engine's values do not depend on the array size (see
+    dispersion._transfer_factors), so the grid equals one whole-grid call
+    bit for bit.  With more than one tile, the tiles are shared among one
+    thread per CPU in the process's affinity mask (the calling thread and a
+    pool): numpy releases the GIL, and each tile writes only its own rows.
 
     Returns the WaveGrid and the per-tile statistics in tile order, for the
     caller to reduce and raise or log on once per scan.
@@ -193,7 +190,7 @@ def _scan(geom: DiffractionGeometry, crystal: CrystalModel, u0, theta_axis,
         raise WaveGridError("axes must be strictly increasing and uniform")
     shape = (th.size, rh.size)
     kept = {name: np.empty(shape + tail, complex) for name, tail in state.items()}
-    kept.update((name, np.empty(shape)) for name in ("R", "T", "w", "alpha0"))
+    kept.update((name, np.empty(shape)) for name in ("R", "T"))
     physical = np.empty(shape, bool)
     rows = max(1, _TILE_POINTS // rh.size)
     starts = range(0, th.size, rows)
@@ -207,9 +204,7 @@ def _scan(geom: DiffractionGeometry, crystal: CrystalModel, u0, theta_axis,
         for name, out in kept.items():
             out[band] = res[name]
         physical[band] = res["g0"] > 0.0
-        scalars = {key: res[key] for key in ("energy_meV", "v0", "thicknesses")
-                   if key in res}
-        return stat, scalars
+        return stat
 
     # every k-th tile to each of `workers` threads; the calling thread is
     # one of them, since each thread keeps the memory its tiles freed in its
@@ -226,16 +221,12 @@ def _scan(geom: DiffractionGeometry, crystal: CrystalModel, u0, theta_axis,
             by_share = [run(shares[0]), *others]
     else:
         by_share = [run(starts)]
-    done = [None] * len(starts)
+    stats = [None] * len(starts)
     for k, results in enumerate(by_share):
-        done[k::workers] = results
+        stats[k::workers] = results
 
-    stats, scalars = zip(*done)
-    meta = {"w": kept.pop("w"), "alpha0": kept.pop("alpha0"), **scalars[0]}
-    grid = WaveGrid(theta=th, rho=rh, R=kept.pop("R"), T=kept.pop("T"),
-                    geometry=geom, u0=np.asarray(u0, complex),
-                    crystal_id=crystal.material_id, physical=physical,
-                    meta=meta, **kept)
+    grid = WaveGrid(theta=th, rho=rh, geometry=geom,
+                    u0=np.asarray(u0, complex), physical=physical, **kept)
     return grid, stats
 
 
@@ -254,8 +245,8 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
 
     Deterministic and independent of evaluation order: the grid is solved
     in theta-row tiles, possibly on several threads, and equals one
-    whole-grid exit_amplitude_maps call bit for bit; only psi0, psiH, R, T,
-    the physical mask and the meta entries are kept.  Exactly grazing axis
+    whole-grid exit_amplitude_maps call bit for bit; only psi0, psiH, R, T
+    and the physical mask are kept.  Exactly grazing axis
     values are nudged by 1e-12 rad; points where the boundary system is
     singular are retried with a nudged theta and, if still unsolvable,
     stored as NaN, never dropped (one log warning per scan).  Every secular
@@ -275,7 +266,7 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
         nan = int(_nonfinite(res, ("psi0", "psiH")).sum()) if singular else 0
         return res, (singular, nan, float(np.max(res["backward_error"])))
 
-    grid, stats = _scan(geom, crystal, u0, theta_axis, rho_axis, solve,
+    grid, stats = _scan(geom, u0, theta_axis, rho_axis, solve,
                         {"psi0": (2,), "psiH": (2,)})
     singular, nan, worst = zip(*stats)
     if sum(singular):
@@ -288,8 +279,8 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
 
 
 def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
-                   theta_axis, rho_axis, n_avg: int = 32,
-                   span_A: float | None = None) -> WaveGrid:
+                   theta_axis, rho_axis, span_A: float | None = None
+                   ) -> WaveGrid:
     """Thickness-ensemble companion of grid_scan (see exit_coherence_maps):
     a grid holding rho0/rhoH instead of psi0/psiH, solved in the same
     theta-row tiles on axes checked and nudged off grazing incidence as
@@ -297,10 +288,10 @@ def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     bit for bit.  Points left NaN are logged once per scan."""
     def solve(t, rh):
         res = exit_coherence_maps(geom, crystal, u0, t[:, None], rh[None, :],
-                                  n_avg=n_avg, span_A=span_A)
+                                  span_A=span_A)
         return res, int(_nonfinite(res, ("rho0", "rhoH")).sum())
 
-    grid, nan = _scan(geom, crystal, u0, theta_axis, rho_axis, solve,
+    grid, nan = _scan(geom, u0, theta_axis, rho_axis, solve,
                       {"rho0": (2, 2), "rhoH": (2, 2)})
     if sum(nan):
         log.warning("coherence_scan: %d points are NaN", sum(nan))

@@ -102,7 +102,9 @@ def test_criterion_3_laue_pi_half_pulse(quartz, backscatter_laue_35mm,
                                         laue_raw_grid):
     grid = laue_raw_grid
     vh = dp.scalar_reflection_scale(quartz, backscatter_laue_35mm)
-    active = (np.abs(grid.meta["alpha0"]) < 2 * vh) & grid.physical
+    alpha0 = backscatter_laue_35mm.kinematics(grid.theta[:, None],
+                                              grid.rho[None, :])[3]
+    active = (np.abs(alpha0) < 2 * vh) & grid.physical
     flip = np.abs(grid.spin_component(wf.TRANSMITTED, True)) ** 2
     nonf = np.abs(grid.spin_component(wf.TRANSMITTED, False)) ** 2
     frac = float(flip[active].sum() / (flip[active] + nonf[active]).sum())

@@ -280,62 +280,102 @@ def run_blocks(tmp_path, text, names):
     return [(out / name).read_text() for name in names]
 
 
-def test_thickness_average_honoured_for_bragg(tmp_path):
-    """Bragg coherence maps use the configured ensemble size: N = 2 and
-    N = 32 give different maps (Laue's closed form has no N)."""
+def test_ensemble_honoured_for_bragg(tmp_path):
+    """A Bragg polarization map runs on the thickness ensemble only when
+    ensemble = true: the two blocks' maps differ, and an explicit false
+    equals the default."""
     block = "[analysis]\nmode = polarization-map\nbeams = transmitted\n"
-    text = backscattering_config("bragg", block + "thickness_average = 2\n\n"
-                                 + block + "thickness_average = 32\n")
-    n2, n32 = run_blocks(tmp_path, text,
-                         ["run1_polarization-map_transmitted.csv",
-                          "run2_polarization-map_transmitted.csv"])
-    assert n2.splitlines()[:4] == n32.splitlines()[:4]
-    assert n2 != n32
+    text = backscattering_config("bragg", block + "\n" + block
+                                 + "ensemble = false\n\n"
+                                 + block + "ensemble = true\n")
+    default, pure, ens = run_blocks(
+        tmp_path, text, [f"run{i}_polarization-map_transmitted.csv"
+                         for i in (1, 2, 3)])
+    assert default == pure
+    assert pure.splitlines()[:4] == ens.splitlines()[:4]
+    assert pure != ens
 
 
 @pytest.mark.parametrize("mode, artifact", [
     ("polarization", "reflected.csv"),
     ("instrument", "convolved_Py.csv"),
 ])
-def test_thickness_average_honoured_for_curves(tmp_path, mode, artifact):
+def test_ensemble_honoured_for_curves(tmp_path, mode, artifact):
     """polarization and instrument run on the thickness ensemble when asked:
-    N = 2 differs from the pure grid (N = 1)."""
+    ensemble = true differs from the pure grid (ensemble = false)."""
     block = f"[analysis]\nmode = {mode}\nbeams = reflected\n"
     if mode == "instrument":
         block = "[analysis]\nmode = instrument\n"
     text = MINIMAL.replace("[analysis]\nmode = polarization\nbeams = reflected\n",
-                           block + "thickness_average = 1\n\n"
-                           + block + "thickness_average = 2\n")
-    n1, n2 = run_blocks(tmp_path, text, [f"run1_{mode}_{artifact}",
-                                         f"run2_{mode}_{artifact}"])
-    assert n1.splitlines()[:4] == n2.splitlines()[:4]
-    assert n1 != n2
+                           block + "ensemble = false\n\n"
+                           + block + "ensemble = true\n")
+    pure, ens = run_blocks(tmp_path, text, [f"run1_{mode}_{artifact}",
+                                            f"run2_{mode}_{artifact}"])
+    assert pure.splitlines()[:4] == ens.splitlines()[:4]
+    assert pure != ens
 
 
-@pytest.mark.parametrize("mode, n_avg", [("phase-map", 2),
-                                         ("polarization", 0)])
-def test_bad_thickness_average_rejected(tmp_path, capsys, mode, n_avg):
-    """A thickness ensemble has no phase; an ensemble needs >= 1 point."""
-    text = MINIMAL.replace("mode = polarization",
-                           f"mode = {mode}\nthickness_average = {n_avg}")
+def run_config_error(tmp_path, capsys, text) -> str:
+    """Run a config that must fail with a config error; return its detail."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     code = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
-    assert "thickness_average" in err["detail"]
+    return err["detail"]
 
 
-def test_physical_only_honoured_on_pure_grid(tmp_path):
+@pytest.mark.parametrize("mode, n_avg", [("phase-map", 2),
+                                         ("polarization", 0),
+                                         ("polarization-map", 32)])
+def test_bad_thickness_average_rejected(tmp_path, capsys, mode, n_avg):
+    """The ensemble has no size: thickness_average is an unknown key."""
+    detail = run_config_error(tmp_path, capsys, MINIMAL.replace(
+        "mode = polarization", f"mode = {mode}\nthickness_average = {n_avg}"))
+    assert "unknown key 'thickness_average'" in detail
+
+
+@pytest.mark.parametrize("mode, value, message", [
+    ("phase-map", "true", "phase-map needs ensemble = false"),
+    ("polarization", "32", "expected boolean"),
+])
+def test_bad_ensemble_rejected(tmp_path, capsys, mode, value, message):
+    """A thickness ensemble has no phase; ensemble takes a boolean."""
+    detail = run_config_error(tmp_path, capsys, MINIMAL.replace(
+        "mode = polarization", f"mode = {mode}\nensemble = {value}"))
+    assert message in detail
+    assert "ensemble" in detail
+
+
+def test_physical_only_honoured_on_pure_grid(tmp_path, caplog):
     """A Laue backscattering OAM run on the pure grid zeroes the unreachable
     half-plane only when physical_only is true.  The <L_z> oracle reports
     the coarse 33 x 33 fields as under-resolved."""
     block = "[analysis]\nmode = oam\nbeams = transmitted\n"
     text = backscattering_config("laue", block + "physical_only = true\n\n"
                                  + block + "physical_only = false\n", n=33)
-    with pytest.warns(UserWarning, match="under-resolved"):
+    with caplog.at_level(logging.WARNING, logger="sodiff.oam"):
         on, off = run_blocks(tmp_path, text, ["run1_oam_transmitted.csv",
                                               "run2_oam_transmitted.csv"])
+    assert any(r.name == "sodiff.oam" and "under-resolved" in r.getMessage()
+               for r in caplog.records)
     assert on.splitlines()[:4] == off.splitlines()[:4]
     assert on != off
+
+
+def test_oam_warning_is_a_json_log_line(tmp_path, capsys):
+    """The oracle's under-resolved warning reaches stderr as one JSON log
+    line from sodiff.oam, not as a Python warning."""
+    block = "[analysis]\nmode = oam\nbeams = transmitted\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(backscattering_config("laue", block, n=33))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = [json.loads(line)
+             for line in capsys.readouterr().err.strip().splitlines()]
+    assert lines
+    for line in lines:
+        assert set(line) == {"log", "source", "detail"}
+        assert (line["log"], line["source"]) == ("warning", "sodiff.oam")
+        assert line["detail"].startswith(
+            "oracle_Lz: azimuthal grid under-resolved (delta ")

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ def two_component_grid(geom, up, dn, ax):
     shape = up.shape
     return wf.WaveGrid(theta=ax / geom.k_mag, rho=ax / geom.k_mag,
                        R=np.zeros(shape), T=np.ones(shape), geometry=geom,
-                       u0=np.array([1.0, 0.0], complex), crystal_id="test",
+                       u0=np.array([1.0, 0.0], complex),
                        physical=np.ones(shape, bool), psi0=psi, psiH=psi)
 
 
@@ -178,7 +180,7 @@ def test_shift_theorem(k_steps):
     assert np.allclose(d0.p, d1.p, atol=1e-13)
 
 
-def test_translation_non_invariance():
+def test_translation_non_invariance(caplog):
     """Recentring a pure vortex off axis spreads p while the independent
     <L_z> estimate follows the distribution mean."""
     f, ax = cartesian_vortex(ell=1, n=601, extent=6.0)
@@ -193,8 +195,11 @@ def test_translation_non_invariance():
     # the oracle tracks the spread-out mean; only percent-level agreement is
     # expected here because the displaced vortex core sits inside the domain
     # and limits the finite-difference accuracy
-    with pytest.warns(UserWarning, match="under-resolved"):
+    with caplog.at_level(logging.WARNING, logger="sodiff.oam"):
         lz_off = oam.oracle_Lz(off)
+    assert [r.levelname for r in caplog.records
+            if r.name == "sodiff.oam" and "under-resolved" in r.getMessage()
+            ] == ["WARNING"]
     assert abs(lz_off - d_off.mean) \
         <= 1e-2 * max(1.0, abs(d_off.mean))
 
@@ -209,6 +214,21 @@ def test_interference_identical_fields_delta(thermal_bragg_100um):
     d = oam.oam_distribution(oam.field_from_grid(
         grid, wf.TRANSMITTED, "interference",
         r_max=3.5 / thermal_bragg_100um.k_mag), L=6)
+    assert d.p[d.ells == 0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_edge_nodes_read_not_zeroed(thermal_bragg_100um):
+    """A constant-modulus field resampled out to the domain edge.  The axes
+    are given as ax / k, so k * theta is not exactly ax and the fractional
+    index of an outer-ring node can round just past the last cell (at
+    phi = 0 and 3 pi / 2 here); such nodes still read the field."""
+    f, ax = cartesian_vortex(ell=2)
+    f = f / np.abs(f)
+    grid = two_component_grid(thermal_bragg_100um, f, f, ax)
+    field = oam.field_from_grid(grid, wf.TRANSMITTED, "interference")
+    assert np.max(np.abs(field.values[-1] - 1.0)) < 1e-12
+    assert field.coverage == 1.0
+    d = oam.oam_distribution(field, L=6)
     assert d.p[d.ells == 0][0] == pytest.approx(1.0, abs=1e-12)
 
 
