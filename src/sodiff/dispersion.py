@@ -431,18 +431,23 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     The two geometries use different ensembles.  Laue averages over a
     Gaussian of width span_A in closed form (the amplitudes are
     two-exponential sums).  Bragg averages _BRAGG_ENSEMBLE_POINTS equally
-    weighted thicknesses uniform over +-1.5 span_A.  span_A (Angstrom)
-    defaults to 1e-5 of the thickness, far below any real tolerance yet
-    enough to suppress the Laue branch beats below double precision.
+    weighted thicknesses uniform over +-1.5 span_A, reached by stepped
+    exponentials (round-off about 1e-14 at 100 um, 1e-12 at 10 mm).  span_A
+    (Angstrom, finite and >= 0) defaults to 1e-5 of the thickness, far below
+    any real tolerance yet enough to suppress the Laue branch beats below
+    double precision.
 
-    Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices,
-    fluxes R, T, and g0 (> 0 where the beam enters the crystal).
+    Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
+    (exactly Hermitian for Bragg), fluxes R, T, and g0 (> 0 where the beam
+    enters the crystal).
     """
+    if span_A is None:
+        span_A = 1e-5 * geom.thickness_A
+    elif not 0.0 <= span_A < np.inf:
+        raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
     ch = _channels(geom, crystal, u0_spinor, theta, rho)
     shape = ch["g0"].shape
     setups = [_transfer_setup(geom.kind, ch, ci) for ci in range(2)]
-    if span_A is None:
-        span_A = 1e-5 * geom.thickness_A
 
     C0 = np.zeros(shape + (2, 2), complex)   # <t_s conj(t_s')>
     CH = np.zeros(shape + (2, 2), complex)
@@ -467,18 +472,26 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                         C0[..., a, b] += np.conj(At[b][j]) * At[a][i] * win
                         CH[..., a, b] += np.conj(Ar[b][j]) * Ar[a][i] * win
     else:
+        # Equally spaced thicknesses D0 + k h: q = e^{i g1 D}, E_b = e^{i g2 D}
+        # are stepped by e^{i g h}, for both spin channels at once.  Only
+        # |z|^2 and conj(z_1) z_0 of z = t/diff, r/prod are summed.
+        S = np.array(setups).swapaxes(0, 1)   # (factor, channel, ...)
+        X_a, X_b, diff, prod = S[2:]
         n = _BRAGG_ENSEMBLE_POINTS
-        steps = np.arange(n) / (n - 1) - 0.5
-        for D in geom.thickness_A + 3.0 * span_A * steps:
-            ts, rs = zip(*(_transfer_factors(geom.kind, setup, D)
-                           for setup in setups))
-            for a in range(2):
-                for b in range(2):
-                    # conj(...) first: see _transfer_factors
-                    C0[..., a, b] += np.conj(ts[b]) * ts[a]
-                    CH[..., a, b] += np.conj(rs[b]) * rs[a]
-        C0 /= n
-        CH /= n
+        q, E_b = qE = np.exp(S[:2] * (geom.thickness_A - 1.5 * span_A))
+        step = np.exp(S[:2] * (3.0 * span_A / (n - 1)))
+        diag, off = np.zeros((2, 2) + shape), np.zeros((2,) + shape, complex)
+        for _ in range(n):
+            inv = 1.0 / (X_a - q * X_b)
+            for i, z in enumerate((E_b * inv, (1.0 - q) * inv)):
+                diag[i] += z.real * z.real
+                diag[i] += z.imag * z.imag
+                off[i] += np.conj(z[1]) * z[0]
+            qE *= step   # q and E_b are views of qE
+        for C, d, o, f in zip((C0, CH), diag, off, (diff, prod)):
+            C[..., 0, 0], C[..., 1, 1] = np.abs(f) ** 2 * d / n
+            C[..., 0, 1] = np.conj(f[1]) * f[0] * o / n
+            C[..., 1, 0] = np.conj(C[..., 0, 1])
 
     basis = ch["amp0"]
     rho0 = np.zeros(shape + (2, 2), complex)
@@ -488,6 +501,10 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
             outer = basis[a][..., :, None] * np.conj(basis[b][..., None, :])
             rho0 += C0[..., a, b, None, None] * outer
             rhoH += CH[..., a, b, None, None] * outer
+    if geom.kind == BRAGG:   # exactly Hermitian, as C0 and CH are
+        for m in (rho0, rhoH):
+            m[..., 1, 0] = np.conj(m[..., 0, 1])
+            m[..., (0, 1), (0, 1)] = m[..., (0, 1), (0, 1)].real
 
     T = np.real(np.trace(rho0, axis1=-2, axis2=-1))
     R = (np.real(np.trace(rhoH, axis1=-2, axis2=-1))

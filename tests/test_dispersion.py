@@ -10,6 +10,7 @@ from oracles import (brute_force_potential, channel_entries,
                      potential_fourier, two_beam_point)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
+from sodiff import wavefield as wf
 
 
 def one_point(crystal, geom, theta, u0=(1.0, 0.0)):
@@ -468,10 +469,16 @@ def test_laue_ensemble_equals_gauss_hermite_average(quartz, u0_along_beam):
     assert np.max(np.abs(ens["rho0"] - pure0)) > 1e-5
 
 
-def test_bragg_ensemble_equals_mean_of_outer_products(quartz, u0_along_beam):
+@pytest.mark.parametrize("thickness, bound", [
+    pytest.param(1e6, 1e-13, id="100um"), pytest.param(1e8, 1e-11, id="10mm")])
+def test_bragg_ensemble_equals_mean_of_outer_products(quartz, u0_along_beam,
+                                                      thickness, bound):
     """The Bragg ensemble is the plain mean of the pure outer products at
-    its _BRAGG_ENSEMBLE_POINTS thicknesses, uniform over +-1.5 span_A."""
-    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e6)
+    its _BRAGG_ENSEMBLE_POINTS thicknesses, uniform over +-1.5 span_A.  The
+    ensemble steps its exponentials from one thickness to the next, so the
+    two sides differ by the rounding of phases g D of up to 2e4 rad at
+    10 mm (measured 1.2e-12 there, 1.3e-14 at 100 um)."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, thickness)
     span = 1e-5 * g.thickness_A   # the default
     ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, ENSEMBLE_TH,
                                  ENSEMBLE_RH)
@@ -480,5 +487,47 @@ def test_bragg_ensemble_equals_mean_of_outer_products(quartz, u0_along_beam):
     rho0, rhoH = weighted_outer_products(quartz, g, u0_along_beam,
                                          ENSEMBLE_TH, ENSEMBLE_RH,
                                          thicknesses, np.full(n, 1.0 / n))
-    assert np.max(np.abs(ens["rho0"] - rho0)) <= 1e-13
-    assert np.max(np.abs(ens["rhoH"] - rhoH)) <= 1e-13
+    assert np.max(np.abs(ens["rho0"] - rho0)) <= bound
+    assert np.max(np.abs(ens["rhoH"] - rhoH)) <= bound
+    # one point given as scalars
+    point = dp.exit_coherence_maps(g, quartz, u0_along_beam,
+                                   ENSEMBLE_TH[3, 0], ENSEMBLE_RH[0, 2])
+    assert np.max(np.abs(point["rho0"] - rho0[3, 2])) <= bound
+    assert np.max(np.abs(point["rhoH"] - rhoH[3, 2])) <= bound
+
+
+@pytest.mark.parametrize("u0", [(1.0, 1.0), (1.0, 0.0), (1.0, 1.0j)],
+                         ids=["along-beam", "spin-up", "circular"])
+def test_bragg_ensemble_exactly_hermitian(quartz, u0):
+    """Bragg ensemble coherences equal their conjugate transpose bit for
+    bit, with a real diagonal.  The diagonal is non-negative up to
+    round-off: a spin component that the channels cancel (spin down for a
+    spin-up beam) comes out as a difference of nearly equal terms."""
+    u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
+    half = np.deg2rad(0.45)
+    ax = np.linspace(-half, half, 61)
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
+    for g in (dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e8),
+              dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 2e6)):
+        res = dp.exit_coherence_maps(g, quartz, u0, 1e-4 * ax[:, None],
+                                     ax[None, :])
+        for m in (res["rho0"], res["rhoH"]):
+            assert np.array_equal(m, np.conj(np.swapaxes(m, -1, -2)))
+            diag = np.diagonal(m, axis1=-2, axis2=-1)
+            assert np.all(diag.imag == 0.0)
+            trace = np.sum(diag.real, axis=-1, keepdims=True)
+            assert np.all(diag.real >= -1e-15 * trace)
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+@pytest.mark.parametrize("span", [np.nan, np.inf, -1.0])
+def test_bad_span_rejected(quartz, u0_along_beam, kind, span):
+    """A thickness spread must be finite and non-negative, for the engine
+    and the scan alike: a NaN spread would otherwise make every point NaN."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    with pytest.raises(dp.DispersionError, match="span_A"):
+        dp.exit_coherence_maps(g, quartz, u0_along_beam, ENSEMBLE_TH,
+                               ENSEMBLE_RH, span_A=span)
+    with pytest.raises(dp.DispersionError, match="span_A"):
+        wf.coherence_scan(g, quartz, u0_along_beam, ENSEMBLE_TH[:, 0],
+                          ENSEMBLE_RH[0], span_A=span)
