@@ -345,7 +345,8 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
             cols["ell"] = dist.ells
             cols[f"p_{label.replace('-', '_')}"] = dist.p
             stats[label] = {"mean": dist.mean, "residual": dist.residual,
-                            "oracle_Lz": oam_mod.oracle_Lz(f)}
+                            "oracle_Lz": oam_mod.oracle_Lz(f),
+                            "coverage": f.coverage}
         writer.csv(f"{tag}_{beam}.csv", cols)
         summary[beam] = stats
     return summary

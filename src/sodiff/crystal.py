@@ -29,7 +29,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 class CrystalError(ValueError):
@@ -134,11 +133,19 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     K = np.asarray(K, dtype=float)
     H = np.asarray(H, dtype=float)
     k_mag = np.sqrt(np.einsum("...i,...i->...", K, K))
-    h_mag = float(np.linalg.norm(H))
+    h0, h1, h2 = H
+    h_mag = float(np.sqrt(h0 * h0 + h1 * h1 + h2 * h2))
     if h_mag == 0.0 or np.any(k_mag == 0.0):
         raise CrystalError("schwinger_axis needs non-zero K and H")
-    cross = np.cross(K, H)
-    cmag = np.linalg.norm(cross, axis=-1)
+    # K x H and its norm component by component, in np.cross's and
+    # np.linalg.norm's operation order
+    k0, k1, k2 = K[..., 0], K[..., 1], K[..., 2]
+    cross = np.empty(K.shape)
+    c0, c1, c2 = cross[..., 0], cross[..., 1], cross[..., 2]
+    np.subtract(k1 * h2, k2 * h1, out=c0)
+    np.subtract(k2 * h0, k0 * h2, out=c1)
+    np.subtract(k0 * h1, k1 * h0, out=c2)
+    cmag = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     parallel = cmag <= 1e-12 * k_mag * h_mag
     u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
     u_hat[parallel] = (0.0, 0.0, 1.0)

@@ -34,8 +34,6 @@ import numpy as np
 from .constants import CONSTANTS, FM_TO_A
 from .crystal import (
     CrystalModel,
-    IDENTITY2,
-    SIGMA,
     mean_potential_meV,
     reciprocal_vector,
     schwinger_axis,
@@ -288,10 +286,7 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
 
     y = np.zeros((2, 2) + shape, complex)
     X = np.zeros((2, 2) + shape, complex)
-    amp0 = np.zeros((2,) + shape + (2,), complex)
     backward = np.zeros(shape)
-    sigma_u = np.einsum("...k,kij->...ij", u_hat, SIGMA)
-    u0_spinor = np.asarray(u0_spinor, complex)
     for ci, s in enumerate((+1.0, -1.0)):
         vH = pref * (A - 2.0j * s * w * B)
         vmH = pref * (np.conj(A) + 2.0j * s * w * np.conj(B))
@@ -301,12 +296,32 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
         X[ci, 0], X[ci, 1] = X1, X2
         worst = np.fmax.reduce(_backward_error(beta, b, p, y[ci]), axis=0)
         backward = np.fmax(backward, worst)
-        amp0[ci] = 0.5 * (IDENTITY2 + s * sigma_u) @ u0_spinor
 
     return {"theta": th, "rho": rh, "alpha0": alpha0, "beta": beta,
             "g0": g0, "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
             "energy_meV": energy, "kappa_scale": k_mag**2 / g0,
-            "y": y, "X": X, "amp0": amp0, "backward_error": backward}
+            "y": y, "X": X, "amp0": _channel_projections(u_hat, u0_spinor),
+            "backward_error": backward}
+
+
+def _channel_projections(u_hat, u0_spinor) -> np.ndarray:
+    """The incident spinor projected on both channels, (channel, ..., 2).
+
+    The projector 1/2 (1 + s sigma.u_hat) is written out, 1/2 (1 +- s u_z)
+    on the diagonal and 1/2 s (u_x -+ i u_y) off it, and applied in the
+    operation order of a matmul, whose values it reproduces bit for bit.
+    One point is computed as a 1-element array: numpy's scalar arithmetic
+    rounds complex products differently from its array loops.
+    """
+    ux, uy, uz = u_hat.reshape(-1, 3).T
+    u_minus = ux - 1j * uy
+    u_plus = ux + 1j * uy
+    u00, u01 = np.asarray(u0_spinor, complex)
+    amp0 = np.empty((2, uz.size, 2), complex)
+    for ci, s in enumerate((+1.0, -1.0)):
+        amp0[ci, :, 0] = 0.5 * (1.0 + s * uz) * u00 + 0.5 * s * u_minus * u01
+        amp0[ci, :, 1] = 0.5 * s * u_plus * u00 + 0.5 * (1.0 - s * uz) * u01
+    return amp0.reshape((2,) + u_hat.shape[:-1] + (2,))
 
 
 def _transfer_setup(kind, ch: dict, ci: int):

@@ -103,7 +103,8 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
 def _bilinear(values, x_axis, y_axis, X, Y):
     """Bilinear gather with zero fill outside the axes' span, and the mask
     of the nodes inside.  That is decided in index space: a node up to 1e-9
-    of a cell past an edge is clamped onto it, not zeroed."""
+    of a cell past an edge is clamped onto it, not zeroed.  Only the nodes
+    inside are gathered and weighted."""
     nx, ny = x_axis.size, y_axis.size
     dx = x_axis[1] - x_axis[0]
     dy = y_axis[1] - y_axis[0]
@@ -112,17 +113,18 @@ def _bilinear(values, x_axis, y_axis, X, Y):
     tol = 1e-9
     inside = ((fx >= -tol) & (fx <= nx - 1 + tol)
               & (fy >= -tol) & (fy <= ny - 1 + tol))
-    fx = np.clip(fx, 0, nx - 1 - 1e-12)
-    fy = np.clip(fy, 0, ny - 1 - 1e-12)
+    fx = np.clip(fx[inside], 0, nx - 1 - 1e-12)
+    fy = np.clip(fy[inside], 0, ny - 1 - 1e-12)
     ix = np.clip(fx.astype(int), 0, nx - 2)
     iy = np.clip(fy.astype(int), 0, ny - 2)
     tx = fx - ix
     ty = fy - iy
-    v = (values[ix, iy] * (1 - tx) * (1 - ty)
-         + values[ix + 1, iy] * tx * (1 - ty)
-         + values[ix, iy + 1] * (1 - tx) * ty
-         + values[ix + 1, iy + 1] * tx * ty)
-    return np.where(inside, v, 0.0), inside
+    out = np.zeros(inside.shape, np.result_type(values, float))
+    out[inside] = (values[ix, iy] * (1 - tx) * (1 - ty)
+                   + values[ix + 1, iy] * tx * (1 - ty)
+                   + values[ix, iy + 1] * (1 - tx) * ty
+                   + values[ix + 1, iy + 1] * tx * ty)
+    return out, inside
 
 
 def field_from_grid(grid: WaveGrid, beam: str, what: str,
@@ -201,7 +203,12 @@ def oracle_Lz(field: AzimuthalField) -> float:
 
 def _lz_estimate(values, r, phi):
     dphi = phi[1] - phi[0]
-    dpsi = (np.roll(values, -1, axis=1) - np.roll(values, +1, axis=1)) / (2 * dphi)
+    # periodic central difference psi[j+1] - psi[j-1], without roll copies
+    dpsi = np.empty_like(values)
+    np.subtract(values[:, 2:], values[:, :-2], out=dpsi[:, 1:-1])
+    np.subtract(values[:, 1], values[:, -1], out=dpsi[:, 0])
+    np.subtract(values[:, 0], values[:, -2], out=dpsi[:, -1])
+    dpsi /= 2 * dphi
     num = np.sum(np.conj(values) * (-1j) * dpsi, axis=1)
     den = np.sum(np.abs(values) ** 2, axis=1)
     num_r = np.trapezoid(num * r, r)

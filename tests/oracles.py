@@ -9,13 +9,14 @@ it checks.
 import numpy as np
 
 from sodiff.constants import CONSTANTS, FM_TO_A
-from sodiff.crystal import (IDENTITY2, SIGMA, CrystalError, mean_potential_meV,
+from sodiff.crystal import (SIGMA, CrystalError, mean_potential_meV,
                             structure_sums)
 from sodiff.oam import OamError
 
 GAMMA_COEF_FM = -1.91304273 * 2.8179403262 * 5.446170214e-4 / 2.0  # mu e/hbar c
 TWO_PI_HBAR2_OVER_M = 4.0 * np.pi * 81.8042 / (2.0 * np.pi) ** 2    # meV A^3
 FM = 1e-5  # fm -> A
+IDENTITY2 = np.eye(2, dtype=complex)
 
 
 def darwin_reflectivity(eta):
@@ -169,3 +170,56 @@ def secular_residuals(result):
     res = -vmH + (alphaH - v0) * X
     scale = np.abs(vmH) + np.abs((alphaH - v0) * X) + 1e-300
     return np.abs(res) / scale
+
+
+def channel_projector(u_hat, u0, s):
+    """Incident spinor u0 projected on the sigma.u_hat = s eigenstate,
+    1/2 (1 + s sigma.u_hat) u0, by einsum and a batched matmul."""
+    sigma_u = np.einsum("...k,kij->...ij", u_hat, SIGMA)
+    return 0.5 * (IDENTITY2 + s * sigma_u) @ np.asarray(u0, complex)
+
+
+def bilinear_full_gather(values, x_axis, y_axis, X, Y):
+    """Bilinear resampling that gathers and weights every node, then zeroes
+    the nodes outside the axes' span (index space, 1e-9-cell tolerance)."""
+    nx, ny = x_axis.size, y_axis.size
+    dx = x_axis[1] - x_axis[0]
+    dy = y_axis[1] - y_axis[0]
+    fx = (X - x_axis[0]) / dx
+    fy = (Y - y_axis[0]) / dy
+    tol = 1e-9
+    inside = ((fx >= -tol) & (fx <= nx - 1 + tol)
+              & (fy >= -tol) & (fy <= ny - 1 + tol))
+    fx = np.clip(fx, 0, nx - 1 - 1e-12)
+    fy = np.clip(fy, 0, ny - 1 - 1e-12)
+    ix = np.clip(fx.astype(int), 0, nx - 2)
+    iy = np.clip(fy.astype(int), 0, ny - 2)
+    tx = fx - ix
+    ty = fy - iy
+    v = (values[ix, iy] * (1 - tx) * (1 - ty)
+         + values[ix + 1, iy] * tx * (1 - ty)
+         + values[ix, iy + 1] * (1 - tx) * ty
+         + values[ix + 1, iy + 1] * tx * ty)
+    return np.where(inside, v, 0.0), inside
+
+
+def lz_estimate_roll(values, r, phi):
+    """<L_z> by periodic central differences formed with np.roll."""
+    dphi = phi[1] - phi[0]
+    dpsi = (np.roll(values, -1, axis=1) - np.roll(values, +1, axis=1)) / (2 * dphi)
+    num = np.sum(np.conj(values) * (-1j) * dpsi, axis=1)
+    den = np.sum(np.abs(values) ** 2, axis=1)
+    return float(np.real(np.trapezoid(num * r, r) / np.trapezoid(den * r, r)))
+
+
+def schwinger_axis_cross(K, H):
+    """(u_hat, w) of the spin-orbit term by np.cross and np.linalg.norm."""
+    K = np.asarray(K, float)
+    H = np.asarray(H, float)
+    k_mag = np.sqrt(np.einsum("...i,...i->...", K, K))
+    cross = np.cross(K, H)
+    cmag = np.linalg.norm(cross, axis=-1)
+    parallel = cmag <= 1e-12 * k_mag * float(np.linalg.norm(H))
+    u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
+    u_hat[parallel] = (0.0, 0.0, 1.0)
+    return u_hat, np.where(parallel, 0.0, cmag / float(H @ H))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sodiff
@@ -362,6 +363,27 @@ def test_physical_only_honoured_on_pure_grid(tmp_path, caplog):
                for r in caplog.records)
     assert on.splitlines()[:4] == off.splitlines()[:4]
     assert on != off
+
+
+def test_oam_summary_reports_coverage(tmp_path, capsys):
+    """Each OAM field's summary states its polar coverage: 1 for the default
+    disk inscribed in the grid; for a disk of twice the window's half-width,
+    the share of polar nodes inside the +-0.3 deg square."""
+    block = "[analysis]\nmode = oam\nbeams = transmitted\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(backscattering_config(
+        "laue", block + "\n" + block + "r_max_deg = 0.6\n", n=33))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    r = np.linspace(0.0, 0.6, 128)[:, None]
+    phi = np.arange(256) * (2 * np.pi / 256)
+    square = np.maximum(np.abs(np.cos(phi)), np.abs(np.sin(phi)))
+    share = np.mean(r * square <= 0.3)
+    assert 0.5 < share < 0.7
+    for tag, expected in (("run1_oam", "1"), ("run2_oam", f"{share:.4g}")):
+        line = next(x for x in lines if x.startswith(f"[{tag}]"))
+        for what in ("flipped", "non-flipped"):
+            assert f" transmitted.{what}.coverage={expected}" in line
 
 
 def test_oam_warning_is_a_json_log_line(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_potential, potential_fourier
+from oracles import (brute_force_potential, potential_fourier,
+                     schwinger_axis_cross)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff.constants import CONSTANTS, FM_TO_A
@@ -72,6 +73,20 @@ def test_schwinger_axis_parallel_is_z_axis():
     for K, H in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):
         with pytest.raises(cr.CrystalError):
             cr.schwinger_axis(K, H)
+
+
+def test_schwinger_axis_bit_exact(quartz):
+    """The component-wise cross product and norms equal np.cross and
+    np.linalg.norm bit for bit, on random K, one K and K parallel to H."""
+    rng = np.random.default_rng(11)
+    for H in (cr.reciprocal_vector(quartz, (1, 1, 0)),
+              cr.reciprocal_vector(quartz, (1, 0, 1)), rng.normal(size=3)):
+        for K in (rng.normal(size=(4096, 3)), rng.normal(size=(5, 7, 3)),
+                  rng.normal(size=3), np.array([2.0 * H, -H])):
+            u, w = cr.schwinger_axis(K, H)
+            u_ref, w_ref = schwinger_axis_cross(K, H)
+            assert u.shape == u_ref.shape and w.shape == w_ref.shape
+            assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
 
 
 def test_schwinger_axis_backscattering_limit(quartz):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_force_potential, channel_entries,
-                     darwin_reflectivity, pendelloesung_length,
-                     potential_fourier, two_beam_point)
+                     channel_projector, darwin_reflectivity,
+                     pendelloesung_length, potential_fourier, two_beam_point)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff import wavefield as wf
@@ -35,6 +35,24 @@ def reference_channel_potentials(crystal, w, hkl=(1, 1, 0)):
 # ---------------------------------------------------------------------------
 # branch roots
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("u0", [
+    (1.0, 0.0), (0.0, 1.0), (2.0**-0.5, 2.0**-0.5), (2.0**-0.5, 2.0**-0.5 * 1j),
+    (0.6 - 0.3j, -0.2 + 0.7j)], ids=["up", "down", "along", "circular", "random"])
+def test_channel_projections_equal_matmul(u0):
+    """The written-out projector equals 1/2 (1 + s sigma.u) @ u0 by einsum and
+    matmul bit for bit in both channels, on random axes, the parallel
+    axis (0, 0, 1) and one axis without leading dimensions."""
+    rng = np.random.default_rng(5)
+    u_hat = rng.normal(size=(64, 33, 3))
+    u_hat /= np.linalg.norm(u_hat, axis=-1, keepdims=True)
+    u_hat[0, 0] = (0.0, 0.0, 1.0)
+    for u in (u_hat, u_hat[3, 4]):
+        amp0 = dp._channel_projections(u, np.asarray(u0, complex))
+        assert amp0.shape == (2,) + u.shape[:-1] + (2,)
+        for ci, s in enumerate((+1.0, -1.0)):
+            assert np.array_equal(amp0[ci], channel_projector(u, u0, s))
+
 
 def test_secular_residual_and_eq10(quartz, thermal_bragg_100um):
     g = thermal_bragg_100um

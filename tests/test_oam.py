@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import aft, numerical_Lz
+from oracles import aft, bilinear_full_gather, lz_estimate_roll, numerical_Lz
 from sodiff import oam
 from sodiff import wavefield as wf
 
@@ -256,3 +256,54 @@ def test_handedness_mirrors_mean():
     d_plus = oam.oam_distribution(oam.to_polar(f, ax, ax, handedness=+1), L=4)
     d_minus = oam.oam_distribution(oam.to_polar(f, ax, ax, handedness=-1), L=4)
     assert d_plus.mean == pytest.approx(-d_minus.mean, abs=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_bilinear_equals_full_gather(dtype):
+    """Gathering only the nodes inside equals the full gather with zero
+    fill bit for bit: random nodes partly outside the axes, nodes on the
+    last row and column, nodes up to 1e-9 of a cell past an edge (read)
+    and 2e-9 past it (zeroed)."""
+    rng = np.random.default_rng(7)
+    x_axis = np.linspace(-1.0, 2.0, 31)
+    y_axis = np.linspace(0.0, 5.0, 17)
+    values = rng.normal(size=(31, 17)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=(31, 17))
+    dx, dy = x_axis[1] - x_axis[0], y_axis[1] - y_axis[0]
+    X = rng.uniform(-2.0, 3.0, size=(24, 40))
+    Y = rng.uniform(-1.0, 6.0, size=(24, 40))
+    edge_x = [x_axis[-1], x_axis[0] - 0.5e-9 * dx, x_axis[-1] + 0.5e-9 * dx,
+              x_axis[0] - 2e-9 * dx, x_axis[-1] + 2e-9 * dx, 0.5]
+    edge_y = [2.5, y_axis[-1], y_axis[0] - 0.5e-9 * dy,
+              y_axis[-1] + 0.5e-9 * dy, y_axis[-1] + 2e-9 * dy, y_axis[-1]]
+    X[0, :6], Y[0, :6] = edge_x, edge_y
+    out, inside = oam._bilinear(values, x_axis, y_axis, X, Y)
+    ref, ref_inside = bilinear_full_gather(values, x_axis, y_axis, X, Y)
+    assert 0.0 < inside.mean() < 1.0
+    assert list(inside[0, :6]) == [True, True, True, False, False, True]
+    assert np.array_equal(inside, ref_inside)
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
+
+def test_lz_estimate_equals_roll():
+    """The slice-wise periodic difference equals the np.roll form bit for
+    bit, on the full azimuthal grid and on its half-resolution view (a
+    real field has <L_z> = 0 exactly in both, so only complex is tried)."""
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
+    r = np.linspace(0.0, 2.0, 16)
+    phi = np.arange(64) * (2 * np.pi / 64)
+    for v, p in ((values, phi), (values[:, ::2], phi[::2])):
+        assert oam._lz_estimate(v, r, p) == lz_estimate_roll(v, r, p)
+
+
+def test_polar_grid_wholly_outside_is_zero():
+    """A polar disk that misses the axes entirely gathers nothing: all
+    values zero and coverage 0, without an indexing error."""
+    f, ax = cartesian_vortex()
+    field = oam.to_polar(f, ax, ax, center=(10.0, 0.0), r_max=1.0,
+                         n_r=16, n_phi=32)
+    assert field.coverage == 0.0
+    assert field.values.shape == (16, 32) and field.values.dtype == complex
+    assert not np.any(field.values)
