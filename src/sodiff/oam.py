@@ -23,6 +23,8 @@ from .wavefield import WaveGrid
 
 log = logging.getLogger(__name__)
 
+_POLAR_BLOCK_NODES = 1 << 16  # polar nodes resampled at a time by to_polar
+
 
 class OamError(ValueError):
     pass
@@ -84,10 +86,19 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
             raise OamError("center lies outside the grid")
     r = np.linspace(0.0, r_max, n_r)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    KY = cy + r[:, None] * np.cos(phi)[None, :]
-    KZ = cz + handedness * r[:, None] * np.sin(phi)[None, :]
-
-    out, inside = _bilinear(values, ky, kz, KY, KZ)
+    cos_phi, sin_phi = np.cos(phi)[None, :], np.sin(phi)[None, :]
+    # Resampled in blocks of radial rows, so that the node coordinates and
+    # the gather's temporaries stay small.  Temporaries over the whole
+    # polar grid (fig3: 16 MB each) made the peak RSS vary from run to run
+    # with the memory the allocator had kept of earlier ones.
+    out = np.empty((n_r, n_phi), np.result_type(values, float))
+    covered = 0
+    rows = max(1, _POLAR_BLOCK_NODES // n_phi)
+    for i0 in range(0, n_r, rows):
+        rb = r[i0:i0 + rows, None]
+        out[i0:i0 + rows], inside = _bilinear(
+            values, ky, kz, cy + rb * cos_phi, cz + handedness * rb * sin_phi)
+        covered += int(np.count_nonzero(inside))
 
     dky = ky[1] - ky[0] if ky.size > 1 else 1.0
     dkz = kz[1] - kz[0] if kz.size > 1 else 1.0
@@ -97,7 +108,7 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
 
     return AzimuthalField(values=out, r=r, phi=phi, center=(cy, cz),
                           handedness=handedness, source_intensity=src,
-                          coverage=float(inside.mean()))
+                          coverage=covered / out.size)
 
 
 def _bilinear(values, x_axis, y_axis, X, Y):

@@ -286,6 +286,26 @@ def test_bilinear_equals_full_gather(dtype):
     assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
 
+@pytest.mark.parametrize("n_r, n_phi", [(40, 4096), (5, 1 << 17)])
+def test_to_polar_blocks_equal_whole_grid(n_r, n_phi):
+    """Resampling in blocks of radial rows equals one full gather over all
+    polar nodes bit for bit, with a last block shorter than the others
+    (40 rows of 4096 nodes in blocks of 16) and one row wider than a
+    block; coverage is the share of nodes inside."""
+    f, ax = cartesian_vortex()
+    center, r_max = (0.3, -0.2), 7.0
+    field = oam.to_polar(f, ax, ax, center=center, n_r=n_r, n_phi=n_phi,
+                         r_max=r_max, handedness=-1)
+    r = np.linspace(0.0, r_max, n_r)
+    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+    KY = center[0] + r[:, None] * np.cos(phi)[None, :]
+    KZ = center[1] + -1 * r[:, None] * np.sin(phi)[None, :]
+    ref, inside = bilinear_full_gather(f, ax, ax, KY, KZ)
+    assert 0.0 < field.coverage < 1.0
+    assert field.coverage == inside.mean()
+    assert np.array_equal(field.values, ref)
+
+
 def test_lz_estimate_equals_roll():
     """The slice-wise periodic difference equals the np.roll form bit for
     bit, on the full azimuthal grid and on its half-resolution view (a
