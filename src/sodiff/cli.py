@@ -309,12 +309,11 @@ def _analysis_polarization_map(blk, ctx, writer, tag):
     summary = {}
     for beam in beams:
         pm = wave.polarization_map(grid, beam)
-        TH, RH = np.meshgrid(grid.theta, grid.rho, indexing="ij")
         name = f"{tag}_{beam}.csv"
-        writer.csv(name, {"theta_rad": TH.ravel(), "rho_rad": RH.ravel(),
-                          "Px": pm["Px"].ravel(), "Py": pm["Py"].ravel(),
-                          "Pz": pm["Pz"].ravel(),
-                          "intensity": pm["intensity"].ravel()})
+        writer.csv(name, {"theta_rad": grid.theta[:, None],
+                          "rho_rad": grid.rho[None, :],
+                          "Px": pm["Px"], "Py": pm["Py"], "Pz": pm["Pz"],
+                          "intensity": pm["intensity"]})
         summary[beam] = {"max_abs_Pz": float(np.nanmax(np.abs(pm["Pz"])))}
     return summary
 
@@ -367,10 +366,10 @@ def _analysis_phase_map(blk, ctx, writer, tag):
     for beam in beams:
         for comp in comps:
             pm = wave.phase_map(grid, comp, beam, frame=frame)
-            TH, RH = np.meshgrid(grid.theta, pm["rho"], indexing="ij")
             writer.csv(f"{tag}_{beam}_{comp}.csv",
-                       {"theta_rad": TH.ravel(), "rho_rad": RH.ravel(),
-                        "phase_rad": pm["phase"].ravel()})
+                       {"theta_rad": grid.theta[:, None],
+                        "rho_rad": pm["rho"][None, :],
+                        "phase_rad": pm["phase"]})
             winds = []
             for m in margins:
                 loop = wave.rectangle_loop(pm["phase"].shape, m)

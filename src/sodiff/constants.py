@@ -67,9 +67,6 @@ class PhysicalConstants:
         """Kinetic energy of a neutron of the given wavelength."""
         return self.hbar2_over_2m_meV_A2 * (2.0 * np.pi / wavelength_A) ** 2
 
-    def k_A_inv(self, wavelength_A: float) -> float:
-        return 2.0 * np.pi / wavelength_A
-
     def velocity_m_s(self, wavelength_A: float) -> float:
         """Group velocity h/(m lambda)."""
         return _H_OVER_MN / (wavelength_A * 1e-10)

@@ -88,6 +88,22 @@ class CrystalModel:
         if not self.sites:
             raise CrystalError("crystal needs at least one site")
 
+    def __hash__(self):
+        """The dataclass field hash, computed once per instance: every
+        reflection-cache lookup hashes the whole site tree."""
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.material_id, self.lattice, self.sites,
+                      self.schwinger_scale))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # string hashes differ between processes: an unpickled model
+        # computes its own
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def lattice_matrix(self) -> np.ndarray:
         return np.asarray(self.lattice, dtype=float)

@@ -427,6 +427,9 @@ def _window_factor(x):
 
 
 _BRAGG_ENSEMBLE_POINTS = 32
+# |Re(dk)| span_A beyond which a Laue cross-branch beat is dropped: its
+# window factor is then below exp(-72) = 5.4e-32
+_NEGLIGIBLE_BEAT = 12.0
 
 
 def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
@@ -445,16 +448,21 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 
     The two geometries use different ensembles.  Laue averages over a
     Gaussian of width span_A in closed form (the amplitudes are
-    two-exponential sums).  Bragg averages _BRAGG_ENSEMBLE_POINTS equally
-    weighted thicknesses uniform over +-1.5 span_A, reached by stepped
-    exponentials (round-off about 1e-14 at 100 um, 1e-12 at 10 mm).  span_A
-    (Angstrom, finite and >= 0) defaults to 1e-5 of the thickness, far below
-    any real tolerance yet enough to suppress the Laue branch beats below
-    double precision.
+    two-exponential sums): one sum of branch beats for each of the three
+    channel entries C[0,0], C[1,1] and C[0,1], with C[1,0] = conj(C[0,1]).
+    A cross-branch beat is dropped at every point where its window factor
+    is below exp(-_NEGLIGIBLE_BEAT^2/2) = 5.4e-32, and not formed at all
+    where that holds over the whole call, so a 35 mm backscattering crystal
+    forms 6 exponentials per point.  Bragg averages _BRAGG_ENSEMBLE_POINTS
+    equally weighted thicknesses uniform over +-1.5 span_A, reached by
+    stepped exponentials (round-off about 1e-14 at 100 um, 1e-12 at
+    10 mm).  span_A (Angstrom, finite and >= 0) defaults to 1e-5 of the
+    thickness, far below any real tolerance yet enough to suppress the Laue
+    branch beats below double precision.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
-    (exactly Hermitian for Bragg), fluxes R, T, and g0 (> 0 where the beam
-    enters the crystal).
+    (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
+    where the beam enters the crystal).
     """
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
@@ -475,17 +483,24 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         At = [(X2 / diff, -X1 / diff) for _, _, X1, X2, diff, _ in setups]
         Ar = [(prod / diff, -prod / diff) for *_, diff, prod in setups]
         D = geom.thickness_A
-        for a in range(2):
-            for b in range(2):
-                for i in range(2):
-                    for j in range(2):
-                        # i dk with dk = g_ai - conj(g_bj); conj(...) leads
-                        # every product below: see _transfer_factors
-                        idk = ig[a][i] + np.conj(ig[b][j])
-                        win = (_window_factor(idk.imag * span_A)
-                               * np.exp(idk * D))
-                        C0[..., a, b] += np.conj(At[b][j]) * At[a][i] * win
-                        CH[..., a, b] += np.conj(Ar[b][j]) * Ar[a][i] * win
+        for a, b in ((0, 0), (1, 1), (0, 1)):
+            for i in range(2):
+                for j in range(2):
+                    # i dk with dk = g_ai - conj(g_bj); conj(...) leads
+                    # every product below: see _transfer_factors
+                    x = (ig[a][i].imag - ig[b][j].imag) * span_A   # Re(dk)
+                    keep = True
+                    if i != j:   # per point, so tiles cannot tell
+                        keep = ~(np.abs(x) > _NEGLIGIBLE_BEAT)
+                        if not keep.any():
+                            continue
+                    idk = ig[a][i] + np.conj(ig[b][j])
+                    win = _window_factor(x) * np.exp(idk * D)
+                    for C, Amp in ((C0, At), (CH, Ar)):
+                        np.add(C[..., a, b], np.conj(Amp[b][j]) * Amp[a][i]
+                               * win, out=C[..., a, b], where=keep)
+        for C in (C0, CH):
+            C[..., 1, 0] = np.conj(C[..., 0, 1])
     else:
         # Equally spaced thicknesses D0 + k h: q = e^{i g1 D}, E_b = e^{i g2 D}
         # are stepped by e^{i g h}, for both spin channels at once.  Only
@@ -516,10 +531,9 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
             outer = basis[a][..., :, None] * np.conj(basis[b][..., None, :])
             rho0 += C0[..., a, b, None, None] * outer
             rhoH += CH[..., a, b, None, None] * outer
-    if geom.kind == BRAGG:   # exactly Hermitian, as C0 and CH are
-        for m in (rho0, rhoH):
-            m[..., 1, 0] = np.conj(m[..., 0, 1])
-            m[..., (0, 1), (0, 1)] = m[..., (0, 1), (0, 1)].real
+    for m in (rho0, rhoH):   # exactly Hermitian, as C0 and CH are
+        m[..., 1, 0] = np.conj(m[..., 0, 1])
+        m[..., (0, 1), (0, 1)] = m[..., (0, 1), (0, 1)].real
 
     T = np.real(np.trace(rho0, axis1=-2, axis2=-1))
     R = (np.real(np.trace(rhoH, axis1=-2, axis2=-1))

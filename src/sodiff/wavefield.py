@@ -458,26 +458,72 @@ _CSV_CHUNK_ROWS = 1024
 
 def write_csv(path, columns: dict, precision: int = 9,
               header_lines: tuple[str, ...] = ()):
-    """CSV of equal-size columns (flattened in C order) below '# ' header
-    lines, one row per element; written to a temporary file and renamed
-    into place.  Values are printed with %.<precision>g, _CSV_CHUNK_ROWS
-    rows per % operation; the columns' common dtype prints int, bool and
-    float values exactly as formatting each on its own would."""
+    """CSV of columns that broadcast against each other, below '# ' header
+    lines: one row per element of the broadcast shape, in C order (a grid
+    given as theta[:, None], rho[None, :] and 2-D fields comes out
+    theta-major).  Written to a temporary file and renamed into place.
+
+    Values are printed with %.<precision>g in the columns' common dtype,
+    which prints int, bool and float values exactly as formatting each on
+    its own would.  A column constant along the last axis is formatted once
+    per leading index, one constant along the leading axes once in all;
+    only the full columns go through the template, one % operation per
+    block of whole last-axis rows of at most _CSV_CHUNK_ROWS rows (or per
+    _CSV_CHUNK_ROWS-row piece of a longer one).
+    """
     path = Path(path)
-    arrays = [np.asarray(col).reshape(-1) for col in columns.values()]
-    n_rows = arrays[0].size if arrays else 0
-    if any(a.size != n_rows for a in arrays):
-        raise WaveGridError("CSV columns must have equal sizes")
-    row = ",".join([f"%.{precision}g"] * len(arrays)) + "\n"
+    arrays = [np.asarray(col) for col in columns.values()]
+    try:
+        shape = (np.broadcast_shapes(*(a.shape for a in arrays)) if arrays
+                 else (0,)) or (1,)
+    except ValueError:
+        raise WaveGridError("CSV columns must broadcast to equal sizes, got "
+                            f"shapes {[a.shape for a in arrays]}") from None
+    n_lead, m = int(np.prod(shape[:-1])), shape[-1]
+    cell = f"%.{precision}g"
+    dtype = np.result_type(*arrays) if arrays else float
+    cells = []       # per column: its line-template cell, or m of them
+    per_row = []     # columns constant along the last axis: n_lead strings
+    full = []        # the other columns, as (n_lead, m) values
+    for a in arrays:
+        a = a.astype(dtype, copy=False)
+        a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+        if m > 1 and a.shape[-1] == 1:
+            lead = np.broadcast_to(a[..., 0], shape[:-1]).reshape(-1)
+            cells.append(chr(len(per_row)))   # a mark no number contains
+            per_row.append([cell % v for v in lead.tolist()])
+        elif n_lead > 1 and a.size == m:
+            cells.append([cell % v for v in a.reshape(-1).tolist()])
+        else:
+            full.append(np.broadcast_to(a, shape).reshape(n_lead, m))
+            cells.append(cell)
+    if all(isinstance(c, str) for c in cells):
+        line, each = ",".join(cells) + "\n", None
+    else:   # one line template per last-axis index
+        line, each = None, [",".join(row) + "\n" for row in zip(
+            *([c] * m if isinstance(c, str) else c for c in cells))]
+    per_row = list(zip(*per_row)) or [()] * n_lead
+    rows = max(1, _CSV_CHUNK_ROWS // max(m, 1))
+    span = max(1, min(m, _CSV_CHUNK_ROWS))
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        for text in header_lines:
+            fh.write(f"# {text}\n")
         fh.write(",".join(columns) + "\n")
-        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            block = np.column_stack(
-                [a[start:start + _CSV_CHUNK_ROWS] for a in arrays])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for i0 in range(0, n_lead, rows):
+            for j0 in range(0, m, span):
+                i1, j1 = min(i0 + rows, n_lead), min(j0 + span, m)
+                lines = line * (j1 - j0) if each is None else \
+                    "".join(each[j0:j1])
+                template = []
+                for i in range(i0, i1):
+                    text = lines
+                    for mark, value in enumerate(per_row[i]):
+                        text = text.replace(chr(mark), value)
+                    template.append(text)
+                template = "".join(template)
+                values = [f[i0:i1, j0:j1] for f in full]
+                values = np.stack(values, axis=-1).ravel().tolist() if full else ()
+                fh.write(template % tuple(values))
     os.replace(tmp, path)
     return path
-

@@ -8,6 +8,7 @@ it checks.
 
 import numpy as np
 
+from sodiff import dispersion as dp
 from sodiff.constants import CONSTANTS, FM_TO_A
 from sodiff.crystal import (SIGMA, CrystalError, mean_potential_meV,
                             structure_sums)
@@ -223,3 +224,28 @@ def schwinger_axis_cross(K, H):
     u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
     u_hat[parallel] = (0.0, 0.0, 1.0)
     return u_hat, np.where(parallel, 0.0, cmag / float(H @ H))
+
+
+def laue_coherence_all_beats(geom, crystal, u0, theta, rho, span_A):
+    """Laue ensemble coherences (rho0, rhoH) summed over all 16 (a, b, i, j)
+    beats of the closed form, the cross-branch ones whatever their window,
+    with C[1, 0] summed apart from C[0, 1] and no Hermitian projection."""
+    ch = dp._channels(geom, crystal, u0, theta, rho)
+    setups = [dp._transfer_setup(dp.LAUE, ch, ci) for ci in range(2)]
+    ig = [(ig1, ig2) for ig1, ig2, *_ in setups]
+    At = [(X2 / diff, -X1 / diff) for _, _, X1, X2, diff, _ in setups]
+    Ar = [(prod / diff, -prod / diff) for *_, diff, prod in setups]
+    shape = ch["g0"].shape
+    C0 = np.zeros(shape + (2, 2), complex)
+    CH = np.zeros(shape + (2, 2), complex)
+    for a, b, i, j in np.ndindex(2, 2, 2, 2):
+        idk = ig[a][i] + np.conj(ig[b][j])
+        win = (np.exp(-0.5 * (idk.imag * span_A) ** 2)
+               * np.exp(idk * geom.thickness_A))
+        C0[..., a, b] += np.conj(At[b][j]) * At[a][i] * win
+        CH[..., a, b] += np.conj(Ar[b][j]) * Ar[a][i] * win
+    basis = ch["amp0"]
+    outer = basis[:, None, ..., :, None] * np.conj(basis[None, :, ..., None, :])
+    rho0 = np.einsum("...ab,ab...ij->...ij", C0, outer)
+    rhoH = np.einsum("...ab,ab...ij->...ij", CH, outer)
+    return rho0, rhoH

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,3 +268,20 @@ def test_material_file_errors(tmp_path):
                    "sites\n X 0 0 oops 1 1\n")
     with pytest.raises(cr.CrystalError, match="line 7"):
         cr.load_crystal(bad)
+
+
+def test_crystal_hash_cached_per_instance_not_pickled():
+    """Equal models built apart hash equal, with the value of the field
+    tuple the dataclass hash is defined by.  The hash is kept on the
+    instance after its first use, but not pickled: string hashes differ
+    between processes, so a restored model computes its own."""
+    a, b = cr.reference_quartz(), cr.reference_quartz()
+    assert a is not b and a == b
+    fields = hash((a.material_id, a.lattice, a.sites, a.schwinger_scale))
+    assert hash(a) == hash(b) == fields
+    assert hash(a) == fields                      # the kept value
+    assert hash(a.without_schwinger()) != hash(a)
+    restored = pickle.loads(pickle.dumps(a))
+    assert "_hash" in vars(a) and "_hash" not in vars(restored)
+    assert restored == a and hash(restored) == fields
+    assert "_hash" in vars(restored)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (brute_force_potential, channel_entries,
                      channel_projector, darwin_reflectivity,
-                     pendelloesung_length, potential_fourier, two_beam_point)
+                     laue_coherence_all_beats, pendelloesung_length,
+                     potential_fourier, two_beam_point)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff import wavefield as wf
@@ -514,13 +515,28 @@ def test_bragg_ensemble_equals_mean_of_outer_products(quartz, u0_along_beam,
     assert np.max(np.abs(point["rhoH"] - rhoH[3, 2])) <= bound
 
 
-@pytest.mark.parametrize("u0", [(1.0, 1.0), (1.0, 0.0), (1.0, 1.0j)],
-                         ids=["along-beam", "spin-up", "circular"])
+def assert_exactly_hermitian(res):
+    """Ensemble coherences equal their conjugate transpose bit for bit,
+    with a real diagonal.  The diagonal is non-negative up to round-off: a
+    spin component that the channels cancel (spin down for a spin-up beam)
+    comes out as a difference of nearly equal terms."""
+    for m in (res["rho0"], res["rhoH"]):
+        assert np.array_equal(m, np.conj(np.swapaxes(m, -1, -2)))
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
+        assert np.all(diag.imag == 0.0)
+        trace = np.sum(diag.real, axis=-1, keepdims=True)
+        assert np.all(diag.real >= -1e-15 * trace)
+
+
+HERMITIAN_U0 = pytest.mark.parametrize(
+    "u0", [(1.0, 1.0), (1.0, 0.0), (1.0, 1.0j)],
+    ids=["along-beam", "spin-up", "circular"])
+
+
+@HERMITIAN_U0
 def test_bragg_ensemble_exactly_hermitian(quartz, u0):
-    """Bragg ensemble coherences equal their conjugate transpose bit for
-    bit, with a real diagonal.  The diagonal is non-negative up to
-    round-off: a spin component that the channels cancel (spin down for a
-    spin-up beam) comes out as a difference of nearly equal terms."""
+    """Bragg ensemble coherences are exactly Hermitian (see
+    assert_exactly_hermitian)."""
     u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
     half = np.deg2rad(0.45)
     ax = np.linspace(-half, half, 61)
@@ -529,12 +545,56 @@ def test_bragg_ensemble_exactly_hermitian(quartz, u0):
               dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 2e6)):
         res = dp.exit_coherence_maps(g, quartz, u0, 1e-4 * ax[:, None],
                                      ax[None, :])
-        for m in (res["rho0"], res["rhoH"]):
-            assert np.array_equal(m, np.conj(np.swapaxes(m, -1, -2)))
-            diag = np.diagonal(m, axis1=-2, axis2=-1)
-            assert np.all(diag.imag == 0.0)
-            trace = np.sum(diag.real, axis=-1, keepdims=True)
-            assert np.all(diag.real >= -1e-15 * trace)
+        assert_exactly_hermitian(res)
+
+
+def laue_back_beats(quartz, thickness):
+    """The Laue backscattering geometry of fig5 at the given thickness, a
+    48^2 grid over its +-0.3 deg window, and the smallest |Re(dk)| span_A
+    of the cross-branch beats of the three channel entries summed."""
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
+    g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, thickness)
+    ax = np.deg2rad(np.linspace(-0.3, 0.3, 48))
+    ch = dp._channels(g, quartz, (1.0, 0.0), ax[:, None], ax[None, :])
+    ig = [dp._transfer_setup(dp.LAUE, ch, ci)[:2] for ci in range(2)]
+    x = min(np.min(np.abs(ig[a][i].imag - ig[b][1 - i].imag))
+            for a, b in ((0, 0), (1, 1), (0, 1)) for i in range(2))
+    return g, ax, x * 1e-5 * thickness
+
+
+LAUE_BACK = pytest.mark.parametrize("thickness", [
+    pytest.param(3.5e8, id="35mm"), pytest.param(2e7, id="2mm")])
+
+
+@LAUE_BACK
+@HERMITIAN_U0
+def test_laue_ensemble_exactly_hermitian(quartz, u0, thickness):
+    """Laue ensemble coherences are exactly Hermitian too (see
+    assert_exactly_hermitian), both where every cross-branch beat is
+    dropped (35 mm) and where those beats are summed (2 mm)."""
+    u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
+    g, ax, _ = laue_back_beats(quartz, thickness)
+    res = dp.exit_coherence_maps(g, quartz, u0, ax[:, None], ax[None, :])
+    assert_exactly_hermitian(res)
+
+
+@LAUE_BACK
+def test_laue_dropped_beats_negligible(quartz, thickness):
+    """Dropping the Laue cross-branch beats whose window factor is below
+    exp(-_NEGLIGIBLE_BEAT^2/2) = 5.4e-32, and summing C[0,1] alone, leaves
+    the coherences within round-off (1e-15) of the sum of all 16 beats.  At
+    35 mm every such beat of the grid is dropped (|Re(dk)| span_A >= 20); at
+    2 mm their windows reach 0.5 (|Re(dk)| span_A down to 1.16), so
+    dropping one there would show."""
+    g, ax, x_min = laue_back_beats(quartz, thickness)
+    assert (x_min > dp._NEGLIGIBLE_BEAT) == (thickness == 3.5e8)
+    assert x_min > 20.0 or x_min < 1.2
+    u0 = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    res = dp.exit_coherence_maps(g, quartz, u0, ax[:, None], ax[None, :])
+    every = laue_coherence_all_beats(g, quartz, u0, ax[:, None], ax[None, :],
+                                     1e-5 * thickness)
+    for key, ref in zip(("rho0", "rhoH"), every):
+        assert np.max(np.abs(res[key] - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])

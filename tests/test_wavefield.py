@@ -451,7 +451,7 @@ def csv_columns(n_rows):
     mixed = rng.normal(scale=1e3, size=n_rows)
     mixed[:special.size] = special
     return {
-        "float": mixed.reshape(-1, 1),                 # flattened in C order
+        "float": mixed,
         "tiny": rng.normal(size=n_rows) * 1e-310,      # subnormals
         "int": rng.integers(-2**62, 2**62, size=n_rows),
         "bool": rng.random(n_rows) < 0.5,
@@ -459,24 +459,59 @@ def csv_columns(n_rows):
     }
 
 
+def csv_grid_columns(n_t, n_r):
+    """A grid as the CLI writes it: theta (n_t, 1), rho (1, n_r) and full
+    (n_t, n_r) fields, all holding NaN, +-inf, -0.0 and subnormals; one
+    field comes first, so the axes' cells sit between full ones, and a
+    second per-theta column and a scalar follow."""
+    rng = np.random.default_rng(11)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                        -2.2e-310, 1 / 3])
+
+    def spiked(a):
+        a.reshape(-1)[:special.size] = special[:a.size]
+        return a
+
+    return {"P": spiked(rng.normal(scale=1e3, size=(n_t, n_r))),
+            "theta_rad": spiked(np.linspace(-1e-3, 1e-3, n_t))[:, None],
+            "rho_rad": spiked(np.linspace(-2e-3, 2e-3, n_r))[None, :],
+            "tiny": spiked(rng.normal(size=(n_t, n_r)) * 1e-310),
+            "count": rng.integers(-50, 50, size=(n_t, n_r)),
+            "theta_index": np.arange(n_t)[:, None],
+            "scale": np.float64(2.5)}
+
+
 @pytest.mark.parametrize("precision", [1, 9, 17])
 @pytest.mark.parametrize("chunk", [7, None])
 def test_write_csv_bytes_equal_per_row_formatting(tmp_path, monkeypatch,
                                                   precision, chunk):
+    """1-D columns, and grids whose axes broadcast against full fields,
+    print exactly as formatting each value of the broadcast columns,
+    flattened in C order, one at a time."""
     if chunk is not None:
         monkeypatch.setattr(wf, "_CSV_CHUNK_ROWS", chunk)
-    n_rows = 2 * wf._CSV_CHUNK_ROWS + 5       # last chunk partial
+    c = wf._CSV_CHUNK_ROWS
+    n_rows = 2 * c + 5                        # last chunk partial
     header = ("demo", "config_hash 0123")
     cases = {"all": csv_columns(n_rows),
              "int-bool": {k: v for k, v in csv_columns(n_rows).items()
                           if k in ("int", "bool")},
-             "bool": {"bool": csv_columns(n_rows)["bool"]}}
+             "bool": {"bool": csv_columns(n_rows)["bool"]},
+             # blocks of c // 3 theta rows, the last one partial
+             "grid": csv_grid_columns(2 * (c // 3) + 1, 3),
+             "wide-rows": csv_grid_columns(3, c + 3),   # rows longer than c
+             "one-theta": csv_grid_columns(1, c + 5),
+             "one-rho": csv_grid_columns(2 * c + 5, 1)}
     for name, columns in cases.items():
         path = wf.write_csv(tmp_path / f"{name}.csv", columns, precision, header)
+        flat = dict(zip(columns, np.broadcast_arrays(*columns.values())))
         assert path.read_bytes() == \
-            per_row_csv(columns, precision, header).encode(), name
+            per_row_csv(flat, precision, header).encode(), name
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(wf.WaveGridError, match="equal sizes"):
         wf.write_csv(tmp_path / "bad.csv", {"a": np.zeros(3), "b": np.zeros(4)})
+    with pytest.raises(wf.WaveGridError, match="equal sizes"):
+        wf.write_csv(tmp_path / "bad.csv",
+                     {"a": np.zeros((3, 2)), "b": np.zeros(3)})
