@@ -18,6 +18,7 @@ All operations here are pure functions over immutable inputs.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -149,9 +150,9 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     K = np.asarray(K, dtype=float)
     H = np.asarray(H, dtype=float)
     k_mag = np.sqrt(np.einsum("...i,...i->...", K, K))
-    h0, h1, h2 = H
-    h_mag = float(np.sqrt(h0 * h0 + h1 * h1 + h2 * h2))
-    if h_mag == 0.0 or np.any(k_mag == 0.0):
+    h0, h1, h2 = H.tolist()
+    h_mag = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
+    if h_mag == 0.0 or not k_mag.all():
         raise CrystalError("schwinger_axis needs non-zero K and H")
     # K x H and its norm component by component, in np.cross's and
     # np.linalg.norm's operation order
@@ -162,10 +163,14 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(k2 * h0, k0 * h2, out=c1)
     np.subtract(k0 * h1, k1 * h0, out=c2)
     cmag = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    w = cmag / float(H @ H)
     parallel = cmag <= 1e-12 * k_mag * h_mag
-    u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
-    u_hat[parallel] = (0.0, 0.0, 1.0)
-    return u_hat, np.where(parallel, 0.0, cmag / float(H @ H))
+    if parallel.any():
+        u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
+        u_hat[parallel] = (0.0, 0.0, 1.0)
+        return u_hat, np.where(parallel, 0.0, w)
+    cross /= cmag[..., None]
+    return cross, w
 
 
 def site_gammas(crystal: CrystalModel, h_mag: float) -> np.ndarray:

@@ -93,15 +93,7 @@ class DiffractionGeometry:
         asymmetry ratio beta = gH/g0 is left to the caller, which must rule
         out grazing incidence (g0 = 0) first.
         """
-        th, rh = np.broadcast_arrays(np.asarray(theta, float),
-                                     np.asarray(rho, float))
-        norm = np.sqrt(1.0 + th**2 + rh**2)
-        unit = np.stack([np.ones_like(th), th, rh], axis=-1)
-        k = self.k_mag * unit / norm[..., None]
-        H = np.asarray(self.H, float)
-        n = np.asarray(self.n, float)
-        alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
-        return k, k @ n, (k + H) @ n, alpha0
+        return _kinematics(self, self.k_mag, theta, rho)
 
     @property
     def cos_gamma(self) -> float:
@@ -114,6 +106,20 @@ class DiffractionGeometry:
         """Asymmetry factor g0/gH at the nominal beam."""
         _, g0, gH, _ = self.kinematics(0.0, 0.0)
         return float(g0) / float(gH)
+
+
+def _kinematics(geom: DiffractionGeometry, k_mag: float, theta, rho):
+    """DiffractionGeometry.kinematics with |k0| given."""
+    th, rh = np.asarray(theta, float), np.asarray(rho, float)
+    norm = np.sqrt(1.0 + th**2 + rh**2)
+    k = np.empty(norm.shape + (3,))
+    k[..., 0], k[..., 1], k[..., 2] = 1.0, th, rh
+    k *= k_mag
+    k /= norm[..., None]
+    H = np.asarray(geom.H, float)
+    n = np.asarray(geom.n, float)
+    alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
+    return k, k @ n, (k + H) @ n, alpha0
 
 
 def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
@@ -177,35 +183,35 @@ def _solve_channel(beta, b, p, vH):
     """Vectorised secular-equation roots and amplitude ratios.
 
     Solves beta y^2 + b y - p = 0 with b = (1 - beta) v0 - alpha0 and
-    p = vH vmH.  Returns (y1, y2, X1, X2) with y = 2 E eps + v0, ordered by
-    ascending Re(eps), ties by ascending Im(eps).  The smaller root is
+    p = vH vmH.  Returns (y, X), each (branch, ...), with y = 2 E eps + v0
+    and X = -y/vH, ordered by ascending Re(eps) where the roots differ more
+    in their real parts, else by ascending Im(eps): in a total-reflection
+    zone the real parts differ by round-off only.  The smaller root is
     computed from the product y1 y2 = -p / beta to avoid cancellation.
     """
     vH = np.asarray(vH, complex)
-    if np.any(np.abs(vH) == 0.0):
+    if not vH.all():
         raise DispersionError("forbidden reflection: V(H) = 0")
 
     disc = np.asarray(b**2 + 4.0 * beta * p, complex)
     sq = np.sqrt(disc)
     # pick the sign that maximises |b -+ sq| for the well-conditioned root
-    plus = -b + sq
-    minus = -b - sq
+    neg_b = -b
+    plus = neg_b + sq
+    minus = neg_b - sq
     use_plus = np.abs(plus) >= np.abs(minus)
     y_big = np.where(use_plus, plus, minus) / (2.0 * beta)
-    y_small = (-p / beta) / y_big
-    y1, y2 = y_small, y_big
-
-    swap = (y2.real < y1.real) | ((y2.real == y1.real) & (y2.imag < y1.imag))
-    y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
-    X1 = -y1 / vH
-    X2 = -y2 / vH
-    return y1, y2, X1, X2
+    y = np.array(((-p / beta) / y_big, y_big))
+    d = y_big - y[0]
+    swap = np.where(np.abs(d.real) >= np.abs(d.imag), d.real, d.imag) < 0.0
+    y = np.where(swap, y[::-1], y)
+    return y, -y / vH
 
 
 def _backward_error(beta, b, p, y):
     """Backward error |beta y^2 + b y - p| / (|beta||y|^2 + |b||y| + |p|)
-    of computed roots y (both branches may be stacked on a leading axis):
-    the smallest relative change of the coefficients that makes y exact.
+    of computed roots y (stacked on leading branch and channel axes): the
+    smallest relative change of the coefficients that makes y exact.
     Unlike the residual of the two-beam equations it does not grow with the
     distance from the Bragg condition."""
     ay = np.abs(y)
@@ -249,6 +255,9 @@ def _build_reflection(crystal: CrystalModel, hkl, H) -> Reflection:
                       pref=pref, v0=mean_potential_meV(crystal))
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
               theta, rho) -> dict:
     """Both spin channels of the two-beam problem over broadcast (theta, rho).
@@ -258,23 +267,28 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
     with v_H = pref (A -+ 2i w B).  Points where K || H carry no spin-orbit
     term and propagate spin-diagonally.  pref, A, B and v0 are read from
     the geometry's cached Reflection of the crystal; only the kinematics,
-    the axis and the roots are computed per call.
+    the axis and the roots are computed per call, for both channels at once
+    on a leading channel axis.
 
-    Returns a dict: theta, rho, alpha0, beta, g0, gH, w, u_hat, v0,
-    energy_meV, kappa_scale; y and X (channel, branch, ...) from
+    Offsets that broadcast to one point are computed as two copies of it
+    (point is then their broadcast shape, else None): numpy rounds 0-d
+    complex products and k @ v of one point differently, so only an array
+    of two or more points rounds as a grid does.
+
+    Returns a dict: point, alpha0, beta, g0, gH, w, u_hat, v0, energy_meV,
+    kappa_scale over the points (...); y and X (branch, channel, ...) from
     _solve_channel; amp0 (channel, ..., 2), the incident spinor projected
     on each channel; backward_error (...), the largest _backward_error of
-    the point's four roots, NaN roots skipped.  Channel-major storage keeps
-    each channel's arrays contiguous.
+    the point's four roots, NaN roots skipped.
     """
-    th, rh = np.broadcast_arrays(np.asarray(theta, float),
-                                 np.asarray(rho, float))
-    shape = th.shape
+    th, rh = np.asarray(theta, float), np.asarray(rho, float)
+    point = None
+    if th.size == rh.size == 1:
+        point = th.shape if th.ndim >= rh.ndim else rh.shape
+        th, rh = th.reshape(1).repeat(2), rh.reshape(())
     k_mag = geom.k_mag
-    energy = CONSTANTS.hbar2_over_2m_meV_A2 * k_mag**2
-
-    k, g0, gH, alpha0 = geom.kinematics(th, rh)
-    if np.any(g0 == 0.0) or np.any(gH == 0.0):
+    k, g0, gH, alpha0 = _kinematics(geom, k_mag, th, rh)
+    if not (g0.all() and gH.all()):
         raise DispersionError("grid touches an exactly grazing point")
     beta = gH / g0
     u_hat, w = schwinger_axis(k, geom.H)
@@ -283,22 +297,18 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
     refl = _reflection(geom, crystal)
     pref, A, B, v0 = refl.pref, refl.A, refl.B, refl.v0
     b = (1.0 - beta) * v0 - alpha0
+    # 2i s w with s = sigma.u_hat of each channel
+    isw = 2.0j * _SIGNS.reshape((2,) + (1,) * w.ndim) * w
+    vH = pref * (A - isw * B)
+    vmH = pref * (A.conjugate() + isw * B.conjugate())
+    p = vH * vmH
+    y, X = _solve_channel(beta, b, p, vH)
+    backward = np.fmax.reduce(_backward_error(beta, b, p, y).reshape(
+        (4,) + w.shape), axis=0, initial=0.0)
 
-    y = np.zeros((2, 2) + shape, complex)
-    X = np.zeros((2, 2) + shape, complex)
-    backward = np.zeros(shape)
-    for ci, s in enumerate((+1.0, -1.0)):
-        vH = pref * (A - 2.0j * s * w * B)
-        vmH = pref * (np.conj(A) + 2.0j * s * w * np.conj(B))
-        p = vH * vmH
-        y1, y2, X1, X2 = _solve_channel(beta, b, p, vH)
-        y[ci, 0], y[ci, 1] = y1, y2
-        X[ci, 0], X[ci, 1] = X1, X2
-        worst = np.fmax.reduce(_backward_error(beta, b, p, y[ci]), axis=0)
-        backward = np.fmax(backward, worst)
-
-    return {"theta": th, "rho": rh, "alpha0": alpha0, "beta": beta,
-            "g0": g0, "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
+    energy = CONSTANTS.hbar2_over_2m_meV_A2 * k_mag**2
+    return {"point": point, "alpha0": alpha0, "beta": beta, "g0": g0,
+            "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
             "energy_meV": energy, "kappa_scale": k_mag**2 / g0,
             "y": y, "X": X, "amp0": _channel_projections(u_hat, u0_spinor),
             "backward_error": backward}
@@ -308,58 +318,60 @@ def _channel_projections(u_hat, u0_spinor) -> np.ndarray:
     """The incident spinor projected on both channels, (channel, ..., 2).
 
     The projector 1/2 (1 + s sigma.u_hat) is written out, 1/2 (1 +- s u_z)
-    on the diagonal and 1/2 s (u_x -+ i u_y) off it, and applied in the
-    operation order of a matmul, whose values it reproduces bit for bit.
-    One point is computed as a 1-element array: numpy's scalar arithmetic
-    rounds complex products differently from its array loops.
+    on the diagonal and 1/2 s (u_x -+ i u_y) off it, and applied to both
+    channels at once in the operation order of a matmul, whose values it
+    reproduces bit for bit.  An axis without leading dimensions is
+    computed as a 1-element array (see _channels).
     """
     ux, uy, uz = u_hat.reshape(-1, 3).T
-    u_minus = ux - 1j * uy
-    u_plus = ux + 1j * uy
+    iuy = 1j * uy
     u00, u01 = np.asarray(u0_spinor, complex)
+    s = _SIGNS[:, None]
+    half_s, s_uz = 0.5 * s, s * uz
     amp0 = np.empty((2, uz.size, 2), complex)
-    for ci, s in enumerate((+1.0, -1.0)):
-        amp0[ci, :, 0] = 0.5 * (1.0 + s * uz) * u00 + 0.5 * s * u_minus * u01
-        amp0[ci, :, 1] = 0.5 * s * u_plus * u00 + 0.5 * (1.0 - s * uz) * u01
+    amp0[..., 0] = 0.5 * (1.0 + s_uz) * u00 + half_s * (ux - iuy) * u01
+    amp0[..., 1] = half_s * (ux + iuy) * u00 + 0.5 * (1.0 - s_uz) * u01
     return amp0.reshape((2,) + u_hat.shape[:-1] + (2,))
 
 
-def _transfer_setup(kind, ch: dict, ci: int):
-    """Thickness-independent part of the transfer factors of channel ci of
-    the _channels result ch: (i g1, i g2, X1, X2, diff, X1 X2), from the
-    branch wavenumbers kap = kappa_scale (y - v0) / 2E.  Bragg relabels the
-    branches 1 = a = growing, 2 = b = decaying, takes g1 = kap_b - kap_a,
-    g2 = kap_b (so |e^{i g1 D}| <= 1) and diff = X_a - X_b; Laue keeps the
-    branch order, g = kap and diff = X2 - X1."""
-    kappa_scale, v0, energy = ch["kappa_scale"], ch["v0"], ch["energy_meV"]
-    y, X = ch["y"], ch["X"]
+def _transfer_setup(kind, ch: dict):
+    """Thickness-independent part of the transfer factors of both channels
+    of the _channels result ch: (i g1, i g2, X1, X2, diff, X1 X2), each
+    (channel, ...), from the branch wavenumbers
+    kap = kappa_scale (y - v0) / 2E.  Bragg relabels the branches
+    1 = a = growing, 2 = b = decaying, takes g1 = kap_b - kap_a, g2 = kap_b
+    (so |e^{i g1 D}| <= 1) and diff = X_a - X_b; Laue keeps the branch
+    order, g = kap and diff = X2 - X1."""
     # real * complex: exact under the operand swap of _transfer_factors
-    kap1, kap2 = [kappa_scale * (y[ci, b] - v0) / (2 * energy) for b in (0, 1)]
-    X1, X2 = X[ci, 0], X[ci, 1]
+    kap = ch["kappa_scale"] * (ch["y"] - ch["v0"]) / (2 * ch["energy_meV"])
+    X = ch["X"]
     if kind == BRAGG:
-        a_first = kap1.imag <= kap2.imag
-        kap_a = np.where(a_first, kap1, kap2)
-        kap_b = np.where(a_first, kap2, kap1)
-        X_a = np.where(a_first, X1, X2)
-        X_b = np.where(a_first, X2, X1)
+        a_first = kap[0].imag <= kap[1].imag
+        kap_a, kap_b = np.where(a_first, kap, kap[::-1])
+        X_a, X_b = np.where(a_first, X, X[::-1])
         return (1j * (kap_b - kap_a), 1j * kap_b, X_a, X_b, X_a - X_b,
                 X_a * X_b)
+    (kap1, kap2), (X1, X2) = kap, X
     return 1j * kap1, 1j * kap2, X1, X2, X2 - X1, X1 * X2
 
 
 def _transfer_factors(kind, setup, D):
-    """Exit amplitude per unit incident amplitude for one spin channel at
-    thickness D, from its _transfer_setup.
+    """Exit amplitude per unit incident amplitude of both spin channels at
+    thickness D, from their _transfer_setup.
 
-    Returns (t, r): forward (at depth D) and diffracted (entry face for
-    Bragg, depth D for Laue) envelope amplitudes; overall plane-wave phase
-    factors common to all grid points are dropped.
+    Returns (t, r), each (channel, ...): forward (at depth D) and
+    diffracted (entry face for Bragg, depth D for Laue) envelope
+    amplitudes; overall plane-wave phase factors common to all grid points
+    are dropped.
 
     No complex product here or in the ensemble sums has a temporary as its
     right operand: numpy evaluates ``a * (b - c)`` on arrays of 256 KiB or
     more in place as ``(b - c) * a``, and complex multiplication (fused
     multiply-add) is not bitwise commutative, so the values would depend on
     the array size and a tiled grid would differ from a whole-grid call.
+    A (channel, ...) array of a full 8192-point scan tile (a line scan, or
+    rows of a power-of-two width) is exactly 256 KiB, so the rule governs
+    production tiles, not only whole-grid calls.
     """
     ig1, ig2, X1, X2, diff, prod = setup
     if kind == BRAGG:
@@ -374,56 +386,48 @@ def _transfer_factors(kind, setup, D):
     return (X2 * E1 - X1 * E2) / diff, prod * beat / diff
 
 
+def _point(ch: dict, res: dict) -> dict:
+    """res as it is, or, when _channels computed a single point twice, its
+    first copy in the shape of the call's offsets."""
+    point = ch["point"]
+    if point is None:
+        return res
+    return {key: v[0] if point == () else v[:1].reshape(point + v.shape[1:])
+            for key, v in res.items()}
+
+
 def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                         u0_spinor, theta, rho) -> dict:
     """Exit spinor envelopes over broadcastable (theta, rho) offsets.
 
-    Both scalar channels of _channels are carried through the crystal and
-    the exit transfer operator sum_s t_s P_s is applied to the incident
-    spinor in the fixed lab basis.
+    Both scalar channels of _channels are carried through the crystal on
+    their leading channel axis, and the exit transfer operator
+    sum_s t_s P_s is applied to the incident spinor in the fixed lab basis.
+    A 0-d (theta, rho) gives the same values as that point of a grid.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
     per-point root backward_error).
     """
     ch = _channels(geom, crystal, u0_spinor, theta, rho)
-    shape = ch["g0"].shape
+    t, r = _transfer_factors(geom.kind, _transfer_setup(geom.kind, ch),
+                             geom.thickness_A)
+    # sum over the channels, from +0.0 as an accumulator would start
+    psi0, psiH = (0.0 + f[0] + f[1] for f in (t[..., None] * ch["amp0"],
+                                              r[..., None] * ch["amp0"]))
+    T = (np.abs(psi0) ** 2).sum(-1)
+    R = (np.abs(psiH) ** 2).sum(-1) * np.abs(ch["gH"]) / ch["g0"]
 
-    psi0 = np.zeros(shape + (2,), complex)
-    psiH = np.zeros(shape + (2,), complex)
-    t_all = np.zeros(shape + (2,), complex)
-    r_all = np.zeros(shape + (2,), complex)
-    for ci in range(2):
-        t, r = _transfer_factors(geom.kind, _transfer_setup(geom.kind, ch, ci),
-                                 geom.thickness_A)
-        psi0 += t[..., None] * ch["amp0"][ci]
-        psiH += r[..., None] * ch["amp0"][ci]
-        t_all[..., ci], r_all[..., ci] = t, r
-
-    T = np.sum(np.abs(psi0) ** 2, axis=-1)
-    R = np.sum(np.abs(psiH) ** 2, axis=-1) * np.abs(ch["gH"]) / ch["g0"]
-
-    # (channel, branch, ...) -> (..., channel, branch), as views
-    point_major = tuple(range(2, ch["y"].ndim)) + (0, 1)
-    keep = ("theta", "rho", "alpha0", "beta", "g0", "gH", "w", "u_hat", "v0",
-            "energy_meV", "backward_error")
-    return {"psi0": psi0, "psiH": psiH, "R": R, "T": T, "t": t_all,
-            "r": r_all, "y": ch["y"].transpose(point_major),
-            "X": ch["X"].transpose(point_major),
-            **{key: ch[key] for key in keep}}
-
-
-def _window_factor(x):
-    """Gaussian ensemble weight exp(-x^2/2) on the real beat frequency
-    x = Re(dk) sigma.
-
-    A Gaussian thickness spread of width sigma multiplies every beat term
-    e^{i dk D} of a quadratic product by exp(-(dk sigma)^2/2): beats from
-    branch interference (dk ~ rad/um) are annihilated to below double
-    precision while the spin-orbit phase differences that carry the physics
-    (dk ~ rad/m) are untouched to one part in 1e10.
-    """
-    return np.exp(-0.5 * x**2)
+    # (branch, channel, ...) -> (..., channel, branch), as views
+    point_major = tuple(range(2, ch["y"].ndim)) + (1, 0)
+    channel_last = tuple(range(1, t.ndim)) + (0,)
+    keep = ("alpha0", "beta", "g0", "gH", "w", "u_hat", "backward_error")
+    res = _point(ch, {
+        "psi0": psi0, "psiH": psiH, "R": R, "T": T,
+        "t": t.transpose(channel_last), "r": r.transpose(channel_last),
+        "y": ch["y"].transpose(point_major),
+        "X": ch["X"].transpose(point_major), **{key: ch[key] for key in keep}})
+    return {**res, "v0": ch["v0"], "energy_meV": ch["energy_meV"]}
 
 
 _BRAGG_ENSEMBLE_POINTS = 32
@@ -470,7 +474,7 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
     ch = _channels(geom, crystal, u0_spinor, theta, rho)
     shape = ch["g0"].shape
-    setups = [_transfer_setup(geom.kind, ch, ci) for ci in range(2)]
+    ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, ch)
 
     C0 = np.zeros(shape + (2, 2), complex)   # <t_s conj(t_s')>
     CH = np.zeros(shape + (2, 2), complex)
@@ -478,26 +482,28 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         # Laue amplitudes are two-exponential sums, so the Gaussian
         # thickness-ensemble average of every quadratic product is exact:
         # <e^{i dk D'}> over D' ~ N(D, span_A^2) equals
-        # e^{i dk D} exp(-(dk span_A)^2 / 2), with Re(dk) in the window.
-        ig = [(ig1, ig2) for ig1, ig2, *_ in setups]
-        At = [(X2 / diff, -X1 / diff) for _, _, X1, X2, diff, _ in setups]
-        Ar = [(prod / diff, -prod / diff) for *_, diff, prod in setups]
+        # e^{i dk D} exp(-(dk span_A)^2 / 2), with Re(dk) in the window: it
+        # annihilates branch beats (dk ~ rad/um) and leaves the spin-orbit
+        # phases (dk ~ rad/m) to 1e-10.  Indexed [branch][channel].
+        ig = (ig1, ig2)
+        At = (X2 / diff, -X1 / diff)
+        Ar = (prod / diff, -prod / diff)
         D = geom.thickness_A
         for a, b in ((0, 0), (1, 1), (0, 1)):
             for i in range(2):
                 for j in range(2):
                     # i dk with dk = g_ai - conj(g_bj); conj(...) leads
                     # every product below: see _transfer_factors
-                    x = (ig[a][i].imag - ig[b][j].imag) * span_A   # Re(dk)
+                    x = (ig[i][a].imag - ig[j][b].imag) * span_A   # Re(dk)
                     keep = True
                     if i != j:   # per point, so tiles cannot tell
                         keep = ~(np.abs(x) > _NEGLIGIBLE_BEAT)
                         if not keep.any():
                             continue
-                    idk = ig[a][i] + np.conj(ig[b][j])
-                    win = _window_factor(x) * np.exp(idk * D)
+                    idk = ig[i][a] + np.conj(ig[j][b])
+                    win = np.exp(-0.5 * x**2) * np.exp(idk * D)
                     for C, Amp in ((C0, At), (CH, Ar)):
-                        np.add(C[..., a, b], np.conj(Amp[b][j]) * Amp[a][i]
+                        np.add(C[..., a, b], np.conj(Amp[j][b]) * Amp[i][a]
                                * win, out=C[..., a, b], where=keep)
         for C in (C0, CH):
             C[..., 1, 0] = np.conj(C[..., 0, 1])
@@ -505,19 +511,19 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         # Equally spaced thicknesses D0 + k h: q = e^{i g1 D}, E_b = e^{i g2 D}
         # are stepped by e^{i g h}, for both spin channels at once.  Only
         # |z|^2 and conj(z_1) z_0 of z = t/diff, r/prod are summed.
-        S = np.array(setups).swapaxes(0, 1)   # (factor, channel, ...)
-        X_a, X_b, diff, prod = S[2:]
         n = _BRAGG_ENSEMBLE_POINTS
-        q, E_b = qE = np.exp(S[:2] * (geom.thickness_A - 1.5 * span_A))
-        step = np.exp(S[:2] * (3.0 * span_A / (n - 1)))
+        D0, h = geom.thickness_A - 1.5 * span_A, 3.0 * span_A / (n - 1)
+        q, E_b = np.exp(ig1 * D0), np.exp(ig2 * D0)
+        step_q, step_E = np.exp(ig1 * h), np.exp(ig2 * h)
         diag, off = np.zeros((2, 2) + shape), np.zeros((2,) + shape, complex)
         for _ in range(n):
-            inv = 1.0 / (X_a - q * X_b)
+            inv = 1.0 / (X1 - q * X2)
             for i, z in enumerate((E_b * inv, (1.0 - q) * inv)):
                 diag[i] += z.real * z.real
                 diag[i] += z.imag * z.imag
                 off[i] += np.conj(z[1]) * z[0]
-            qE *= step   # q and E_b are views of qE
+            q *= step_q
+            E_b *= step_E
         for C, d, o, f in zip((C0, CH), diag, off, (diff, prod)):
             C[..., 0, 0], C[..., 1, 1] = np.abs(f) ** 2 * d / n
             C[..., 0, 1] = np.conj(f[1]) * f[0] * o / n
@@ -538,7 +544,8 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     T = np.real(np.trace(rho0, axis1=-2, axis2=-1))
     R = (np.real(np.trace(rhoH, axis1=-2, axis2=-1))
          * np.abs(ch["gH"]) / ch["g0"])
-    return {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T, "g0": ch["g0"]}
+    return _point(ch, {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T,
+                       "g0": ch["g0"]})
 
 
 # ---------------------------------------------------------------------------

@@ -436,23 +436,6 @@ def write_binary(grid: WaveGrid, path):
         fh.write(np.ascontiguousarray(grid.T, dtype=np.float64).tobytes())
 
 
-def read_binary(path) -> dict:
-    with open(path, "rb") as fh:
-        magic, nt, nr, t0, t1, r0, r1, dtype_code = _HDR.unpack(fh.read(64))
-        if magic != _MAGIC:
-            raise WaveGridError("not a sodiff grid file")
-        if dtype_code != 0:
-            raise WaveGridError(f"unknown dtype code {dtype_code}")
-        def arr(count, dt):
-            return np.frombuffer(fh.read(count * np.dtype(dt).itemsize), dt)
-        psi0 = arr(nt * nr * 2, np.complex128).reshape(nt, nr, 2)
-        psiH = arr(nt * nr * 2, np.complex128).reshape(nt, nr, 2)
-        R = arr(nt * nr, np.float64).reshape(nt, nr)
-        T = arr(nt * nr, np.float64).reshape(nt, nr)
-    return {"theta": np.linspace(t0, t1, nt), "rho": np.linspace(r0, r1, nr),
-            "psi0": psi0, "psiH": psiH, "R": R, "T": T}
-
-
 _CSV_CHUNK_ROWS = 1024
 
 

@@ -6,6 +6,8 @@ brute-force definitions, sharing no code path with the package internals
 it checks.
 """
 
+import struct
+
 import numpy as np
 
 from sodiff import dispersion as dp
@@ -13,6 +15,7 @@ from sodiff.constants import CONSTANTS, FM_TO_A
 from sodiff.crystal import (SIGMA, CrystalError, mean_potential_meV,
                             structure_sums)
 from sodiff.oam import OamError
+from sodiff.wavefield import WaveGridError
 
 GAMMA_COEF_FM = -1.91304273 * 2.8179403262 * 5.446170214e-4 / 2.0  # mu e/hbar c
 TWO_PI_HBAR2_OVER_M = 4.0 * np.pi * 81.8042 / (2.0 * np.pi) ** 2    # meV A^3
@@ -231,21 +234,48 @@ def laue_coherence_all_beats(geom, crystal, u0, theta, rho, span_A):
     beats of the closed form, the cross-branch ones whatever their window,
     with C[1, 0] summed apart from C[0, 1] and no Hermitian projection."""
     ch = dp._channels(geom, crystal, u0, theta, rho)
-    setups = [dp._transfer_setup(dp.LAUE, ch, ci) for ci in range(2)]
-    ig = [(ig1, ig2) for ig1, ig2, *_ in setups]
-    At = [(X2 / diff, -X1 / diff) for _, _, X1, X2, diff, _ in setups]
-    Ar = [(prod / diff, -prod / diff) for *_, diff, prod in setups]
+    ig1, ig2, X1, X2, diff, prod = dp._transfer_setup(dp.LAUE, ch)
+    # indexed [branch][channel]
+    ig = (ig1, ig2)
+    At = (X2 / diff, -X1 / diff)
+    Ar = (prod / diff, -prod / diff)
     shape = ch["g0"].shape
     C0 = np.zeros(shape + (2, 2), complex)
     CH = np.zeros(shape + (2, 2), complex)
     for a, b, i, j in np.ndindex(2, 2, 2, 2):
-        idk = ig[a][i] + np.conj(ig[b][j])
+        idk = ig[i][a] + np.conj(ig[j][b])
         win = (np.exp(-0.5 * (idk.imag * span_A) ** 2)
                * np.exp(idk * geom.thickness_A))
-        C0[..., a, b] += np.conj(At[b][j]) * At[a][i] * win
-        CH[..., a, b] += np.conj(Ar[b][j]) * Ar[a][i] * win
+        C0[..., a, b] += np.conj(At[j][b]) * At[i][a] * win
+        CH[..., a, b] += np.conj(Ar[j][b]) * Ar[i][a] * win
     basis = ch["amp0"]
     outer = basis[:, None, ..., :, None] * np.conj(basis[None, :, ..., None, :])
     rho0 = np.einsum("...ab,ab...ij->...ij", C0, outer)
     rhoH = np.einsum("...ab,ab...ij->...ij", CH, outer)
     return rho0, rhoH
+
+
+GRID_HEADER = struct.Struct("<8sII4dI12x")   # the README's 64-byte header
+
+
+def read_binary(path) -> dict:
+    """A wavefield.write_binary grid dump read back by the README's layout:
+    the header, then psi0, psiH (complex128) and R, T (float64) in C
+    order; the axes are rebuilt from the header's extremes."""
+    with open(path, "rb") as fh:
+        magic, nt, nr, t0, t1, r0, r1, dtype_code = GRID_HEADER.unpack(
+            fh.read(GRID_HEADER.size))
+        if magic != b"SODIFFG1":
+            raise WaveGridError("not a sodiff grid file")
+        if dtype_code != 0:
+            raise WaveGridError(f"unknown dtype code {dtype_code}")
+        out = {}
+        for name, dt, tail in (("psi0", np.complex128, (2,)),
+                               ("psiH", np.complex128, (2,)),
+                               ("R", np.float64, ()), ("T", np.float64, ())):
+            shape = (nt, nr) + tail
+            count = int(np.prod(shape))
+            out[name] = np.frombuffer(fh.read(count * np.dtype(dt).itemsize),
+                                      dt).reshape(shape)
+    return {"theta": np.linspace(t0, t1, nt), "rho": np.linspace(r0, r1, nr),
+            **out}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sodiff
+from oracles import read_binary
 from sodiff import __version__, cli
 from sodiff import wavefield as wf
 
@@ -198,7 +199,7 @@ def test_binary_grid_written_without_pure_grid_analysis(tmp_path):
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
     assert "wavegrid.sgrid" in json.loads(
         (out / "manifest.json").read_text())["artifacts"]
-    back = wf.read_binary(out / "wavegrid.sgrid")
+    back = read_binary(out / "wavegrid.sgrid")
     assert back["theta"].size == 11 and back["rho"].size == 1
     assert back["psi0"].shape == back["psiH"].shape == (11, 1, 2)
     assert back["R"].shape == back["T"].shape == (11, 1)

@@ -105,7 +105,8 @@ def test_weak_coupling_limit_mean_refraction(quartz, thermal_bragg_100um):
     vH, vmH = reference_channel_potentials(quartz, res["w"])[0]
     beta = res["beta"]
     b = (1.0 - beta) * v0 - res["alpha0"]
-    y1, y2, X1, X2 = dp._solve_channel(beta, b, vH * vmH * 1e-12, vH * 1e-6)
+    (y1, y2), (X1, X2) = dp._solve_channel(beta, b, vH * vmH * 1e-12,
+                                           vH * 1e-6)
     eps1, eps2 = (y1 - v0) / (2 * E), (y2 - v0) / (2 * E)
     eps_fwd = min((eps1, eps2), key=lambda e: abs(e + v0 / (2 * E)))
     assert abs(eps_fwd + v0 / (2 * E)) < 1e-6 * abs(v0 / (2 * E))
@@ -128,6 +129,28 @@ def test_schwinger_branch_splitting_continuity(quartz, thermal_bragg_100um):
     assert splits[1] > 0
     assert splits[1] == pytest.approx(0.1 * splits[0], rel=1e-5)
     assert splits[2] == 0.0
+
+
+def test_branch_labels_follow_root_separation(quartz, thermal_bragg_100um):
+    """Branches are ordered along the roots' separation: by Re(eps) where
+    the roots differ more in their real parts, else by Im(eps).  Inside the
+    total-reflection zone the real parts of the conjugate pair agree but
+    for round-off, which must not pick the labels: there each branch of one
+    spin channel lies next to the same branch of the other (measured: at
+    most 0.07 of the distance to the other branch, near the zone edges; a
+    label picked by round-off gives about 1400)."""
+    g = thermal_bragg_100um
+    th = dp.darwin_center_theta(quartz, g) + np.linspace(-1e-5, 1e-5, 2001)
+    res = dp.exit_amplitude_maps(g, quartz, np.array([1.0, 0.0]), th, 0.0)
+    y = res["y"]                                   # (theta, channel, branch)
+    d = y[..., 1] - y[..., 0]
+    by_real = np.abs(d.real) >= np.abs(d.imag)
+    assert np.all(np.where(by_real, d.real, d.imag) >= 0.0)
+    inside = ~by_real.any(axis=-1)
+    assert inside.sum() > 400 and by_real.all(axis=-1).sum() > 1000
+    same = np.abs(y[..., 0, :] - y[..., 1, :]).max(axis=-1)
+    crossed = np.abs(y[..., 0, :] - y[..., 1, ::-1]).min(axis=-1)
+    assert np.all(same[inside] < 0.25 * crossed[inside])
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +204,39 @@ def test_flux_conservation_scan(quartz, thermal_bragg_100um, u0_along_beam):
     res = dp.exit_amplitude_maps(thermal_bragg_100um, quartz, u0_along_beam,
                                  th, np.zeros_like(th))
     assert np.max(np.abs(res["R"] + res["T"] - 1.0)) < 1e-10
+
+
+ONE_POINT_FIELDS = ("psi0", "psiH", "R", "T")
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+@pytest.mark.parametrize("u0", [(1.0, 1.0), (0.6 - 0.3j, -0.2 + 0.7j)],
+                         ids=["along-beam", "complex"])
+def test_one_point_equals_grid_point(quartz, kind, u0):
+    """A one-point call, with 0-d offsets or with 1-element arrays, equals
+    the same point of a 64^2 grid call bit for bit (the bytes, so the sign
+    of a zero counts too), and a 0-d call equals the point of a theta line.
+    Twelve points, across the Darwin zone and off it."""
+    u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    th = dp.darwin_center_theta(quartz, g) + np.linspace(-3e-5, 3e-5, 64)
+    rh = np.linspace(-3e-5, 3e-5, 64)
+    grid = dp.exit_amplitude_maps(g, quartz, u0, th[:, None], rh[None, :])
+    line = dp.exit_amplitude_maps(g, quartz, u0, th, 0.0)
+    rng = np.random.default_rng(3)
+    for i, j in rng.integers(0, 64, size=(12, 2)):
+        scalar = dp.exit_amplitude_maps(g, quartz, u0, th[i], rh[j])
+        array = dp.exit_amplitude_maps(g, quartz, u0, th[i:i + 1],
+                                       rh[j:j + 1])
+        on_line = dp.exit_amplitude_maps(g, quartz, u0, float(th[i]), 0.0)
+        for key in ONE_POINT_FIELDS:
+            assert np.shape(scalar[key]) == grid[key].shape[2:]
+            assert array[key].shape == (1,) + grid[key].shape[2:]
+            point = grid[key][i, j].tobytes()
+            assert np.asarray(scalar[key]).tobytes() == point, key
+            assert array[key].tobytes() == point, key
+            assert np.asarray(on_line[key]).tobytes() == \
+                line[key][i].tobytes(), key
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,8 +612,8 @@ def laue_back_beats(quartz, thickness):
     g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, thickness)
     ax = np.deg2rad(np.linspace(-0.3, 0.3, 48))
     ch = dp._channels(g, quartz, (1.0, 0.0), ax[:, None], ax[None, :])
-    ig = [dp._transfer_setup(dp.LAUE, ch, ci)[:2] for ci in range(2)]
-    x = min(np.min(np.abs(ig[a][i].imag - ig[b][1 - i].imag))
+    ig = dp._transfer_setup(dp.LAUE, ch)[:2]   # [branch][channel]
+    x = min(np.min(np.abs(ig[i][a].imag - ig[1 - i][b].imag))
             for a, b in ((0, 0), (1, 1), (0, 1)) for i in range(2))
     return g, ax, x * 1e-5 * thickness
 
