@@ -320,8 +320,8 @@ def _channel_projections(u_hat, u0_spinor) -> np.ndarray:
     The projector 1/2 (1 + s sigma.u_hat) is written out, 1/2 (1 +- s u_z)
     on the diagonal and 1/2 s (u_x -+ i u_y) off it, and applied to both
     channels at once in the operation order of a matmul, whose values it
-    reproduces bit for bit.  An axis without leading dimensions is
-    computed as a 1-element array (see _channels).
+    reproduces bit for bit.  A bare (3,) axis is computed as a 1-element
+    array: numpy rounds 0-d complex products differently.
     """
     ux, uy, uz = u_hat.reshape(-1, 3).T
     iuy = 1j * uy
