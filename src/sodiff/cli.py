@@ -124,6 +124,11 @@ def parse_config(text: str) -> RunConfig:
         if mode not in _ANALYSIS_MODES:
             raise ConfigError(f"analysis mode must be one of "
                               f"{sorted(_ANALYSIS_MODES)}, got {mode!r}")
+        # the <L_z> oracle's half-resolution check needs every second
+        # azimuth to span the circle evenly
+        if mode in ("oam", "interference") and _get_int(blk, "n_phi", 256) % 2:
+            raise ConfigError(f"key 'n_phi': expected an even number, got "
+                              f"{blk['n_phi']}")
     return RunConfig(crystal=sections["crystal"], geometry=sections["geometry"],
                      scan=sections["scan"], analyses=analyses,
                      output=sections["output"], text=text)
@@ -332,20 +337,19 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
     grid = _grid(blk, ctx)
     summary = {}
     for beam in beams:
-        fields = {}
-        for what in (["interference"] if interference else comps):
-            fields[what] = oam_mod.field_from_grid(
-                grid, beam, what, n_r=n_r, n_phi=n_phi, r_max=r_max,
-                center=(ctx["center"], 0.0), physical_only=physical_only)
         cols = {}
         stats = {}
-        for label, f in fields.items():
+        for what in (["interference"] if interference else comps):
+            f = oam_mod.field_from_grid(
+                grid, beam, what, n_r=n_r, n_phi=n_phi, r_max=r_max,
+                center=(ctx["center"], 0.0), physical_only=physical_only)
             dist = oam_mod.oam_distribution(f, L=L)
             cols["ell"] = dist.ells
-            cols[f"p_{label.replace('-', '_')}"] = dist.p
-            stats[label] = {"mean": dist.mean, "residual": dist.residual,
-                            "oracle_Lz": oam_mod.oracle_Lz(f),
-                            "coverage": f.coverage}
+            cols[f"p_{what.replace('-', '_')}"] = dist.p
+            stats[what] = {"mean": dist.mean, "residual": dist.residual,
+                           "oracle_Lz": oam_mod.oracle_Lz(f),
+                           "coverage": f.coverage}
+            del f  # one polar field at a time: dropped before the next
         writer.csv(f"{tag}_{beam}.csv", cols)
         summary[beam] = stats
     return summary
@@ -445,11 +449,14 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
     u0 = np.array([1.0, 1.0]) / np.sqrt(2.0)  # spin along the beam
 
     cache: dict = {}
+    build_s: list = []  # the lazy grid builds of the current analysis
 
     def grid(ensemble):
         if ensemble not in cache:
             scan = wave.coherence_scan if ensemble else wave.grid_scan
+            t0 = time.perf_counter()
             cache[ensemble] = scan(geom, crys, u0, theta, rho)
+            build_s.append(time.perf_counter() - t0)
         return cache[ensemble]
 
     ctx = {"crystal": crys, "geometry": geom, "center": center, "grid": grid}
@@ -457,11 +464,14 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
     for i, blk in enumerate(cfg.analyses, start=1):
         mode = blk["mode"]
         tag = f"run{i}_{mode}"
+        build_s.clear()
         t0 = time.perf_counter()
         summary = _ANALYSIS_DISPATCH[mode](blk, ctx, writer, tag)
-        dt = time.perf_counter() - t0
+        dt = time.perf_counter() - t0 - sum(build_s)
+        build = f"  build {sum(build_s):.2f}s" if build_s else ""
         keys = _summary_scalars(summary)
-        print(f"[{tag}] grid {theta.size}x{rho.size}  wall {dt:.2f}s  {keys}")
+        print(f"[{tag}] grid {theta.size}x{rho.size}{build}  wall {dt:.2f}s  "
+              f"{keys}")
     if fmt == "binary":
         path = out_dir / "wavegrid.sgrid"
         wave.write_binary(grid(False), path)

@@ -7,6 +7,12 @@ mode distribution p[l] = 2 pi integral |psi_l|^2 r dr normalised by the
 total intensity.  An independent finite-difference estimator of <L_z>
 cross-checks the whole decomposition path.
 
+Memory: to_polar resamples, and total_intensity, oam_distribution and
+oracle_Lz reduce, in blocks of whole radial rows of at most
+_POLAR_BLOCK_NODES nodes (one row when a row is wider).  Besides the polar
+field itself (n_r x n_phi x 16 B) an analysis holds only a few blocks; the
+reductions give the bits of their whole-grid forms.
+
 Azimuth handedness: field_from_grid takes phi right-handed about the
 reciprocal lattice vector H.  Where H has a negative component along the
 beam this mirrors the lab k_z axis, i.e. phi = atan2(-k_z, k_y).
@@ -23,7 +29,7 @@ from .wavefield import WaveGrid
 
 log = logging.getLogger(__name__)
 
-_POLAR_BLOCK_NODES = 1 << 16  # polar nodes resampled at a time by to_polar
+_POLAR_BLOCK_NODES = 1 << 16  # polar nodes resampled or reduced at a time
 
 
 class OamError(ValueError):
@@ -49,7 +55,7 @@ class AzimuthalField:
     def total_intensity(self) -> float:
         """integral |psi|^2 r dr dphi on the polar grid."""
         dphi = 2.0 * np.pi / self.n_phi
-        dens = np.sum(np.abs(self.values) ** 2, axis=1) * dphi
+        dens = _row_intensity(self.values) * dphi
         return float(np.trapezoid(dens * self.r, self.r))
 
 
@@ -77,6 +83,9 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
     kz = np.asarray(kz_axis, float)
     if values.shape != (ky.size, kz.size):
         raise OamError("field shape does not match axes")
+    if ky.size < 2 or kz.size < 2:
+        raise OamError("polar resampling needs at least 2 points on each "
+                       f"axis, got {ky.size} x {kz.size}")
     if handedness not in (+1, -1):
         raise OamError("handedness must be +1 or -1")
     cy, cz = center
@@ -100,8 +109,8 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
             values, ky, kz, cy + rb * cos_phi, cz + handedness * rb * sin_phi)
         covered += int(np.count_nonzero(inside))
 
-    dky = ky[1] - ky[0] if ky.size > 1 else 1.0
-    dkz = kz[1] - kz[0] if kz.size > 1 else 1.0
+    dky = ky[1] - ky[0]
+    dkz = kz[1] - kz[0]
     rr = np.hypot((ky[:, None] - cy), (kz[None, :] - cz))
     disk = rr <= r_max
     src = float(np.sum(np.abs(values[disk]) ** 2) * dky * dkz)
@@ -167,13 +176,50 @@ def field_from_grid(grid: WaveGrid, beam: str, what: str,
 
 
 # ---------------------------------------------------------------------------
-# Azimuthal Fourier transform and mode distribution
+# Azimuthal Fourier transform, mode distribution and <L_z> oracle, reduced
+# in blocks of radial rows
 # ---------------------------------------------------------------------------
 
-def _aft_all(field: AzimuthalField) -> np.ndarray:
-    """All DFT modes at once, shape (n_r, n_phi), bin k holding mode
-    fftfreq-style integers."""
-    return np.fft.fft(field.values, axis=1) / field.n_phi
+def _row_blocks(shape):
+    """Slices of whole rows of a (n_r, n_phi) grid, at most
+    _POLAR_BLOCK_NODES nodes each, or one row when a row is wider."""
+    n_r, n_phi = shape
+    rows = max(1, _POLAR_BLOCK_NODES // n_phi)
+    return [slice(i0, i0 + rows) for i0 in range(0, n_r, rows)]
+
+
+def _row_intensity(values) -> np.ndarray:
+    """sum over phi of |psi|^2 for each radial row."""
+    out = np.empty(values.shape[0])
+    for rows in _row_blocks(values.shape):
+        out[rows] = np.sum(np.abs(values[rows]) ** 2, axis=1)
+    return out
+
+
+def _aft_all(field: AzimuthalField, rows=slice(None)) -> np.ndarray:
+    """All DFT modes of the radial rows `rows`, shape (rows, n_phi), bin k
+    holding mode fftfreq-style integers."""
+    return np.fft.fft(field.values[rows], axis=1) / field.n_phi
+
+
+def _mode_power(field: AzimuthalField) -> np.ndarray:
+    """2 pi * integral |psi_l|^2 r dr for every DFT bin, bin l % n_phi
+    holding mode l.
+
+    The modes of one block of rows exist at a time.  The trapezoid over r
+    adds its terms d_k (y_{k+1} + y_k) / 2 row by row from the first, the
+    order in which np.trapezoid sums over the leading axis, so the power
+    has the bits of the whole-grid form."""
+    r, dr = field.r, np.diff(field.r)
+    power, prev = np.zeros(field.n_phi), None
+    for rows in _row_blocks(field.values.shape):
+        y = np.abs(_aft_all(field, rows)) ** 2 * r[rows, None]
+        for k, row in enumerate(y, start=rows.start):
+            if k:
+                term = dr[k - 1] * (row + prev) / 2.0
+                power = term if k == 1 else np.add(power, term, out=power)
+            prev = row
+    return 2.0 * np.pi * power
 
 
 def oam_distribution(field: AzimuthalField, L: int = 32) -> OamDistribution:
@@ -183,10 +229,7 @@ def oam_distribution(field: AzimuthalField, L: int = 32) -> OamDistribution:
     total = field.total_intensity()
     if total <= 0.0:
         raise OamError("zero total intensity")
-    modes = _aft_all(field)
-    # 2 pi * integral |psi_l|^2 r dr, DFT bin l % n_phi holding mode l
-    power = 2.0 * np.pi * np.trapezoid(
-        np.abs(modes) ** 2 * field.r[:, None], field.r, axis=0)
+    power = _mode_power(field)
     ells = np.arange(-L, L + 1)
     p = power[ells % field.n_phi] / total
     residual = float(power.sum() / total - p.sum())
@@ -199,10 +242,13 @@ def oracle_Lz(field: AzimuthalField) -> float:
     """<L_z> in hbar by central differences of the azimuthal derivative.
 
     Completely independent of the Fourier path: <psi| -i d/dphi |psi> over
-    <psi|psi> with periodic wraparound.  A half-resolution re-estimate
-    that moves by more than 1e-3 relatively logs an 'under-resolved'
-    warning.
+    <psi|psi> with periodic wraparound.  A half-resolution re-estimate on
+    every second azimuth that moves by more than 1e-3 relatively logs an
+    'under-resolved' warning.  n_phi must be even: for odd n_phi the half
+    grid wraps with a one-step gap, which biases the re-estimate.
     """
+    if field.n_phi % 2:
+        raise OamError(f"oracle_Lz needs an even n_phi, got {field.n_phi}")
     val = _lz_estimate(field.values, field.r, field.phi)
     half = _lz_estimate(field.values[:, ::2], field.r, field.phi[::2])
     denom = max(abs(val), 1e-30)
@@ -214,14 +260,17 @@ def oracle_Lz(field: AzimuthalField) -> float:
 
 def _lz_estimate(values, r, phi):
     dphi = phi[1] - phi[0]
-    # periodic central difference psi[j+1] - psi[j-1], without roll copies
-    dpsi = np.empty_like(values)
-    np.subtract(values[:, 2:], values[:, :-2], out=dpsi[:, 1:-1])
-    np.subtract(values[:, 1], values[:, -1], out=dpsi[:, 0])
-    np.subtract(values[:, 0], values[:, -2], out=dpsi[:, -1])
-    dpsi /= 2 * dphi
-    num = np.sum(np.conj(values) * (-1j) * dpsi, axis=1)
-    den = np.sum(np.abs(values) ** 2, axis=1)
+    num = np.empty(values.shape[0], complex)
+    for rows in _row_blocks(values.shape):
+        v = values[rows]
+        # periodic central difference psi[j+1] - psi[j-1], without roll copies
+        dpsi = np.empty_like(v)
+        np.subtract(v[:, 2:], v[:, :-2], out=dpsi[:, 1:-1])
+        np.subtract(v[:, 1], v[:, -1], out=dpsi[:, 0])
+        np.subtract(v[:, 0], v[:, -2], out=dpsi[:, -1])
+        dpsi /= 2 * dphi
+        num[rows] = np.sum(np.conj(v) * (-1j) * dpsi, axis=1)
+    den = _row_intensity(values)
     num_r = np.trapezoid(num * r, r)
     den_r = np.trapezoid(den * r, r)
     if den_r == 0:

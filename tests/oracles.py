@@ -216,6 +216,39 @@ def lz_estimate_roll(values, r, phi):
     return float(np.real(np.trapezoid(num * r, r) / np.trapezoid(den * r, r)))
 
 
+def lz_estimate_whole(values, r, phi):
+    """<L_z> by periodic central differences over the whole polar grid at
+    once (slice-wise differences, one conjugate product of the full grid)."""
+    dphi = phi[1] - phi[0]
+    dpsi = np.empty_like(values)
+    np.subtract(values[:, 2:], values[:, :-2], out=dpsi[:, 1:-1])
+    np.subtract(values[:, 1], values[:, -1], out=dpsi[:, 0])
+    np.subtract(values[:, 0], values[:, -2], out=dpsi[:, -1])
+    dpsi /= 2 * dphi
+    num = np.sum(np.conj(values) * (-1j) * dpsi, axis=1)
+    den = np.sum(np.abs(values) ** 2, axis=1)
+    num_r = np.trapezoid(num * r, r)
+    den_r = np.trapezoid(den * r, r)
+    return float(np.real(num_r / den_r))
+
+
+def total_intensity_whole(field):
+    """integral |psi|^2 r dr dphi of an oam.AzimuthalField, over the whole
+    polar grid at once."""
+    dphi = 2.0 * np.pi / field.n_phi
+    dens = np.sum(np.abs(field.values) ** 2, axis=1) * dphi
+    return float(np.trapezoid(dens * field.r, field.r))
+
+
+def mode_power_whole(field):
+    """2 pi * integral |psi_l|^2 r dr of every DFT bin of an
+    oam.AzimuthalField: one FFT of the whole polar grid and np.trapezoid
+    over r."""
+    modes = np.fft.fft(field.values, axis=1) / field.n_phi
+    return 2.0 * np.pi * np.trapezoid(
+        np.abs(modes) ** 2 * field.r[:, None], field.r, axis=0)
+
+
 def schwinger_axis_cross(K, H):
     """(u_hat, w) of the spin-orbit term by np.cross and np.linalg.norm."""
     K = np.asarray(K, float)

@@ -1,8 +1,10 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -402,3 +404,64 @@ def test_oam_warning_is_a_json_log_line(tmp_path, capsys):
         assert (line["log"], line["source"]) == ("warning", "sodiff.oam")
         assert line["detail"].startswith(
             "oracle_Lz: azimuthal grid under-resolved (delta ")
+
+
+@pytest.mark.parametrize("axis", ["theta_points", "rho_points"])
+def test_oam_one_point_axis_is_physics_error(tmp_path, capsys, axis):
+    """An OAM run on a grid with a one-point axis and an explicit r_max
+    exits with a JSON physics error, not an IndexError traceback."""
+    block = "[analysis]\nmode = oam\nbeams = transmitted\nr_max_deg = 0.2\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(backscattering_config("laue", block).replace(
+        f"{axis} = 9", f"{axis} = 1"))
+    code = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_PHYSICS
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "physics"
+    assert "at least 2 points on each axis" in err["detail"]
+
+
+@pytest.mark.parametrize("mode", ["oam", "interference"])
+def test_odd_n_phi_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
+                                            mode):
+    """An odd n_phi is a config error, raised before the grid of an
+    earlier analysis block is scanned."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the config was checked")
+
+    monkeypatch.setattr(wf, "grid_scan", no_scan)
+    blocks = ("[analysis]\nmode = polarization\nbeams = reflected\n\n"
+              f"[analysis]\nmode = {mode}\nbeams = transmitted\nn_phi = 255\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(backscattering_config("laue", blocks))
+    code = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config",
+                   "detail": "key 'n_phi': expected an even number, got 255"}
+
+
+def test_wall_excludes_grid_build(tmp_path, capsys, monkeypatch):
+    """The analysis line that triggers the lazy grid build prints the build
+    time as its own field, and its wall time leaves the build out; a later
+    analysis on the same grid prints no build field."""
+    scan = wf.grid_scan
+
+    def slow_scan(*args, **kwargs):
+        time.sleep(0.5)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "grid_scan", slow_scan)
+    block = "[analysis]\nmode = polarization\nbeams = reflected\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.replace(block, block + "\n" + block))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    pattern = re.compile(r"\[(\S+)\] grid 11x1(?:  build (\d+\.\d\d)s)?"
+                         r"  wall (\d+\.\d\d)s  reflected\.max_abs_Py=")
+    lines = [pattern.match(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(lines) and len(lines) == 2
+    (tag1, build1, wall1), (tag2, build2, wall2) = (m.groups() for m in lines)
+    assert (tag1, tag2) == ("run1_polarization", "run2_polarization")
+    assert float(build1) >= 0.5
+    assert float(wall1) < 0.5 and float(wall2) < 0.5
+    assert build2 is None

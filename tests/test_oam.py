@@ -1,12 +1,15 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import aft, bilinear_full_gather, lz_estimate_roll, numerical_Lz
-from sodiff import oam
+from oracles import (aft, bilinear_full_gather, lz_estimate_roll,
+                     lz_estimate_whole, mode_power_whole, numerical_Lz,
+                     total_intensity_whole)
+from sodiff import cli, oam
 from sodiff import wavefield as wf
 
 
@@ -316,6 +319,91 @@ def test_lz_estimate_equals_roll():
     phi = np.arange(64) * (2 * np.pi / 64)
     for v, p in ((values, phi), (values[:, ::2], phi[::2])):
         assert oam._lz_estimate(v, r, p) == lz_estimate_roll(v, r, p)
+
+
+def random_polar_field(dtype, n_r, n_phi, seed=9):
+    """AzimuthalField of random values with no symmetry, on r in [0, 2]."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n_r, n_phi)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=(n_r, n_phi))
+    return oam.AzimuthalField(values=values, r=np.linspace(0.0, 2.0, n_r),
+                              phi=np.arange(n_phi) * (2 * np.pi / n_phi),
+                              center=(0.0, 0.0), handedness=+1,
+                              source_intensity=0.0, coverage=1.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n_r, n_phi", [(40, 4096), (3, 1 << 17)])
+def test_reductions_blocks_equal_whole_grid(dtype, n_r, n_phi):
+    """Total intensity, mode power and the <L_z> estimate taken in blocks of
+    radial rows equal their whole-grid forms bit for bit: 40 rows of 4096
+    nodes in blocks of 16 (a short last block) and rows wider than a
+    block, on real and complex fields; <L_z> also on the half-resolution
+    view the oracle re-estimates on."""
+    f = random_polar_field(dtype, n_r, n_phi)
+    assert len(oam._row_blocks(f.values.shape)) == 3
+    assert f.total_intensity() == total_intensity_whole(f)
+    power = oam._mode_power(f)
+    assert np.array_equal(power, mode_power_whole(f))
+    d = oam.oam_distribution(f, L=16)
+    ells = np.arange(-16, 17)
+    assert np.array_equal(d.p, power[ells % n_phi] / total_intensity_whole(f))
+    for v, phi in ((f.values, f.phi), (f.values[:, ::2], f.phi[::2])):
+        assert oam._lz_estimate(v, f.r, phi) == lz_estimate_whole(v, f.r, phi)
+
+
+def test_oam_analysis_memory_bounded(tmp_path):
+    """The reductions of a 64 x 8192 field (8 blocks) allocate at most four
+    blocks of complex nodes beyond the field, and a two-component OAM
+    analysis of a 33^2 grid on 128 x 8192 polar nodes peaks below two
+    polar fields: one field is resampled and reduced at a time."""
+    f = random_polar_field(complex, 64, 8192)
+    tracemalloc.start()
+    try:
+        f.total_intensity()
+        oam.oam_distribution(f, L=16)
+        oam.oracle_Lz(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * oam._POLAR_BLOCK_NODES
+
+    cfg = cli.parse_config(f"""
+[crystal]
+builtin = quartz110
+[geometry]
+kind = bragg
+hkl = 1 1 0
+wavelength_A = 2.0
+thickness_mm = 0.3
+[scan]
+theta_points = 33
+theta_half_widths = 1
+rho_points = 33
+[analysis]
+mode = oam
+beams = transmitted
+n_r = 128
+n_phi = 8192
+[output]
+directory = {tmp_path}
+""")
+    tracemalloc.start()
+    try:
+        assert cli.run_config(cfg, tmp_path, tmp_path) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * 128 * 8192
+
+
+@pytest.mark.parametrize("n_phi", [255, 257])
+def test_oracle_rejects_odd_n_phi(n_phi):
+    """For odd n_phi every second azimuth wraps with a one-step gap, which
+    biases the half-resolution re-estimate, so oracle_Lz refuses it."""
+    with pytest.raises(oam.OamError, match="even n_phi"):
+        oam.oracle_Lz(polar_field(gauss_vortex(1), n_r=64, n_phi=n_phi))
 
 
 def test_polar_grid_wholly_outside_is_zero():
