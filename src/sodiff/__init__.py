@@ -45,6 +45,8 @@ from .wavefield import (
 from .oam import (
     AzimuthalField,
     OamDistribution,
+    analyse,
+    analyse_grid,
     field_from_grid,
     oam_distribution,
     oracle_Lz,

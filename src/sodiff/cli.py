@@ -124,11 +124,8 @@ def parse_config(text: str) -> RunConfig:
         if mode not in _ANALYSIS_MODES:
             raise ConfigError(f"analysis mode must be one of "
                               f"{sorted(_ANALYSIS_MODES)}, got {mode!r}")
-        # the <L_z> oracle's half-resolution check needs every second
-        # azimuth to span the circle evenly
-        if mode in ("oam", "interference") and _get_int(blk, "n_phi", 256) % 2:
-            raise ConfigError(f"key 'n_phi': expected an even number, got "
-                              f"{blk['n_phi']}")
+        if mode in ("oam", "interference"):
+            _oam_settings(blk)
     return RunConfig(crystal=sections["crystal"], geometry=sections["geometry"],
                      scan=sections["scan"], analyses=analyses,
                      output=sections["output"], text=text)
@@ -323,14 +320,32 @@ def _analysis_polarization_map(blk, ctx, writer, tag):
     return summary
 
 
+def _oam_settings(blk):
+    """(truncation_L, n_phi, n_r) of an oam or interference block, checked
+    when the config is parsed, before any scan."""
+    L = _get_int(blk, "truncation_L", 32)
+    n_phi = _get_int(blk, "n_phi", 256)
+    n_r = _get_int(blk, "n_r", 128)
+    # the <L_z> oracle's half-resolution check needs every second
+    # azimuth to span the circle evenly
+    if n_phi % 2:
+        raise ConfigError(f"key 'n_phi': expected an even number, got "
+                          f"{blk['n_phi']}")
+    # one radial node has no trapezoid weight, so no intensity
+    if n_r < 2:
+        raise ConfigError(f"key 'n_r': expected at least 2, got {n_r}")
+    if not 0 <= L <= n_phi // 2 - 1:
+        raise ConfigError(f"key 'truncation_L': expected 0 to n_phi/2 - 1 "
+                          f"= {n_phi // 2 - 1} (below Nyquist), got {L}")
+    return L, n_phi, n_r
+
+
 def _analysis_oam(blk, ctx, writer, tag, interference: bool):
     beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
                         (wave.TRANSMITTED,))
     comps = _parse_list(blk, "components", ("flipped", "non-flipped"),
                         ("flipped", "non-flipped"))
-    L = _get_int(blk, "truncation_L", 32)
-    n_phi = _get_int(blk, "n_phi", 256)
-    n_r = _get_int(blk, "n_r", 128)
+    L, n_phi, n_r = _oam_settings(blk)
     r_max = (_get_float(blk, "r_max_deg") * DEG_TO_RAD
              if "r_max_deg" in blk else None)
     physical_only = _get_bool(blk, "physical_only", True)
@@ -340,16 +355,14 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
         cols = {}
         stats = {}
         for what in (["interference"] if interference else comps):
-            f = oam_mod.field_from_grid(
-                grid, beam, what, n_r=n_r, n_phi=n_phi, r_max=r_max,
+            # one pass over blocks of polar rows: no polar field is held
+            dist, lz, coverage = oam_mod.analyse_grid(
+                grid, beam, what, L=L, n_r=n_r, n_phi=n_phi, r_max=r_max,
                 center=(ctx["center"], 0.0), physical_only=physical_only)
-            dist = oam_mod.oam_distribution(f, L=L)
             cols["ell"] = dist.ells
             cols[f"p_{what.replace('-', '_')}"] = dist.p
             stats[what] = {"mean": dist.mean, "residual": dist.residual,
-                           "oracle_Lz": oam_mod.oracle_Lz(f),
-                           "coverage": f.coverage}
-            del f  # one polar field at a time: dropped before the next
+                           "oracle_Lz": lz, "coverage": coverage}
         writer.csv(f"{tag}_{beam}.csv", cols)
         summary[beam] = stats
     return summary

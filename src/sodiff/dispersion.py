@@ -415,8 +415,9 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     # sum over the channels, from +0.0 as an accumulator would start
     psi0, psiH = (0.0 + f[0] + f[1] for f in (t[..., None] * ch["amp0"],
                                               r[..., None] * ch["amp0"]))
-    T = (np.abs(psi0) ** 2).sum(-1)
-    R = (np.abs(psiH) ** 2).sum(-1) * np.abs(ch["gH"]) / ch["g0"]
+    a0, aH = np.abs(psi0) ** 2, np.abs(psiH) ** 2
+    T = a0[..., 0] + a0[..., 1]
+    R = (aH[..., 0] + aH[..., 1]) * np.abs(ch["gH"]) / ch["g0"]
 
     # (branch, channel, ...) -> (..., channel, branch), as views
     point_major = tuple(range(2, ch["y"].ndim)) + (1, 0)
@@ -541,8 +542,8 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
         m[..., 1, 0] = np.conj(m[..., 0, 1])
         m[..., (0, 1), (0, 1)] = m[..., (0, 1), (0, 1)].real
 
-    T = np.real(np.trace(rho0, axis1=-2, axis2=-1))
-    R = (np.real(np.trace(rhoH, axis1=-2, axis2=-1))
+    T = rho0[..., 0, 0].real + rho0[..., 1, 1].real
+    R = ((rhoH[..., 0, 0].real + rhoH[..., 1, 1].real)
          * np.abs(ch["gH"]) / ch["g0"])
     return _point(ch, {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T,
                        "g0": ch["g0"]})

@@ -7,11 +7,15 @@ mode distribution p[l] = 2 pi integral |psi_l|^2 r dr normalised by the
 total intensity.  An independent finite-difference estimator of <L_z>
 cross-checks the whole decomposition path.
 
-Memory: to_polar resamples, and total_intensity, oam_distribution and
-oracle_Lz reduce, in blocks of whole radial rows of at most
-_POLAR_BLOCK_NODES nodes (one row when a row is wider).  Besides the polar
-field itself (n_r x n_phi x 16 B) an analysis holds only a few blocks; the
-reductions give the bits of their whole-grid forms.
+Memory: the polar nodes are resampled, and reduced, in blocks of whole
+radial rows of at most _POLAR_BLOCK_NODES nodes (one row when a row is
+wider).  One reducer, _RowSums, takes the blocks in row order and keeps
+per-row sums and the mode power, O(n_r + n_phi) numbers.  analyse and
+analyse_grid feed it blocks resampled straight from the Cartesian field,
+so they hold that field plus a few blocks and never the polar field;
+to_polar stores the blocks in an AzimuthalField (n_r x n_phi x 16 B), and
+total_intensity, oam_distribution and oracle_Lz feed the reducer from it.
+Both give the bits of the whole-grid forms.
 
 Azimuth handedness: field_from_grid takes phi right-handed about the
 reciprocal lattice vector H.  Where H has a negative component along the
@@ -54,9 +58,7 @@ class AzimuthalField:
 
     def total_intensity(self) -> float:
         """integral |psi|^2 r dr dphi on the polar grid."""
-        dphi = 2.0 * np.pi / self.n_phi
-        dens = _row_intensity(self.values) * dphi
-        return float(np.trapezoid(dens * self.r, self.r))
+        return _reduce(self).total()
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,38 @@ class OamDistribution:
     total_intensity: float
 
 
-def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
-             n_phi: int = 256, r_max: float | None = None,
-             handedness: int = +1) -> AzimuthalField:
-    """Bilinear resampling of a Cartesian transverse field to polar nodes.
+# ---------------------------------------------------------------------------
+# Polar resampling
+# ---------------------------------------------------------------------------
 
-    Nodes falling outside the Cartesian domain are zero (the field is taken
-    to vanish beyond the computed window, which is the physical statement
-    that the crystal only diffracts within the rocking width and the beam
-    only illuminates within its divergence).
-    """
+@dataclass(frozen=True)
+class _PolarNodes:
+    """A Cartesian field and the polar nodes it is resampled on."""
+
+    values: np.ndarray
+    ky: np.ndarray
+    kz: np.ndarray
+    center: tuple[float, float]
+    r_max: float
+    r: np.ndarray
+    phi: np.ndarray
+    handedness: int
+
+    def blocks(self):
+        """(rows, resampled values, nodes inside the axes' span) of each
+        block of radial rows, in row order."""
+        cy, cz = self.center
+        cos_phi, sin_phi = np.cos(self.phi)[None, :], np.sin(self.phi)[None, :]
+        for rows in _row_blocks((self.r.size, self.phi.size)):
+            rb = self.r[rows, None]
+            block, inside = _bilinear(self.values, self.ky, self.kz,
+                                      cy + rb * cos_phi,
+                                      cz + self.handedness * rb * sin_phi)
+            yield rows, block, int(np.count_nonzero(inside))
+
+
+def _polar_nodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
+                 handedness) -> _PolarNodes:
     values = np.asarray(values)
     ky = np.asarray(ky_axis, float)
     kz = np.asarray(kz_axis, float)
@@ -93,31 +117,41 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
         r_max = min(ky[-1] - cy, cy - ky[0], kz[-1] - cz, cz - kz[0])
         if r_max <= 0:
             raise OamError("center lies outside the grid")
-    r = np.linspace(0.0, r_max, n_r)
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    cos_phi, sin_phi = np.cos(phi)[None, :], np.sin(phi)[None, :]
-    # Resampled in blocks of radial rows, so that the node coordinates and
-    # the gather's temporaries stay small.  Temporaries over the whole
-    # polar grid (fig3: 16 MB each) made the peak RSS vary from run to run
-    # with the memory the allocator had kept of earlier ones.
-    out = np.empty((n_r, n_phi), np.result_type(values, float))
+    return _PolarNodes(values=values, ky=ky, kz=kz, center=(cy, cz),
+                       r_max=r_max, r=np.linspace(0.0, r_max, n_r),
+                       phi=np.arange(n_phi) * (2.0 * np.pi / n_phi),
+                       handedness=handedness)
+
+
+def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
+             n_phi: int = 256, r_max: float | None = None,
+             handedness: int = +1) -> AzimuthalField:
+    """Bilinear resampling of a Cartesian transverse field to polar nodes.
+
+    Nodes falling outside the Cartesian domain are zero (the field is taken
+    to vanish beyond the computed window, which is the physical statement
+    that the crystal only diffracts within the rocking width and the beam
+    only illuminates within its divergence).  The nodes are resampled one
+    block of radial rows at a time into the stored field, which is the only
+    array over all of them; analyse gives the distribution and <L_z> of the
+    same nodes without storing it.
+    """
+    nodes = _polar_nodes(values, ky_axis, kz_axis, center, n_r, n_phi,
+                         r_max, handedness)
+    out = np.empty((nodes.r.size, n_phi), np.result_type(nodes.values, float))
     covered = 0
-    rows = max(1, _POLAR_BLOCK_NODES // n_phi)
-    for i0 in range(0, n_r, rows):
-        rb = r[i0:i0 + rows, None]
-        out[i0:i0 + rows], inside = _bilinear(
-            values, ky, kz, cy + rb * cos_phi, cz + handedness * rb * sin_phi)
-        covered += int(np.count_nonzero(inside))
+    for rows, block, inside in nodes.blocks():
+        out[rows] = block
+        covered += inside
 
-    dky = ky[1] - ky[0]
-    dkz = kz[1] - kz[0]
+    (cy, cz), ky, kz = nodes.center, nodes.ky, nodes.kz
     rr = np.hypot((ky[:, None] - cy), (kz[None, :] - cz))
-    disk = rr <= r_max
-    src = float(np.sum(np.abs(values[disk]) ** 2) * dky * dkz)
-
-    return AzimuthalField(values=out, r=r, phi=phi, center=(cy, cz),
-                          handedness=handedness, source_intensity=src,
-                          coverage=covered / out.size)
+    disk = rr <= nodes.r_max
+    src = float(np.sum(np.abs(nodes.values[disk]) ** 2)
+                * (ky[1] - ky[0]) * (kz[1] - kz[0]))
+    return AzimuthalField(values=out, r=nodes.r, phi=nodes.phi,
+                          center=nodes.center, handedness=handedness,
+                          source_intensity=src, coverage=covered / out.size)
 
 
 def _bilinear(values, x_axis, y_axis, X, Y):
@@ -147,6 +181,22 @@ def _bilinear(values, x_axis, y_axis, X, Y):
     return out, inside
 
 
+def _grid_field(grid: WaveGrid, beam: str, what: str, center, r_max,
+                physical_only: bool) -> dict:
+    """The Cartesian spin field of an exit beam and its axes, center,
+    r_max and handedness in 1/A, as to_polar and analyse take them."""
+    if what not in ("interference", "flipped", "non-flipped"):
+        raise OamError("what must be 'interference', 'flipped' or 'non-flipped'")
+    vals = grid.spin_field(beam, what)
+    if physical_only:
+        vals = np.where(grid.physical, vals, 0.0)
+    k = grid.geometry.k_mag
+    return {"values": vals, "ky_axis": k * grid.theta, "kz_axis": k * grid.rho,
+            "center": (k * center[0], k * center[1]),
+            "r_max": None if r_max is None else k * r_max,
+            "handedness": +1 if grid.geometry.H[0] >= 0.0 else -1}
+
+
 def field_from_grid(grid: WaveGrid, beam: str, what: str,
                     center=(0.0, 0.0), n_r: int = 128,
                     n_phi: int = 256, r_max: float | None = None,
@@ -161,18 +211,42 @@ def field_from_grid(grid: WaveGrid, beam: str, what: str,
     zeroes the half-plane where the beam cannot enter the crystal (grazing
     backscattering geometries); analysis then covers the reachable lobe
     only.  center is in (theta, rho) radians; the radial axis comes out in
-    1/A.  The azimuth is right-handed about H.
+    1/A.  The azimuth is right-handed about H.  The stored polar field
+    (n_r x n_phi) is the one array over all nodes; analyse_grid reduces
+    the same nodes without it.
     """
-    if what not in ("interference", "flipped", "non-flipped"):
-        raise OamError("what must be 'interference', 'flipped' or 'non-flipped'")
-    vals = grid.spin_field(beam, what)
-    if physical_only:
-        vals = np.where(grid.physical, vals, 0.0)
-    k = grid.geometry.k_mag
-    return to_polar(vals, k * grid.theta, k * grid.rho,
-                    center=(k * center[0], k * center[1]), n_r=n_r,
-                    n_phi=n_phi, r_max=None if r_max is None else k * r_max,
-                    handedness=+1 if grid.geometry.H[0] >= 0.0 else -1)
+    return to_polar(n_r=n_r, n_phi=n_phi, **_grid_field(
+        grid, beam, what, center, r_max, physical_only))
+
+
+def analyse(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
+            n_phi: int = 256, r_max: float | None = None,
+            handedness: int = +1, L: int = 32):
+    """(oam_distribution(field, L), oracle_Lz(field), field.coverage) of
+    field = to_polar(values, ky_axis, kz_axis, ...), bit for bit, in one
+    pass that never holds the polar field: each block of radial rows is
+    resampled, reduced and dropped before the next."""
+    nodes = _polar_nodes(values, ky_axis, kz_axis, center, n_r, n_phi,
+                         r_max, handedness)
+    _check_truncation(L, n_phi)
+    _check_even(n_phi)
+    sums = _RowSums(nodes.r, n_phi)
+    covered = 0
+    for rows, block, inside in nodes.blocks():
+        sums.add(rows, block)
+        covered += inside
+    return (sums.distribution(L), sums.oracle(),
+            covered / (nodes.r.size * n_phi))
+
+
+def analyse_grid(grid: WaveGrid, beam: str, what: str, L: int = 32,
+                 center=(0.0, 0.0), n_r: int = 128, n_phi: int = 256,
+                 r_max: float | None = None, physical_only: bool = False):
+    """analyse of the spin field that field_from_grid resamples, with the
+    same arguments: the mode distribution, oracle <L_z> and coverage of
+    one component, holding the Cartesian field and a few blocks."""
+    return analyse(n_r=n_r, n_phi=n_phi, L=L, **_grid_field(
+        grid, beam, what, center, r_max, physical_only))
 
 
 # ---------------------------------------------------------------------------
@@ -188,54 +262,121 @@ def _row_blocks(shape):
     return [slice(i0, i0 + rows) for i0 in range(0, n_r, rows)]
 
 
-def _row_intensity(values) -> np.ndarray:
-    """sum over phi of |psi|^2 for each radial row."""
-    out = np.empty(values.shape[0])
-    for rows in _row_blocks(values.shape):
-        out[rows] = np.sum(np.abs(values[rows]) ** 2, axis=1)
-    return out
+def _modes(values) -> np.ndarray:
+    """All DFT modes of each row of a block, bin k holding mode
+    fftfreq-style integers."""
+    return np.fft.fft(values, axis=1) / values.shape[1]
 
 
-def _aft_all(field: AzimuthalField, rows=slice(None)) -> np.ndarray:
-    """All DFT modes of the radial rows `rows`, shape (rows, n_phi), bin k
-    holding mode fftfreq-style integers."""
-    return np.fft.fft(field.values[rows], axis=1) / field.n_phi
+def _lz_rows(values, dphi) -> np.ndarray:
+    """sum over phi of conj(psi) (-i dpsi/dphi) for each row, by periodic
+    central differences psi[j+1] - psi[j-1] (no roll copies)."""
+    n = values.shape[1]
+    dpsi = np.empty_like(values)
+    np.subtract(values[:, 2:], values[:, :-2], out=dpsi[:, 1:-1])
+    np.subtract(values[:, 1 % n], values[:, -1], out=dpsi[:, 0])
+    np.subtract(values[:, 0], values[:, -2 % n], out=dpsi[:, -1])
+    dpsi /= 2 * dphi
+    return np.sum(np.conj(values) * (-1j) * dpsi, axis=1)
 
 
-def _mode_power(field: AzimuthalField) -> np.ndarray:
-    """2 pi * integral |psi_l|^2 r dr for every DFT bin, bin l % n_phi
-    holding mode l.
+class _RowSums:
+    """The reductions of a polar field on radial axis r, fed one block of
+    whole radial rows at a time in row order (add).
 
-    The modes of one block of rows exist at a time.  The trapezoid over r
-    adds its terms d_k (y_{k+1} + y_k) / 2 row by row from the first, the
-    order in which np.trapezoid sums over the leading axis, so the power
-    has the bits of the whole-grid form."""
-    r, dr = field.r, np.diff(field.r)
-    power, prev = np.zeros(field.n_phi), None
-    for rows in _row_blocks(field.values.shape):
-        y = np.abs(_aft_all(field, rows)) ** 2 * r[rows, None]
+    Kept per radial row, at full and at half azimuthal resolution (every
+    second azimuth, for the oracle's re-estimate): the intensity sum over
+    phi of |psi|^2 and the <L_z> numerator.  The mode power 2 pi integral
+    |psi_l|^2 r dr of every DFT bin is accumulated from each block's FFT:
+    the trapezoid over r adds its terms d_k (y_{k+1} + y_k) / 2 row by row
+    from the first, the order in which np.trapezoid sums over the leading
+    axis.  So every result has the bits of the whole-grid form.
+    """
+
+    def __init__(self, r, n_phi: int):
+        self.r, self.n_phi = r, n_phi
+        self.dphi = 2.0 * np.pi / n_phi
+        self.intensity = np.empty((2, r.size))    # [full, half] resolution
+        self.lz_num = np.empty((2, r.size), complex)
+        self._dr = np.diff(r)
+        self._power = np.zeros(n_phi)
+        self._prev = None   # the last row's |psi_l|^2 r
+
+    def add(self, rows: slice, block):
+        for res, (v, dphi) in enumerate(((block, self.dphi),
+                                         (block[:, ::2], 2 * self.dphi))):
+            self.intensity[res, rows] = np.sum(np.abs(v) ** 2, axis=1)
+            self.lz_num[res, rows] = _lz_rows(v, dphi)
+        y = np.abs(_modes(block)) ** 2 * self.r[rows, None]
         for k, row in enumerate(y, start=rows.start):
             if k:
-                term = dr[k - 1] * (row + prev) / 2.0
-                power = term if k == 1 else np.add(power, term, out=power)
-            prev = row
-    return 2.0 * np.pi * power
+                term = self._dr[k - 1] * (row + self._prev) / 2.0
+                self._power = term if k == 1 else np.add(
+                    self._power, term, out=self._power)
+            self._prev = row
+
+    def total(self) -> float:
+        """integral |psi|^2 r dr dphi."""
+        dens = self.intensity[0] * self.dphi
+        return float(np.trapezoid(dens * self.r, self.r))
+
+    def mode_power(self) -> np.ndarray:
+        """2 pi * integral |psi_l|^2 r dr for every DFT bin, bin l % n_phi
+        holding mode l."""
+        return 2.0 * np.pi * self._power
+
+    def distribution(self, L: int) -> OamDistribution:
+        total = self.total()
+        if total <= 0.0:
+            raise OamError("zero total intensity")
+        power = self.mode_power()
+        ells = np.arange(-L, L + 1)
+        p = power[ells % self.n_phi] / total
+        residual = float(power.sum() / total - p.sum())
+        mean = float(np.sum(ells * p) / np.sum(p)) if p.sum() > 0 else 0.0
+        return OamDistribution(ells=ells, p=p, residual=residual, mean=mean,
+                               total_intensity=total)
+
+    def lz(self, half: bool = False) -> float:
+        """<L_z> estimate at full or half azimuthal resolution."""
+        num_r = np.trapezoid(self.lz_num[int(half)] * self.r, self.r)
+        den_r = np.trapezoid(self.intensity[int(half)] * self.r, self.r)
+        if den_r == 0:
+            raise OamError("zero intensity")
+        return float(np.real(num_r / den_r))
+
+    def oracle(self) -> float:
+        val = self.lz()
+        half = self.lz(half=True)
+        denom = max(abs(val), 1e-30)
+        if abs(val - half) / denom > 1e-3:
+            log.warning("oracle_Lz: azimuthal grid under-resolved (delta %.2e)",
+                        abs(val - half) / denom)
+        return val
+
+
+def _reduce(field: AzimuthalField) -> _RowSums:
+    """The reductions of a stored polar field, fed block by block."""
+    sums = _RowSums(field.r, field.n_phi)
+    for rows in _row_blocks(field.values.shape):
+        sums.add(rows, field.values[rows])
+    return sums
+
+
+def _check_truncation(L: int, n_phi: int):
+    if L > n_phi // 2 - 1:
+        raise OamError("truncation beyond Nyquist")
+
+
+def _check_even(n_phi: int):
+    if n_phi % 2:
+        raise OamError(f"oracle_Lz needs an even n_phi, got {n_phi}")
 
 
 def oam_distribution(field: AzimuthalField, L: int = 32) -> OamDistribution:
     """Mode probabilities p[l] for |l| <= L, residual reported separately."""
-    if L > field.n_phi // 2 - 1:
-        raise OamError("truncation beyond Nyquist")
-    total = field.total_intensity()
-    if total <= 0.0:
-        raise OamError("zero total intensity")
-    power = _mode_power(field)
-    ells = np.arange(-L, L + 1)
-    p = power[ells % field.n_phi] / total
-    residual = float(power.sum() / total - p.sum())
-    mean = float(np.sum(ells * p) / np.sum(p)) if p.sum() > 0 else 0.0
-    return OamDistribution(ells=ells, p=p, residual=residual, mean=mean,
-                           total_intensity=total)
+    _check_truncation(L, field.n_phi)
+    return _reduce(field).distribution(L)
 
 
 def oracle_Lz(field: AzimuthalField) -> float:
@@ -247,32 +388,5 @@ def oracle_Lz(field: AzimuthalField) -> float:
     'under-resolved' warning.  n_phi must be even: for odd n_phi the half
     grid wraps with a one-step gap, which biases the re-estimate.
     """
-    if field.n_phi % 2:
-        raise OamError(f"oracle_Lz needs an even n_phi, got {field.n_phi}")
-    val = _lz_estimate(field.values, field.r, field.phi)
-    half = _lz_estimate(field.values[:, ::2], field.r, field.phi[::2])
-    denom = max(abs(val), 1e-30)
-    if abs(val - half) / denom > 1e-3:
-        log.warning("oracle_Lz: azimuthal grid under-resolved (delta %.2e)",
-                    abs(val - half) / denom)
-    return val
-
-
-def _lz_estimate(values, r, phi):
-    dphi = phi[1] - phi[0]
-    num = np.empty(values.shape[0], complex)
-    for rows in _row_blocks(values.shape):
-        v = values[rows]
-        # periodic central difference psi[j+1] - psi[j-1], without roll copies
-        dpsi = np.empty_like(v)
-        np.subtract(v[:, 2:], v[:, :-2], out=dpsi[:, 1:-1])
-        np.subtract(v[:, 1], v[:, -1], out=dpsi[:, 0])
-        np.subtract(v[:, 0], v[:, -2], out=dpsi[:, -1])
-        dpsi /= 2 * dphi
-        num[rows] = np.sum(np.conj(v) * (-1j) * dpsi, axis=1)
-    den = _row_intensity(values)
-    num_r = np.trapezoid(num * r, r)
-    den_r = np.trapezoid(den * r, r)
-    if den_r == 0:
-        raise OamError("zero intensity")
-    return float(np.real(num_r / den_r))
+    _check_even(field.n_phi)
+    return _reduce(field).oracle()

@@ -114,15 +114,18 @@ class WaveGrid:
         u0, orth = self._references()
         return np.einsum("i,...ij,j->...", np.conj(orth), state, u0)
 
-    def sigma_expectations(self, beam: str):
-        """Numerators <sigma_i> (leading axis i) and the intensity: from
-        <psi|sigma_i|psi> and |psi|^2, or tr(sigma_i rho) and tr(rho)."""
+    def sigma_expectations(self, beam: str, rows=slice(None)):
+        """Numerators <sigma_i> (leading axis i) and the intensity of the
+        theta rows `rows`: from <psi|sigma_i|psi> and |psi|^2, or
+        tr(sigma_i rho) and tr(rho)."""
         state, pure = self._state(beam)
+        state = state[rows]
         if pure:
             num = np.einsum("...i,kij,...j->k...", np.conj(state), SIGMA, state)
-            return np.real(num), np.sum(np.abs(state) ** 2, axis=-1)
+            a = np.abs(state) ** 2
+            return np.real(num), a[..., 0] + a[..., 1]
         num = np.real(np.einsum("kij,...ji->k...", SIGMA, state))
-        return num, np.real(np.trace(state, axis1=-2, axis2=-1))
+        return num, state[..., 0, 0].real + state[..., 1, 1].real
 
     def spin_field(self, beam: str, what: str) -> np.ndarray:
         """Complex map the OAM analyses resample.
@@ -235,7 +238,8 @@ def _nonfinite(res, names) -> np.ndarray:
     bad = np.zeros(res["R"].shape, bool)
     for name in names:
         a = res[name]
-        bad |= ~np.isfinite(a).all(axis=tuple(range(bad.ndim, a.ndim)))
+        for entry in np.ndindex(a.shape[bad.ndim:]):
+            bad |= ~np.isfinite(a[(...,) + entry])
     return bad
 
 
@@ -314,10 +318,21 @@ class PolarizationCurve:
 
 
 def polarization_map(grid: WaveGrid, beam: str):
-    """Pointwise P = <sigma>/intensity over the grid; NaN where empty."""
-    num, den = grid.sigma_expectations(beam)
-    ok = den > 1e-300
-    P = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
+    """Pointwise P = <sigma>/intensity over the grid; NaN where empty.
+
+    Formed in theta-row tiles of at most _TILE_POINTS points (at least one
+    row), written straight into the output arrays, so no temporary spans
+    the grid."""
+    shape = (grid.theta.size, grid.rho.size)
+    P = np.full((3,) + shape, np.nan)
+    den = np.empty(shape)
+    ok = np.empty(shape, bool)
+    step = max(1, _TILE_POINTS // shape[1])
+    for i0 in range(0, shape[0], step):
+        rows = slice(i0, i0 + step)
+        num, den[rows] = grid.sigma_expectations(beam, rows)
+        np.greater(den[rows], 1e-300, out=ok[rows])
+        np.divide(num, den[rows], out=P[:, rows], where=ok[rows])
     return {"Px": P[0], "Py": P[1], "Pz": P[2], "intensity": den, "mask": ok}
 
 

@@ -249,6 +249,25 @@ def mode_power_whole(field):
         np.abs(modes) ** 2 * field.r[:, None], field.r, axis=0)
 
 
+def polarization_map_whole(grid, beam):
+    """P = <sigma>/intensity of a wavefield.WaveGrid over the whole grid at
+    once: one einsum for the numerators, np.sum or np.trace for the
+    intensity, and np.where for the empty points (NaN)."""
+    pure = grid.psi0 is not None
+    state = ((grid.psi0 if pure else grid.rho0) if beam == "transmitted"
+             else (grid.psiH if pure else grid.rhoH))
+    if pure:
+        num = np.real(np.einsum("...i,kij,...j->k...", np.conj(state), SIGMA,
+                                state))
+        den = np.sum(np.abs(state) ** 2, axis=-1)
+    else:
+        num = np.real(np.einsum("kij,...ji->k...", SIGMA, state))
+        den = np.real(np.trace(state, axis1=-2, axis2=-1))
+    ok = den > 1e-300
+    P = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
+    return {"Px": P[0], "Py": P[1], "Pz": P[2], "intensity": den, "mask": ok}
+
+
 def schwinger_axis_cross(K, H):
     """(u_hat, w) of the spin-orbit term by np.cross and np.linalg.norm."""
     K = np.asarray(K, float)

@@ -441,6 +441,37 @@ def test_odd_n_phi_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
                    "detail": "key 'n_phi': expected an even number, got 255"}
 
 
+@pytest.mark.parametrize("mode", ["oam", "interference"])
+@pytest.mark.parametrize("setting, detail", [
+    pytest.param("n_r = 1", "key 'n_r': expected at least 2, got 1",
+                 id="n_r-1"),
+    pytest.param("truncation_L = 128", "key 'truncation_L': expected 0 to "
+                 "n_phi/2 - 1 = 127 (below Nyquist), got 128", id="L-128"),
+    pytest.param("truncation_L = -1", "key 'truncation_L': expected 0 to "
+                 "n_phi/2 - 1 = 127 (below Nyquist), got -1", id="L-neg"),
+    pytest.param("n_phi = 8192\ntruncation_L = 4096", "key 'truncation_L': "
+                 "expected 0 to n_phi/2 - 1 = 4095 (below Nyquist), got "
+                 "4096", id="L-4096"),
+])
+def test_oam_settings_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
+                                               mode, setting, detail):
+    """One radial node (no trapezoid weight) and a truncation at or beyond
+    Nyquist are config errors, raised before the grid of an earlier
+    analysis block is scanned."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the config was checked")
+
+    monkeypatch.setattr(wf, "grid_scan", no_scan)
+    blocks = ("[analysis]\nmode = polarization\nbeams = reflected\n\n"
+              f"[analysis]\nmode = {mode}\nbeams = transmitted\n{setting}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(backscattering_config("laue", blocks))
+    code = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": detail}
+
+
 def test_wall_excludes_grid_build(tmp_path, capsys, monkeypatch):
     """The analysis line that triggers the lazy grid build prints the build
     time as its own field, and its wall time leaves the build out; a later

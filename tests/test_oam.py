@@ -175,7 +175,7 @@ def test_shift_theorem(k_steps):
         b = aft(rolled, ell)
         assert np.allclose(b, a * np.exp(-1j * ell * dphi), atol=1e-12)
     # the FFT of all modes equals the direct quadrature mode by mode
-    modes = oam._aft_all(rolled)
+    modes = oam._modes(rolled.values)
     for ell in range(1 - pf.n_phi // 2, pf.n_phi // 2):
         assert np.max(np.abs(modes[:, ell % pf.n_phi] - aft(rolled, ell))) < 1e-12
     d0 = oam.oam_distribution(pf, L=6)
@@ -313,12 +313,11 @@ def test_lz_estimate_equals_roll():
     """The slice-wise periodic difference equals the np.roll form bit for
     bit, on the full azimuthal grid and on its half-resolution view (a
     real field has <L_z> = 0 exactly in both, so only complex is tried)."""
-    rng = np.random.default_rng(8)
-    values = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
-    r = np.linspace(0.0, 2.0, 16)
-    phi = np.arange(64) * (2 * np.pi / 64)
-    for v, p in ((values, phi), (values[:, ::2], phi[::2])):
-        assert oam._lz_estimate(v, r, p) == lz_estimate_roll(v, r, p)
+    f = random_polar_field(complex, 16, 64, seed=8)
+    sums = oam._reduce(f)
+    for half, v, p in ((False, f.values, f.phi),
+                       (True, f.values[:, ::2], f.phi[::2])):
+        assert sums.lz(half) == lz_estimate_roll(v, f.r, p)
 
 
 def random_polar_field(dtype, n_r, n_phi, seed=9):
@@ -344,20 +343,61 @@ def test_reductions_blocks_equal_whole_grid(dtype, n_r, n_phi):
     f = random_polar_field(dtype, n_r, n_phi)
     assert len(oam._row_blocks(f.values.shape)) == 3
     assert f.total_intensity() == total_intensity_whole(f)
-    power = oam._mode_power(f)
+    sums = oam._reduce(f)
+    power = sums.mode_power()
     assert np.array_equal(power, mode_power_whole(f))
     d = oam.oam_distribution(f, L=16)
     ells = np.arange(-16, 17)
     assert np.array_equal(d.p, power[ells % n_phi] / total_intensity_whole(f))
-    for v, phi in ((f.values, f.phi), (f.values[:, ::2], f.phi[::2])):
-        assert oam._lz_estimate(v, f.r, phi) == lz_estimate_whole(v, f.r, phi)
+    for half, v, phi in ((False, f.values, f.phi),
+                         (True, f.values[:, ::2], f.phi[::2])):
+        assert sums.lz(half) == lz_estimate_whole(v, f.r, phi)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n_r, n_phi", [(40, 4096), (3, 1 << 17)])
+def test_one_pass_equals_stored_field_and_whole_grid(dtype, n_r, n_phi):
+    """analyse, which resamples and reduces one block of radial rows at a
+    time and never holds the polar field, gives the bits of the stored
+    path (to_polar, then oam_distribution and oracle_Lz) and of the
+    whole-grid oracles: random real and complex Cartesian fields on a disk
+    partly outside the axes, 40 rows of 4096 nodes in blocks of 16 (a
+    short last block) and rows wider than a block."""
+    rng = np.random.default_rng(12)
+    ky, kz = np.linspace(-1.0, 2.0, 31), np.linspace(0.0, 5.0, 17)
+    values = rng.normal(size=(31, 17)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=(31, 17))
+    center, r_max = (0.4, 2.2), 2.0
+    kw = dict(center=center, n_r=n_r, n_phi=n_phi, r_max=r_max,
+              handedness=-1)
+    dist, lz, coverage = oam.analyse(values, ky, kz, L=16, **kw)
+    field = oam.to_polar(values, ky, kz, **kw)
+    stored = oam.oam_distribution(field, L=16)
+    assert 0.0 < coverage < 1.0 and coverage == field.coverage
+    assert np.array_equal(dist.ells, stored.ells)
+    assert np.array_equal(dist.p, stored.p)
+    assert (dist.residual, dist.mean, dist.total_intensity) == \
+        (stored.residual, stored.mean, stored.total_intensity)
+    assert lz == oam.oracle_Lz(field)
+
+    total, power = total_intensity_whole(field), mode_power_whole(field)
+    assert dist.total_intensity == total
+    assert np.array_equal(dist.p, power[dist.ells % n_phi] / total)
+    assert dist.residual == float(power.sum() / total - dist.p.sum())
+    assert lz == lz_estimate_whole(field.values, field.r, field.phi)
+    KY, KZ = np.meshgrid(ky, kz, indexing="ij")
+    disk = np.hypot(KY - center[0], KZ - center[1]) <= r_max
+    assert field.source_intensity == float(
+        np.sum(np.abs(values[disk]) ** 2) * (ky[1] - ky[0]) * (kz[1] - kz[0]))
 
 
 def test_oam_analysis_memory_bounded(tmp_path):
     """The reductions of a 64 x 8192 field (8 blocks) allocate at most four
     blocks of complex nodes beyond the field, and a two-component OAM
-    analysis of a 33^2 grid on 128 x 8192 polar nodes peaks below two
-    polar fields: one field is resampled and reduced at a time."""
+    analysis of a 33^2 grid on 128 x 8192 polar nodes (16 MiB as one
+    field) peaks below twelve blocks plus a few Cartesian fields: the polar
+    field is never held, and resampling one block peaks near nine."""
     f = random_polar_field(complex, 64, 8192)
     tracemalloc.start()
     try:
@@ -395,7 +435,7 @@ directory = {tmp_path}
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 16 * 128 * 8192
+    assert peak < 12 * 16 * oam._POLAR_BLOCK_NODES + 8 * 16 * 33 * 33
 
 
 @pytest.mark.parametrize("n_phi", [255, 257])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import read_binary
+from oracles import polarization_map_whole, read_binary
 from sodiff import dispersion as dp
 from sodiff import oam
 from sodiff import wavefield as wf
@@ -212,6 +212,81 @@ def test_polarization_curve_axis_choice(quartz, thermal_bragg_100um,
 # ---------------------------------------------------------------------------
 # phase maps and winding numbers
 # ---------------------------------------------------------------------------
+
+def random_state_grid(n_t, n_r, ensemble, seed=11):
+    """Hand-built WaveGrid of random exit states in both beams: spinors, or
+    for an ensemble equal mixtures of two random spinors.  Point (0, 0) and
+    the last point are zero, (2, 0) is below the 1e-300 intensity floor
+    and (1, 1) is NaN."""
+    rng = np.random.default_rng(seed)
+    shape = (n_t, n_r)
+    states = []
+    for _ in range(2):
+        a, b = (rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+                for _ in range(2))
+        state = a
+        if ensemble:
+            state = 0.5 * (a[..., :, None] * np.conj(a[..., None, :])
+                           + b[..., :, None] * np.conj(b[..., None, :]))
+        state[0, 0] = state[-1, -1] = 0.0
+        state[2, 0] = 1e-310 if ensemble else 1e-160
+        state[1, 1] = np.nan
+        states.append(state)
+    kept = dict(zip(("rho0", "rhoH") if ensemble else ("psi0", "psiH"),
+                    states))
+    axis = np.linspace(-1e-3, 1e-3, max(shape))
+    return wf.WaveGrid(theta=axis[:n_t], rho=axis[:n_r], R=np.zeros(shape),
+                       T=np.ones(shape), geometry=None,
+                       u0=np.array([1.0, 0.0], complex),
+                       physical=np.ones(shape, bool), **kept)
+
+
+@pytest.mark.parametrize("ensemble", [False, True])
+@pytest.mark.parametrize("n_t, n_r", [(40, 600), (3, 9000)])
+def test_polarization_map_tiles_equal_whole_grid(ensemble, n_t, n_r):
+    """The map formed in theta-row tiles has the bytes of the whole-grid
+    form, on pure and ensemble grids with empty and NaN points: 40 rows of
+    600 points in tiles of 13 rows (a short last tile) and rows wider than
+    a tile."""
+    grid = random_state_grid(n_t, n_r, ensemble)
+    for beam in (wf.TRANSMITTED, wf.REFLECTED):
+        pm = wf.polarization_map(grid, beam)
+        ref = polarization_map_whole(grid, beam)
+        assert [pm["mask"][i, j] for i, j in ((0, 0), (2, 0), (1, 1))] == \
+            [False] * 3
+        assert 0.9 < pm["mask"].mean() < 1.0
+        for key in ("Px", "Py", "Pz", "intensity", "mask"):
+            assert pm[key].dtype == ref[key].dtype
+            assert pm[key].tobytes() == ref[key].tobytes(), key
+
+
+@pytest.mark.parametrize("ensemble", [False, True])
+def test_polarization_map_memory_bounded(ensemble):
+    """Beyond its outputs (P, the intensity and the mask: 33 B a point),
+    the map of a 512 x 256 grid (16 tiles) allocates at most 256 B for each
+    point of a tile; the whole-grid form took about 70 B a point."""
+    grid = random_state_grid(512, 256, ensemble)
+    tracemalloc.start()
+    try:
+        wf.polarization_map(grid, wf.TRANSMITTED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * 512 * 256 + 256 * wf._TILE_POINTS
+
+
+def test_nonfinite_flags_any_entry():
+    """A point is flagged when any entry of a named field is NaN or
+    infinite, in its real or imaginary part."""
+    res = {"R": np.zeros((2, 3)), "psi0": np.ones((2, 3, 2), complex),
+           "rho0": np.ones((2, 3, 2, 2), complex)}
+    res["psi0"][0, 1, 1] = complex(0.0, np.inf)
+    res["rho0"][1, 2, 1, 0] = complex(np.nan, 0.0)
+    assert wf._nonfinite(res, ("psi0",)).tolist() == [[False, True, False],
+                                                      [False, False, False]]
+    assert wf._nonfinite(res, ("psi0", "rho0")).tolist() == \
+        [[False, True, False], [False, False, True]]
+
 
 def synthetic_phase(ell, n=101):
     x = np.linspace(-1, 1, n)
