@@ -74,18 +74,30 @@ class OamDistribution:
 # Polar resampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _PolarNodes:
-    """A Cartesian field and the polar nodes it is resampled on."""
+    """A Cartesian field and the polar nodes it is resampled on, checked."""
 
-    values: np.ndarray
-    ky: np.ndarray
-    kz: np.ndarray
-    center: tuple[float, float]
-    r_max: float
-    r: np.ndarray
-    phi: np.ndarray
-    handedness: int
+    def __init__(self, values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
+                 handedness):
+        self.values = values = np.asarray(values)
+        self.ky = ky = np.asarray(ky_axis, float)
+        self.kz = kz = np.asarray(kz_axis, float)
+        if values.shape != (ky.size, kz.size):
+            raise OamError("field shape does not match axes")
+        if ky.size < 2 or kz.size < 2:
+            raise OamError("polar resampling needs at least 2 points on "
+                           f"each axis, got {ky.size} x {kz.size}")
+        if handedness not in (+1, -1):
+            raise OamError("handedness must be +1 or -1")
+        cy, cz = center
+        self.center = (cy, cz)
+        if r_max is None:
+            r_max = min(ky[-1] - cy, cy - ky[0], kz[-1] - cz, cz - kz[0])
+            if r_max <= 0:
+                raise OamError("center lies outside the grid")
+        self.r_max, self.handedness = r_max, handedness
+        self.r = np.linspace(0.0, r_max, n_r)
+        self.phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
 
     def blocks(self):
         """(rows, resampled values, nodes inside the axes' span) of each
@@ -98,29 +110,6 @@ class _PolarNodes:
                                       cy + rb * cos_phi,
                                       cz + self.handedness * rb * sin_phi)
             yield rows, block, int(np.count_nonzero(inside))
-
-
-def _polar_nodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
-                 handedness) -> _PolarNodes:
-    values = np.asarray(values)
-    ky = np.asarray(ky_axis, float)
-    kz = np.asarray(kz_axis, float)
-    if values.shape != (ky.size, kz.size):
-        raise OamError("field shape does not match axes")
-    if ky.size < 2 or kz.size < 2:
-        raise OamError("polar resampling needs at least 2 points on each "
-                       f"axis, got {ky.size} x {kz.size}")
-    if handedness not in (+1, -1):
-        raise OamError("handedness must be +1 or -1")
-    cy, cz = center
-    if r_max is None:
-        r_max = min(ky[-1] - cy, cy - ky[0], kz[-1] - cz, cz - kz[0])
-        if r_max <= 0:
-            raise OamError("center lies outside the grid")
-    return _PolarNodes(values=values, ky=ky, kz=kz, center=(cy, cz),
-                       r_max=r_max, r=np.linspace(0.0, r_max, n_r),
-                       phi=np.arange(n_phi) * (2.0 * np.pi / n_phi),
-                       handedness=handedness)
 
 
 def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
@@ -136,8 +125,8 @@ def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
     array over all of them; analyse gives the distribution and <L_z> of the
     same nodes without storing it.
     """
-    nodes = _polar_nodes(values, ky_axis, kz_axis, center, n_r, n_phi,
-                         r_max, handedness)
+    nodes = _PolarNodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
+                        handedness)
     out = np.empty((nodes.r.size, n_phi), np.result_type(nodes.values, float))
     covered = 0
     for rows, block, inside in nodes.blocks():
@@ -226,8 +215,8 @@ def analyse(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
     field = to_polar(values, ky_axis, kz_axis, ...), bit for bit, in one
     pass that never holds the polar field: each block of radial rows is
     resampled, reduced and dropped before the next."""
-    nodes = _polar_nodes(values, ky_axis, kz_axis, center, n_r, n_phi,
-                         r_max, handedness)
+    nodes = _PolarNodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
+                        handedness)
     _check_truncation(L, n_phi)
     _check_even(n_phi)
     sums = _RowSums(nodes.r, n_phi)
