@@ -43,14 +43,10 @@ from .wavefield import (
     winding_number,
 )
 from .oam import (
-    AzimuthalField,
     OamDistribution,
+    OamError,
     analyse,
     analyse_grid,
-    field_from_grid,
-    oam_distribution,
-    oracle_Lz,
-    to_polar,
 )
 from .instrument import (
     CoilModel,

@@ -321,8 +321,9 @@ def _analysis_polarization_map(blk, ctx, writer, tag):
 
 
 def _oam_settings(blk):
-    """(truncation_L, n_phi, n_r) of an oam or interference block, checked
-    when the config is parsed, before any scan."""
+    """(truncation_L, n_phi, n_r, r_max in rad or None) of an oam or
+    interference block, checked when the config is parsed, before any
+    scan."""
     L = _get_int(blk, "truncation_L", 32)
     n_phi = _get_int(blk, "n_phi", 256)
     n_r = _get_int(blk, "n_r", 128)
@@ -337,7 +338,12 @@ def _oam_settings(blk):
     if not 0 <= L <= n_phi // 2 - 1:
         raise ConfigError(f"key 'truncation_L': expected 0 to n_phi/2 - 1 "
                           f"= {n_phi // 2 - 1} (below Nyquist), got {L}")
-    return L, n_phi, n_r
+    r_max = (_get_float(blk, "r_max_deg") * DEG_TO_RAD
+             if "r_max_deg" in blk else None)
+    if r_max is not None and not 0.0 < r_max < np.inf:
+        raise ConfigError(f"key 'r_max_deg': expected a positive finite "
+                          f"angle, got {blk['r_max_deg']}")
+    return L, n_phi, n_r, r_max
 
 
 def _analysis_oam(blk, ctx, writer, tag, interference: bool):
@@ -345,9 +351,7 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
                         (wave.TRANSMITTED,))
     comps = _parse_list(blk, "components", ("flipped", "non-flipped"),
                         ("flipped", "non-flipped"))
-    L, n_phi, n_r = _oam_settings(blk)
-    r_max = (_get_float(blk, "r_max_deg") * DEG_TO_RAD
-             if "r_max_deg" in blk else None)
+    L, n_phi, n_r, r_max = _oam_settings(blk)
     physical_only = _get_bool(blk, "physical_only", True)
     grid = _grid(blk, ctx)
     summary = {}
@@ -355,7 +359,6 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
         cols = {}
         stats = {}
         for what in (["interference"] if interference else comps):
-            # one pass over blocks of polar rows: no polar field is held
             dist, lz, coverage = oam_mod.analyse_grid(
                 grid, beam, what, L=L, n_r=n_r, n_phi=n_phi, r_max=r_max,
                 center=(ctx["center"], 0.0), physical_only=physical_only)

@@ -1,23 +1,26 @@
 """Orbital-angular-momentum analysis of transverse wavefields.
 
-A sampled complex field over the transverse wavevector plane is resampled
-onto a polar grid about a chosen axis point, expanded in azimuthal Fourier
-modes psi_l(r) = (1/2pi) integral psi e^{-i l phi} dphi, and reduced to the
-mode distribution p[l] = 2 pi integral |psi_l|^2 r dr normalised by the
-total intensity.  An independent finite-difference estimator of <L_z>
-cross-checks the whole decomposition path.
+analyse resamples a complex field sampled over the transverse wavevector
+plane onto a uniform polar grid about a chosen axis point (n_r radii on
+[0, r_max], n_phi azimuths from phi = 0); analyse_grid does so for one
+spin field of an exit beam.  Both reduce the field psi on the nodes to:
+
+- the mode distribution p[l] = 2 pi integral |psi_l|^2 r dr over the total
+  intensity integral |psi|^2 r dr dphi, of the azimuthal modes
+  psi_l(r) = (1/2pi) integral psi e^{-i l phi} dphi (an FFT of each radial
+  row; the trapezoid rule over r);
+- <L_z> = <psi| -i d/dphi |psi> / <psi|psi> by periodic central
+  differences, independent of the Fourier path and so a check on it;
+- the coverage, the share of polar nodes inside the Cartesian axes' span.
 
 Memory: the polar nodes are resampled, and reduced, in blocks of whole
 radial rows of at most _POLAR_BLOCK_NODES nodes (one row when a row is
 wider).  One reducer, _RowSums, takes the blocks in row order and keeps
-per-row sums and the mode power, O(n_r + n_phi) numbers.  analyse and
-analyse_grid feed it blocks resampled straight from the Cartesian field,
-so they hold that field plus a few blocks and never the polar field;
-to_polar stores the blocks in an AzimuthalField (n_r x n_phi x 16 B), and
-total_intensity, oam_distribution and oracle_Lz feed the reducer from it.
-Both give the bits of the whole-grid forms.
+per-row sums and the mode power, O(n_r + n_phi) numbers, so an analysis
+holds the Cartesian field plus a few blocks and never the polar field.
+Every result has the bits of its whole-grid form.
 
-Azimuth handedness: field_from_grid takes phi right-handed about the
+Azimuth handedness: analyse_grid takes phi right-handed about the
 reciprocal lattice vector H.  Where H has a negative component along the
 beam this mirrors the lab k_z axis, i.e. phi = atan2(-k_z, k_y).
 """
@@ -38,27 +41,6 @@ _POLAR_BLOCK_NODES = 1 << 16  # polar nodes resampled or reduced at a time
 
 class OamError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AzimuthalField:
-    """Complex field on a uniform polar grid about a declared center."""
-
-    values: np.ndarray          # (n_r, n_phi)
-    r: np.ndarray               # (n_r,) radial axis, 1/A, starting at >= 0
-    phi: np.ndarray             # (n_phi,) uniform on [0, 2pi), phi[0] = 0
-    center: tuple[float, float]  # (k_y0, k_z0) of the axis, 1/A
-    handedness: int             # +1: phi right-handed about +x; -1: about -x
-    source_intensity: float     # integral |psi|^2 over the sampled disk
-    coverage: float             # fraction of polar nodes inside the source
-
-    @property
-    def n_phi(self) -> int:
-        return self.phi.size
-
-    def total_intensity(self) -> float:
-        """integral |psi|^2 r dr dphi on the polar grid."""
-        return _reduce(self).total()
 
 
 @dataclass(frozen=True)
@@ -95,7 +77,9 @@ class _PolarNodes:
             r_max = min(ky[-1] - cy, cy - ky[0], kz[-1] - cz, cz - kz[0])
             if r_max <= 0:
                 raise OamError("center lies outside the grid")
-        self.r_max, self.handedness = r_max, handedness
+        elif not 0.0 < r_max < np.inf:
+            raise OamError(f"r_max must be positive and finite, got {r_max}")
+        self.handedness = handedness
         self.r = np.linspace(0.0, r_max, n_r)
         self.phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
 
@@ -110,37 +94,6 @@ class _PolarNodes:
                                       cy + rb * cos_phi,
                                       cz + self.handedness * rb * sin_phi)
             yield rows, block, int(np.count_nonzero(inside))
-
-
-def to_polar(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
-             n_phi: int = 256, r_max: float | None = None,
-             handedness: int = +1) -> AzimuthalField:
-    """Bilinear resampling of a Cartesian transverse field to polar nodes.
-
-    Nodes falling outside the Cartesian domain are zero (the field is taken
-    to vanish beyond the computed window, which is the physical statement
-    that the crystal only diffracts within the rocking width and the beam
-    only illuminates within its divergence).  The nodes are resampled one
-    block of radial rows at a time into the stored field, which is the only
-    array over all of them; analyse gives the distribution and <L_z> of the
-    same nodes without storing it.
-    """
-    nodes = _PolarNodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
-                        handedness)
-    out = np.empty((nodes.r.size, n_phi), np.result_type(nodes.values, float))
-    covered = 0
-    for rows, block, inside in nodes.blocks():
-        out[rows] = block
-        covered += inside
-
-    (cy, cz), ky, kz = nodes.center, nodes.ky, nodes.kz
-    rr = np.hypot((ky[:, None] - cy), (kz[None, :] - cz))
-    disk = rr <= nodes.r_max
-    src = float(np.sum(np.abs(nodes.values[disk]) ** 2)
-                * (ky[1] - ky[0]) * (kz[1] - kz[0]))
-    return AzimuthalField(values=out, r=nodes.r, phi=nodes.phi,
-                          center=nodes.center, handedness=handedness,
-                          source_intensity=src, coverage=covered / out.size)
 
 
 def _bilinear(values, x_axis, y_axis, X, Y):
@@ -170,55 +123,31 @@ def _bilinear(values, x_axis, y_axis, X, Y):
     return out, inside
 
 
-def _grid_field(grid: WaveGrid, beam: str, what: str, center, r_max,
-                physical_only: bool) -> dict:
-    """The Cartesian spin field of an exit beam and its axes, center,
-    r_max and handedness in 1/A, as to_polar and analyse take them."""
-    if what not in ("interference", "flipped", "non-flipped"):
-        raise OamError("what must be 'interference', 'flipped' or 'non-flipped'")
-    vals = grid.spin_field(beam, what)
-    if physical_only:
-        vals = np.where(grid.physical, vals, 0.0)
-    k = grid.geometry.k_mag
-    return {"values": vals, "ky_axis": k * grid.theta, "kz_axis": k * grid.rho,
-            "center": (k * center[0], k * center[1]),
-            "r_max": None if r_max is None else k * r_max,
-            "handedness": +1 if grid.geometry.H[0] >= 0.0 else -1}
-
-
-def field_from_grid(grid: WaveGrid, beam: str, what: str,
-                    center=(0.0, 0.0), n_r: int = 128,
-                    n_phi: int = 256, r_max: float | None = None,
-                    physical_only: bool = False) -> AzimuthalField:
-    """Polar resampling of one spin field of an exit beam.
-
-    what is "flipped", "non-flipped" or "interference" (see
-    WaveGrid.spin_field); the interference product conj(psi_nonflip)
-    psi_flip is formed on the Cartesian grid before resampling, so phases
-    common to both spin components cancel exactly, including thickness
-    oscillations far too fast for the grid to resolve.  physical_only
-    zeroes the half-plane where the beam cannot enter the crystal (grazing
-    backscattering geometries); analysis then covers the reachable lobe
-    only.  center is in (theta, rho) radians; the radial axis comes out in
-    1/A.  The azimuth is right-handed about H.  The stored polar field
-    (n_r x n_phi) is the one array over all nodes; analyse_grid reduces
-    the same nodes without it.
-    """
-    return to_polar(n_r=n_r, n_phi=n_phi, **_grid_field(
-        grid, beam, what, center, r_max, physical_only))
-
-
 def analyse(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
             n_phi: int = 256, r_max: float | None = None,
             handedness: int = +1, L: int = 32):
-    """(oam_distribution(field, L), oracle_Lz(field), field.coverage) of
-    field = to_polar(values, ky_axis, kz_axis, ...), bit for bit, in one
-    pass that never holds the polar field: each block of radial rows is
-    resampled, reduced and dropped before the next."""
+    """(OamDistribution for |l| <= L, <L_z> in hbar, coverage) of a
+    Cartesian field values[ky, kz] resampled bilinearly onto the polar
+    nodes about center, out to r_max (default: the largest disk inside the
+    axes).  The axes, center and r_max are in 1/A.  phi turns from +k_y
+    towards +k_z for handedness +1 and towards -k_z for -1.
+
+    Nodes outside the axes' span are zero: the field is taken to vanish
+    beyond the computed window, which is the physical statement that the
+    crystal only diffracts within the rocking width and the beam only
+    illuminates within its divergence.  L must stay below Nyquist,
+    n_phi // 2 - 1.  n_phi must be even: the <L_z> estimate is checked
+    against a re-estimate on every second azimuth, which for odd n_phi
+    wraps with a one-step gap.  A re-estimate more than 1e-3 away
+    relatively logs an 'under-resolved' warning.  One pass: each block of
+    radial rows is resampled, reduced and dropped before the next.
+    """
+    if L > n_phi // 2 - 1:
+        raise OamError("truncation beyond Nyquist")
+    if n_phi % 2:
+        raise OamError(f"the <L_z> oracle needs an even n_phi, got {n_phi}")
     nodes = _PolarNodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,
                         handedness)
-    _check_truncation(L, n_phi)
-    _check_even(n_phi)
     sums = _RowSums(nodes.r, n_phi)
     covered = 0
     for rows, block, inside in nodes.blocks():
@@ -231,11 +160,28 @@ def analyse(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
 def analyse_grid(grid: WaveGrid, beam: str, what: str, L: int = 32,
                  center=(0.0, 0.0), n_r: int = 128, n_phi: int = 256,
                  r_max: float | None = None, physical_only: bool = False):
-    """analyse of the spin field that field_from_grid resamples, with the
-    same arguments: the mode distribution, oracle <L_z> and coverage of
-    one component, holding the Cartesian field and a few blocks."""
-    return analyse(n_r=n_r, n_phi=n_phi, L=L, **_grid_field(
-        grid, beam, what, center, r_max, physical_only))
+    """analyse of one spin field of an exit beam.
+
+    what is "flipped", "non-flipped" or "interference" (see
+    WaveGrid.spin_field); the interference product conj(psi_nonflip)
+    psi_flip is formed on the Cartesian grid before resampling, so phases
+    common to both spin components cancel exactly, including thickness
+    oscillations far too fast for the grid to resolve.  physical_only
+    zeroes the half-plane where the beam cannot enter the crystal (grazing
+    backscattering geometries); analysis then covers the reachable lobe
+    only.  center and r_max are in (theta, rho) radians.  The azimuth is
+    right-handed about H.
+    """
+    if what not in ("interference", "flipped", "non-flipped"):
+        raise OamError("what must be 'interference', 'flipped' or 'non-flipped'")
+    vals = grid.spin_field(beam, what)
+    if physical_only:
+        vals = np.where(grid.physical, vals, 0.0)
+    k = grid.geometry.k_mag
+    return analyse(vals, k * grid.theta, k * grid.rho,
+                   center=(k * center[0], k * center[1]), n_r=n_r,
+                   n_phi=n_phi, r_max=None if r_max is None else k * r_max,
+                   handedness=+1 if grid.geometry.H[0] >= 0.0 else -1, L=L)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +262,7 @@ class _RowSums:
 
     def distribution(self, L: int) -> OamDistribution:
         total = self.total()
-        if total <= 0.0:
+        if not total > 0.0:
             raise OamError("zero total intensity")
         power = self.mode_power()
         ells = np.arange(-L, L + 1)
@@ -339,43 +285,6 @@ class _RowSums:
         half = self.lz(half=True)
         denom = max(abs(val), 1e-30)
         if abs(val - half) / denom > 1e-3:
-            log.warning("oracle_Lz: azimuthal grid under-resolved (delta %.2e)",
-                        abs(val - half) / denom)
+            log.warning("<L_z> oracle: azimuthal grid under-resolved "
+                        "(delta %.2e)", abs(val - half) / denom)
         return val
-
-
-def _reduce(field: AzimuthalField) -> _RowSums:
-    """The reductions of a stored polar field, fed block by block."""
-    sums = _RowSums(field.r, field.n_phi)
-    for rows in _row_blocks(field.values.shape):
-        sums.add(rows, field.values[rows])
-    return sums
-
-
-def _check_truncation(L: int, n_phi: int):
-    if L > n_phi // 2 - 1:
-        raise OamError("truncation beyond Nyquist")
-
-
-def _check_even(n_phi: int):
-    if n_phi % 2:
-        raise OamError(f"oracle_Lz needs an even n_phi, got {n_phi}")
-
-
-def oam_distribution(field: AzimuthalField, L: int = 32) -> OamDistribution:
-    """Mode probabilities p[l] for |l| <= L, residual reported separately."""
-    _check_truncation(L, field.n_phi)
-    return _reduce(field).distribution(L)
-
-
-def oracle_Lz(field: AzimuthalField) -> float:
-    """<L_z> in hbar by central differences of the azimuthal derivative.
-
-    Completely independent of the Fourier path: <psi| -i d/dphi |psi> over
-    <psi|psi> with periodic wraparound.  A half-resolution re-estimate on
-    every second azimuth that moves by more than 1e-3 relatively logs an
-    'under-resolved' warning.  n_phi must be even: for odd n_phi the half
-    grid wraps with a one-step gap, which biases the re-estimate.
-    """
-    _check_even(field.n_phi)
-    return _reduce(field).oracle()

@@ -74,15 +74,15 @@ def numerical_Lz(values, r, phi):
     return float(np.real(num / den))
 
 
-def aft(field, ell):
-    """Radial profile of azimuthal mode ell of an oam.AzimuthalField,
+def aft(values, phi, ell):
+    """Radial profile of azimuthal mode ell of a polar field values[r, phi],
     (1/2pi) int psi e^{-i l phi} dphi, by direct quadrature over the
-    uniform nodes: the reference for the package's FFT of all modes.
+    uniform nodes phi: the reference for the package's FFT of all modes.
     Exact for band-limited content below Nyquist."""
-    if abs(ell) > field.n_phi // 2 - 1:
-        raise OamError(f"mode {ell} beyond Nyquist for n_phi={field.n_phi}")
-    phase = np.exp(-1j * ell * field.phi)
-    return np.mean(field.values * phase[None, :], axis=1)
+    if abs(ell) > phi.size // 2 - 1:
+        raise OamError(f"mode {ell} beyond Nyquist for n_phi={phi.size}")
+    phase = np.exp(-1j * ell * phi)
+    return np.mean(values * phase[None, :], axis=1)
 
 
 def channel_entries(V, u):
@@ -232,21 +232,21 @@ def lz_estimate_whole(values, r, phi):
     return float(np.real(num_r / den_r))
 
 
-def total_intensity_whole(field):
-    """integral |psi|^2 r dr dphi of an oam.AzimuthalField, over the whole
-    polar grid at once."""
-    dphi = 2.0 * np.pi / field.n_phi
-    dens = np.sum(np.abs(field.values) ** 2, axis=1) * dphi
-    return float(np.trapezoid(dens * field.r, field.r))
+def total_intensity_whole(values, r, phi):
+    """integral |psi|^2 r dr dphi of a polar field values[r, phi], over the
+    whole polar grid at once."""
+    dphi = 2.0 * np.pi / phi.size
+    dens = np.sum(np.abs(values) ** 2, axis=1) * dphi
+    return float(np.trapezoid(dens * r, r))
 
 
-def mode_power_whole(field):
-    """2 pi * integral |psi_l|^2 r dr of every DFT bin of an
-    oam.AzimuthalField: one FFT of the whole polar grid and np.trapezoid
-    over r."""
-    modes = np.fft.fft(field.values, axis=1) / field.n_phi
+def mode_power_whole(values, r, phi):
+    """2 pi * integral |psi_l|^2 r dr of every DFT bin of a polar field
+    values[r, phi]: one FFT of the whole polar grid and np.trapezoid over
+    r."""
+    modes = np.fft.fft(values, axis=1) / phi.size
     return 2.0 * np.pi * np.trapezoid(
-        np.abs(modes) ** 2 * field.r[:, None], field.r, axis=0)
+        np.abs(modes) ** 2 * r[:, None], r, axis=0)
 
 
 def polarization_map_whole(grid, beam):

@@ -120,10 +120,9 @@ def test_criterion_3_laue_pi_half_pulse(quartz, backscatter_laue_35mm,
 def test_criterion_4_interference_oam(laue_coherence_grid):
     dists = {}
     for beam in (wf.TRANSMITTED, wf.REFLECTED):
-        field = oam.field_from_grid(laue_coherence_grid, beam,
-                                    "interference", n_phi=2048, n_r=128,
-                                    physical_only=True)
-        dists[beam] = oam.oam_distribution(field, L=900)
+        dists[beam], _, _ = oam.analyse_grid(
+            laue_coherence_grid, beam, "interference", L=900, n_phi=2048,
+            n_r=128, physical_only=True)
     for beam, d in dists.items():
         assert abs(d.mean + 1.0) <= 0.1, beam
     p_t = float(dists[wf.TRANSMITTED].p[dists[wf.TRANSMITTED].ells == -1][0])
@@ -139,14 +138,10 @@ def test_criterion_4_interference_oam(laue_coherence_grid):
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_flipped_oam_shift(laue_coherence_grid):
-    flip = oam.field_from_grid(laue_coherence_grid, wf.TRANSMITTED,
-                               "flipped", n_phi=2048, n_r=128,
-                               physical_only=True)
-    nonf = oam.field_from_grid(laue_coherence_grid, wf.TRANSMITTED,
-                               "non-flipped", n_phi=2048, n_r=128,
-                               physical_only=True)
-    d_f = oam.oam_distribution(flip, L=900)
-    d_n = oam.oam_distribution(nonf, L=900)
+    d_f, d_n = (oam.analyse_grid(laue_coherence_grid, wf.TRANSMITTED, what,
+                                 L=900, n_phi=2048, n_r=128,
+                                 physical_only=True)[0]
+                for what in ("flipped", "non-flipped"))
     shift = d_f.mean - d_n.mean
     assert abs(shift + 1.0) <= 0.1
     worst = 0.0
@@ -193,9 +188,9 @@ def test_criterion_6_thermal_polarization_and_parity(quartz, u0_along_beam):
     worst = 0.0
     for flipped in (False, True):
         amp = grid3.spin_component(wf.REFLECTED, flipped)
-        field = oam.to_polar(amp, k * (grid3.theta - c3), k * grid3.rho,
-                             n_r=256, n_phi=8192, r_max=r_max, handedness=-1)
-        d = oam.oam_distribution(field, L=8)
+        d, _, _ = oam.analyse(amp, k * (grid3.theta - c3), k * grid3.rho,
+                              n_r=256, n_phi=8192, r_max=r_max,
+                              handedness=-1, L=8)
         ps = {int(l): float(p) for l, p in zip(d.ells, d.p)}
         for l in (-5, -3, -1, 1, 3, 5):
             rel = ps[l] / max(0.5 * (ps[l - 1] + ps[l + 1]), 1e-300)
@@ -303,19 +298,13 @@ def test_criterion_9_property_suites(quartz, u0_along_beam,
     # AFT/oracle <L_z> equivalence on the figure-preset fields, evaluated
     # at azimuthal sampling fine enough for the finite-difference oracle
     checks = []
-    for beam in (wf.TRANSMITTED, wf.REFLECTED):
-        f = oam.field_from_grid(laue_coherence_grid, beam,
-                                "interference", n_phi=65536, n_r=96,
-                                physical_only=True)
-        d = oam.oam_distribution(f, L=30000)
-        checks.append((f"fig6 {beam}", oam.oracle_Lz(f),
-                       d.mean, d))
-    f7 = oam.field_from_grid(laue_coherence_grid, wf.TRANSMITTED,
-                             "flipped", n_phi=65536, n_r=96,
-                             physical_only=True)
-    d7 = oam.oam_distribution(f7, L=30000)
-    checks.append(("fig7 flipped", oam.oracle_Lz(f7),
-                   d7.mean, d7))
+    for label, beam, what in (
+            (f"fig6 {wf.TRANSMITTED}", wf.TRANSMITTED, "interference"),
+            (f"fig6 {wf.REFLECTED}", wf.REFLECTED, "interference"),
+            ("fig7 flipped", wf.TRANSMITTED, "flipped")):
+        d, lz, _ = oam.analyse_grid(laue_coherence_grid, beam, what, L=30000,
+                                    n_phi=65536, n_r=96, physical_only=True)
+        checks.append((label, lz, d.mean, d))
     # fig3 fields on the default inscribed-disk polar analysis, where the
     # stripe is fully resolved (the zero-filled extended-radius analysis of
     # criterion 6 exceeds any finite-difference oracle's azimuthal band)
@@ -325,16 +314,10 @@ def test_criterion_9_property_suites(quartz, u0_along_beam,
     grid3 = wf.grid_scan(geom3, quartz, u0_along_beam,
                          c3 + np.linspace(-w3, w3, 257),
                          np.linspace(-0.5 * DEG_TO_RAD, 0.5 * DEG_TO_RAD, 257))
-    import warnings as _warnings
-    for comp, label in (("non-flipped", "fig3 non-flipped"),
-                        ("flipped", "fig3 flipped")):
-        f3 = oam.field_from_grid(grid3, wf.REFLECTED, comp, center=(c3, 0.0),
-                                 n_r=128, n_phi=256)
-        d3 = oam.oam_distribution(f3, L=64)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            orc3 = oam.oracle_Lz(f3)
-        checks.append((label, orc3, d3.mean, d3))
+    for comp in ("non-flipped", "flipped"):
+        d3, lz3, _ = oam.analyse_grid(grid3, wf.REFLECTED, comp, L=64,
+                                      center=(c3, 0.0), n_r=128, n_phi=256)
+        checks.append((f"fig3 {comp}", lz3, d3.mean, d3))
     worst_or = 0.0
     for label, orc, mean, dist in checks:
         rel = abs(orc - mean) / max(abs(mean), 1.0)

@@ -403,7 +403,7 @@ def test_oam_warning_is_a_json_log_line(tmp_path, capsys):
         assert set(line) == {"log", "source", "detail"}
         assert (line["log"], line["source"]) == ("warning", "sodiff.oam")
         assert line["detail"].startswith(
-            "oracle_Lz: azimuthal grid under-resolved (delta ")
+            "<L_z> oracle: azimuthal grid under-resolved (delta ")
 
 
 @pytest.mark.parametrize("axis", ["theta_points", "rho_points"])
@@ -452,12 +452,16 @@ def test_odd_n_phi_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
     pytest.param("n_phi = 8192\ntruncation_L = 4096", "key 'truncation_L': "
                  "expected 0 to n_phi/2 - 1 = 4095 (below Nyquist), got "
                  "4096", id="L-4096"),
+    *(pytest.param(f"r_max_deg = {v}", "key 'r_max_deg': expected a "
+                   f"positive finite angle, got {v}", id=f"r_max-{v}")
+      for v in ("nan", "inf", "0", "-0.2")),
 ])
 def test_oam_settings_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
                                                mode, setting, detail):
-    """One radial node (no trapezoid weight) and a truncation at or beyond
-    Nyquist are config errors, raised before the grid of an earlier
-    analysis block is scanned."""
+    """One radial node (no trapezoid weight), a truncation at or beyond
+    Nyquist and a disk radius that is not positive and finite are config
+    errors, raised before the grid of an earlier analysis block is
+    scanned."""
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned before the config was checked")
 

@@ -417,11 +417,8 @@ def test_coherence_matches_outer_products_for_thin_crystal(quartz,
         for key in ("Px", "Py", "Pz", "intensity"):
             assert np.allclose(pm_coh[key], pm_raw[key], rtol=1e-8,
                                atol=1e-12, equal_nan=True), (beam, key)
-        f_raw = oam.field_from_grid(raw, beam, "interference", n_r=16,
-                                    n_phi=32)
-        f_coh = oam.field_from_grid(coh, beam, "interference", n_r=16,
-                                    n_phi=32)
-        assert np.allclose(f_coh.values, f_raw.values, rtol=1e-8,
+        assert np.allclose(coh.spin_field(beam, "interference"),
+                           raw.spin_field(beam, "interference"), rtol=1e-8,
                            atol=1e-15)
     # an ensemble has no common phase: no spin amplitude, no phase map
     with pytest.raises(wf.WaveGridError, match="ensemble"):
@@ -461,8 +458,9 @@ def test_ensemble_non_flipped_field_finite(laue_2mm_pure_and_ensemble):
     non-flipped field floors it at zero instead of taking sqrt of it."""
     _, coh = laue_2mm_pure_and_ensemble
     assert coh.component_intensity(wf.TRANSMITTED, flipped=False).min() < 0
-    f = oam.field_from_grid(coh, wf.TRANSMITTED, "non-flipped")
-    assert np.isfinite(f.values).all()
+    assert np.isfinite(coh.spin_field(wf.TRANSMITTED, "non-flipped")).all()
+    d, lz, _ = oam.analyse_grid(coh, wf.TRANSMITTED, "non-flipped")
+    assert np.isfinite(d.p).all() and np.isfinite(lz)
 
 
 def test_flipped_field_same_for_pure_and_ensemble(laue_2mm_pure_and_ensemble):
@@ -471,9 +469,9 @@ def test_flipped_field_same_for_pure_and_ensemble(laue_2mm_pure_and_ensemble):
     zero-spread ensemble give the same mean l."""
     for beam in (wf.TRANSMITTED, wf.REFLECTED):
         for what in ("flipped", "non-flipped"):
-            means = [oam.oam_distribution(oam.field_from_grid(
-                grid, beam, what, physical_only=True)).mean
-                for grid in laue_2mm_pure_and_ensemble]
+            means = [oam.analyse_grid(grid, beam, what,
+                                      physical_only=True)[0].mean
+                     for grid in laue_2mm_pure_and_ensemble]
             assert abs(means[0] - means[1]) <= 1e-6, (beam, what, means)
 
 
