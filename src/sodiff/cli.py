@@ -489,8 +489,8 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
         print(f"[{tag}] grid {theta.size}x{rho.size}{build}  wall {dt:.2f}s  "
               f"{keys}")
     if fmt == "binary":
-        path = out_dir / "wavegrid.sgrid"
-        wave.write_binary(grid(False), path)
+        path = out_dir / "wavegrid.npz"
+        np.savez(path, **_grid_dump(cache, theta, rho, geom, u0))
         writer.written.append(path.name)
     manifest = {"artifacts": writer.written,
                 "geometry": {"kind": geom.kind, "hkl": list(geom.hkl or ()),
@@ -498,6 +498,24 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
                              "thickness_A": geom.thickness_A}}
     writer.json("manifest.json", manifest)
     return 0
+
+
+def _grid_dump(grids: dict, theta, rho, geom, u0) -> dict:
+    """The arrays of wavegrid.npz: the scanned axes (as nudged off grazing
+    incidence, when a grid was built), the geometry and incident spinor,
+    and the fields of the grids the run built: psi0, psiH, R, T of the
+    pure grid, rho0, rhoH, R_ensemble, T_ensemble of the ensemble, and
+    their common physical mask."""
+    out = {"theta": theta, "rho": rho, "k0": geom.k0, "H": geom.H,
+           "n": geom.n, "kind": geom.kind, "thickness_A": geom.thickness_A,
+           "hkl": geom.hkl or (), "u0": u0}
+    for ensemble, g in grids.items():
+        tail = "_ensemble" if ensemble else ""
+        fields = ("rho0", "rhoH") if ensemble else ("psi0", "psiH")
+        out.update({name: getattr(g, name) for name in fields},
+                   theta=g.theta, physical=g.physical,
+                   **{"R" + tail: g.R, "T" + tail: g.T})
+    return out
 
 
 def _summary_scalars(summary: dict, prefix: str = "") -> str:

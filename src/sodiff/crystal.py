@@ -149,14 +149,15 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     """
     K = np.asarray(K, dtype=float)
     H = np.asarray(H, dtype=float)
-    k_mag = np.sqrt(np.einsum("...i,...i->...", K, K))
+    k0, k1, k2 = K[..., 0], K[..., 1], K[..., 2]
+    # |K|, like |K x H| for H on the x axis, is even under k1 <-> k2
+    k_mag = np.sqrt(k0 * k0 + (k1 * k1 + k2 * k2))
     h0, h1, h2 = H.tolist()
     h_mag = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
     if h_mag == 0.0 or not k_mag.all():
         raise CrystalError("schwinger_axis needs non-zero K and H")
     # K x H and its norm component by component, in np.cross's and
     # np.linalg.norm's operation order
-    k0, k1, k2 = K[..., 0], K[..., 1], K[..., 2]
     cross = np.empty(K.shape)
     c0, c1, c2 = cross[..., 0], cross[..., 1], cross[..., 2]
     np.subtract(k1 * h2, k2 * h1, out=c0)

@@ -108,14 +108,22 @@ class DiffractionGeometry:
         return float(g0) / float(gH)
 
 
-def _kinematics(geom: DiffractionGeometry, k_mag: float, theta, rho):
-    """DiffractionGeometry.kinematics with |k0| given."""
+def _wavevector(k_mag: float, theta, rho) -> np.ndarray:
+    """k = |k0| (1, theta, rho)/norm, (..., 3).  The norm is formed as
+    sqrt(1 + (theta^2 + rho^2)), so k at (rho, theta) is k at (theta, rho)
+    with its y and z components swapped, bit for bit."""
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
-    norm = np.sqrt(1.0 + th**2 + rh**2)
+    norm = np.sqrt(1.0 + (th**2 + rh**2))
     k = np.empty(norm.shape + (3,))
     k[..., 0], k[..., 1], k[..., 2] = 1.0, th, rh
     k *= k_mag
     k /= norm[..., None]
+    return k
+
+
+def _kinematics(geom: DiffractionGeometry, k_mag: float, theta, rho):
+    """DiffractionGeometry.kinematics with |k0| given."""
+    k = _wavevector(k_mag, theta, rho)
     H = np.asarray(geom.H, float)
     n = np.asarray(geom.n, float)
     alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
@@ -258,8 +266,8 @@ def _build_reflection(crystal: CrystalModel, hkl, H) -> Reflection:
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
-              theta, rho) -> dict:
+def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
+              rho) -> dict:
     """Both spin channels of the two-beam problem over broadcast (theta, rho).
 
     The potential is diagonalised per point along the local spin-orbit axis
@@ -277,8 +285,7 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
 
     Returns a dict: point, alpha0, beta, g0, gH, w, u_hat, v0, energy_meV,
     kappa_scale over the points (...); y and X (branch, channel, ...) from
-    _solve_channel; amp0 (channel, ..., 2), the incident spinor projected
-    on each channel; backward_error (...), the largest _backward_error of
+    _solve_channel; backward_error (...), the largest _backward_error of
     the point's four roots, NaN roots skipped.
     """
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
@@ -310,8 +317,13 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, u0_spinor,
     return {"point": point, "alpha0": alpha0, "beta": beta, "g0": g0,
             "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
             "energy_meV": energy, "kappa_scale": k_mag**2 / g0,
-            "y": y, "X": X, "amp0": _channel_projections(u_hat, u0_spinor),
-            "backward_error": backward}
+            "y": y, "X": X, "backward_error": backward}
+
+
+def _spin_axis(geom: DiffractionGeometry, theta, rho) -> np.ndarray:
+    """u_hat of _channels over broadcast (theta, rho) of two or more points,
+    without the channel solve."""
+    return schwinger_axis(_wavevector(geom.k_mag, theta, rho), geom.H)[0]
 
 
 def _channel_projections(u_hat, u0_spinor) -> np.ndarray:
@@ -364,14 +376,15 @@ def _transfer_factors(kind, setup, D):
     amplitudes; overall plane-wave phase factors common to all grid points
     are dropped.
 
-    No complex product here or in the ensemble sums has a temporary as its
-    right operand: numpy evaluates ``a * (b - c)`` on arrays of 256 KiB or
-    more in place as ``(b - c) * a``, and complex multiplication (fused
-    multiply-add) is not bitwise commutative, so the values would depend on
-    the array size and a tiled grid would differ from a whole-grid call.
-    A (channel, ...) array of a full 8192-point scan tile (a line scan, or
-    rows of a power-of-two width) is exactly 256 KiB, so the rule governs
-    production tiles, not only whole-grid calls.
+    No complex product here, in the ensemble sums or in the assembly has a
+    temporary as its right operand: numpy evaluates ``a * (b - c)`` on
+    arrays of 256 KiB or more in place as ``(b - c) * a``, and complex
+    multiplication (fused multiply-add) is not bitwise commutative, so the
+    values would depend on the array size and a tiled grid would differ
+    from a whole-grid call.  A (channel, ...) array of a full 8192-point
+    scan tile (a line scan, or rows of a power-of-two width) is exactly
+    256 KiB, so the rule governs production tiles, not only whole-grid
+    calls.
     """
     ig1, ig2, X1, X2, diff, prod = setup
     if kind == BRAGG:
@@ -396,6 +409,40 @@ def _point(ch: dict, res: dict) -> dict:
             for key, v in res.items()}
 
 
+# ---------------------------------------------------------------------------
+# The two engines: a channel solve, then an assembly per point
+#
+# The solve (_solve_amplitudes, _solve_coherences) depends on a point's
+# spin axis only through w = |K x H|/|H|^2; the assembly (_assemble_*)
+# brings in the axis u_hat through the channel projections amp0 of the
+# incident spinor.  A scan may therefore assemble one solve at every point
+# whose channel problem is the same (see wavefield._scan).
+# ---------------------------------------------------------------------------
+
+def _solve_amplitudes(geom: DiffractionGeometry, crystal: CrystalModel,
+                      theta, rho) -> dict:
+    """The _channels result with the transfer factors t and r (channel, ...)
+    of the geometry's thickness."""
+    sol = _channels(geom, crystal, theta, rho)
+    sol["t"], sol["r"] = _transfer_factors(
+        geom.kind, _transfer_setup(geom.kind, sol), geom.thickness_A)
+    return sol
+
+
+def _assemble_amplitudes(sol: dict, amp0) -> dict:
+    """psi0, psiH (..., 2), R and T: the exit transfer operator
+    sum_s t_s P_s of the _solve_amplitudes result sol applied to the
+    incident spinor, whose channel projections amp0 are given."""
+    t, r = sol["t"], sol["r"]
+    # sum over the channels, from +0.0 as an accumulator would start
+    psi0, psiH = (0.0 + f[0] + f[1] for f in (t[..., None] * amp0,
+                                              r[..., None] * amp0))
+    a0, aH = np.abs(psi0) ** 2, np.abs(psiH) ** 2
+    T = a0[..., 0] + a0[..., 1]
+    R = (aH[..., 0] + aH[..., 1]) * np.abs(sol["gH"]) / sol["g0"]
+    return {"psi0": psi0, "psiH": psiH, "R": R, "T": T}
+
+
 def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
                         u0_spinor, theta, rho) -> dict:
     """Exit spinor envelopes over broadcastable (theta, rho) offsets.
@@ -409,26 +456,19 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
     per-point root backward_error).
     """
-    ch = _channels(geom, crystal, u0_spinor, theta, rho)
-    t, r = _transfer_factors(geom.kind, _transfer_setup(geom.kind, ch),
-                             geom.thickness_A)
-    # sum over the channels, from +0.0 as an accumulator would start
-    psi0, psiH = (0.0 + f[0] + f[1] for f in (t[..., None] * ch["amp0"],
-                                              r[..., None] * ch["amp0"]))
-    a0, aH = np.abs(psi0) ** 2, np.abs(psiH) ** 2
-    T = a0[..., 0] + a0[..., 1]
-    R = (aH[..., 0] + aH[..., 1]) * np.abs(ch["gH"]) / ch["g0"]
-
+    sol = _solve_amplitudes(geom, crystal, theta, rho)
+    res = _assemble_amplitudes(
+        sol, _channel_projections(sol["u_hat"], u0_spinor))
     # (branch, channel, ...) -> (..., channel, branch), as views
-    point_major = tuple(range(2, ch["y"].ndim)) + (1, 0)
-    channel_last = tuple(range(1, t.ndim)) + (0,)
+    point_major = tuple(range(2, sol["y"].ndim)) + (1, 0)
+    channel_last = tuple(range(1, sol["t"].ndim)) + (0,)
     keep = ("alpha0", "beta", "g0", "gH", "w", "u_hat", "backward_error")
-    res = _point(ch, {
-        "psi0": psi0, "psiH": psiH, "R": R, "T": T,
-        "t": t.transpose(channel_last), "r": r.transpose(channel_last),
-        "y": ch["y"].transpose(point_major),
-        "X": ch["X"].transpose(point_major), **{key: ch[key] for key in keep}})
-    return {**res, "v0": ch["v0"], "energy_meV": ch["energy_meV"]}
+    res = _point(sol, {
+        **res, "t": sol["t"].transpose(channel_last),
+        "r": sol["r"].transpose(channel_last),
+        "y": sol["y"].transpose(point_major),
+        "X": sol["X"].transpose(point_major), **{key: sol[key] for key in keep}})
+    return {**res, "v0": sol["v0"], "energy_meV": sol["energy_meV"]}
 
 
 _BRAGG_ENSEMBLE_POINTS = 32
@@ -437,47 +477,20 @@ _BRAGG_ENSEMBLE_POINTS = 32
 _NEGLIGIBLE_BEAT = 12.0
 
 
-def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
-                        u0_spinor, theta, rho,
-                        span_A: float | None = None) -> dict:
-    """Thickness-ensemble-averaged spin coherence matrices <psi psi^dag>.
-
-    For crystals many extinction lengths thick, the exit amplitudes carry
-    optical-path phases of thousands of radians that no transverse grid can
-    resolve; observables built from them are then dominated by sampling
-    noise.  Averaging the quadratic coherences over an ensemble of
-    thicknesses (the incoherent mixture any real thickness gradient or
-    wavelength band produces) removes the unresolvable beats while
-    preserving every spin-orbit observable: intensities, polarization and
-    the relative phase accumulated between spin channels.
-
-    The two geometries use different ensembles.  Laue averages over a
-    Gaussian of width span_A in closed form (the amplitudes are
-    two-exponential sums): one sum of branch beats for each of the three
-    channel entries C[0,0], C[1,1] and C[0,1], with C[1,0] = conj(C[0,1]).
-    A cross-branch beat is dropped at every point where its window factor
-    is below exp(-_NEGLIGIBLE_BEAT^2/2) = 5.4e-32, and not formed at all
-    where that holds over the whole call, so a 35 mm backscattering crystal
-    forms 6 exponentials per point.  Bragg averages _BRAGG_ENSEMBLE_POINTS
-    equally weighted thicknesses uniform over +-1.5 span_A, reached by
-    stepped exponentials (round-off about 1e-14 at 100 um, 1e-12 at
-    10 mm).  span_A (Angstrom, finite and >= 0) defaults to 1e-5 of the
-    thickness, far below any real tolerance yet enough to suppress the Laue
-    branch beats below double precision.
-
-    Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
-    (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
-    where the beam enters the crystal).
-    """
+def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
+                      theta, rho, span_A: float | None) -> dict:
+    """The _channels result with the thickness-ensemble coherences of the
+    channel amplitudes, C0 = <t_s conj(t_s')> and CH = <r_s conj(r_s')>,
+    each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps."""
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     elif not 0.0 <= span_A < np.inf:
         raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
-    ch = _channels(geom, crystal, u0_spinor, theta, rho)
-    shape = ch["g0"].shape
-    ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, ch)
+    sol = _channels(geom, crystal, theta, rho)
+    shape = sol["g0"].shape
+    ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, sol)
 
-    C0 = np.zeros(shape + (2, 2), complex)   # <t_s conj(t_s')>
+    C0 = np.zeros(shape + (2, 2), complex)
     CH = np.zeros(shape + (2, 2), complex)
     if geom.kind == LAUE:
         # Laue amplitudes are two-exponential sums, so the Gaussian
@@ -529,13 +542,20 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
             C[..., 0, 0], C[..., 1, 1] = np.abs(f) ** 2 * d / n
             C[..., 0, 1] = np.conj(f[1]) * f[0] * o / n
             C[..., 1, 0] = np.conj(C[..., 0, 1])
+    sol["C0"], sol["CH"] = C0, CH
+    return sol
 
-    basis = ch["amp0"]
-    rho0 = np.zeros(shape + (2, 2), complex)
-    rhoH = np.zeros(shape + (2, 2), complex)
+
+def _assemble_coherences(sol: dict, amp0) -> dict:
+    """rho0, rhoH (..., 2, 2), R and T: the channel coherences of the
+    _solve_coherences result sol carried to the lab spin basis by the
+    channel projections amp0 of the incident spinor."""
+    C0, CH = sol["C0"], sol["CH"]
+    rho0 = np.zeros(C0.shape, complex)
+    rhoH = np.zeros(C0.shape, complex)
     for a in range(2):
         for b in range(2):
-            outer = basis[a][..., :, None] * np.conj(basis[b][..., None, :])
+            outer = amp0[a][..., :, None] * np.conj(amp0[b][..., None, :])
             rho0 += C0[..., a, b, None, None] * outer
             rhoH += CH[..., a, b, None, None] * outer
     for m in (rho0, rhoH):   # exactly Hermitian, as C0 and CH are
@@ -544,9 +564,47 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 
     T = rho0[..., 0, 0].real + rho0[..., 1, 1].real
     R = ((rhoH[..., 0, 0].real + rhoH[..., 1, 1].real)
-         * np.abs(ch["gH"]) / ch["g0"])
-    return _point(ch, {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T,
-                       "g0": ch["g0"]})
+         * np.abs(sol["gH"]) / sol["g0"])
+    return {"rho0": rho0, "rhoH": rhoH, "R": R, "T": T}
+
+
+def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
+                        u0_spinor, theta, rho,
+                        span_A: float | None = None) -> dict:
+    """Thickness-ensemble-averaged spin coherence matrices <psi psi^dag>.
+
+    For crystals many extinction lengths thick, the exit amplitudes carry
+    optical-path phases of thousands of radians that no transverse grid can
+    resolve; observables built from them are then dominated by sampling
+    noise.  Averaging the quadratic coherences over an ensemble of
+    thicknesses (the incoherent mixture any real thickness gradient or
+    wavelength band produces) removes the unresolvable beats while
+    preserving every spin-orbit observable: intensities, polarization and
+    the relative phase accumulated between spin channels.
+
+    The two geometries use different ensembles.  Laue averages over a
+    Gaussian of width span_A in closed form (the amplitudes are
+    two-exponential sums): one sum of branch beats for each of the three
+    channel entries C[0,0], C[1,1] and C[0,1], with C[1,0] = conj(C[0,1]).
+    A cross-branch beat is dropped at every point where its window factor
+    is below exp(-_NEGLIGIBLE_BEAT^2/2) = 5.4e-32, and not formed at all
+    where that holds over the whole call, so a 35 mm backscattering crystal
+    forms 6 exponentials per point.  Bragg averages _BRAGG_ENSEMBLE_POINTS
+    equally weighted thicknesses uniform over +-1.5 span_A, reached by
+    stepped exponentials (round-off about 1e-14 at 100 um, 1e-12 at
+    10 mm).  span_A (Angstrom, finite and >= 0) defaults to 1e-5 of the
+    thickness, far below any real tolerance yet enough to suppress the Laue
+    branch beats below double precision.
+
+    Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
+    (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
+    where the beam enters the crystal).
+    """
+    sol = _solve_coherences(geom, crystal, theta, rho, span_A)
+    res = _assemble_coherences(
+        sol, _channel_projections(sol["u_hat"], u0_spinor))
+    return _point(sol, {**res, "g0": sol["g0"]})
+
 
 
 # ---------------------------------------------------------------------------

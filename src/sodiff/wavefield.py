@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import logging
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import dispersion as dp
 from .crystal import CrystalModel, SIGMA
-from .dispersion import (
-    DiffractionGeometry,
-    exit_amplitude_maps,
-    exit_coherence_maps,
-)
+from .dispersion import DiffractionGeometry, exit_amplitude_maps
 
 log = logging.getLogger(__name__)
 
@@ -166,24 +162,67 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _folds(geom: DiffractionGeometry, th: np.ndarray, rh: np.ndarray) -> bool:
+    """Whether every theta <-> rho mirror pair of the grid has one channel
+    problem, bit for bit.
+
+    With H and n exactly on the lab x axis, k(rho, theta) is k(theta, rho)
+    with k_y and k_z swapped (see dispersion._wavevector), so the
+    kinematics, w and everything solved from them are equal at the two
+    points; only the spin axis u_hat differs.  The axes must be equal and
+    keep no grazing nudge: g0 = n_x |k0|/norm falls as theta^2 + rho^2
+    grows, so each row's smallest |g0| lies in an end column of rho.
+    """
+    off_axis = np.concatenate((np.asarray(geom.H, float)[1:],
+                               np.asarray(geom.n, float)[1:]))
+    if off_axis.any() or not np.array_equal(th, rh):
+        return False
+    _, g0, _, _ = geom.kinematics(th[:, None], rh[[0, -1]])
+    return not np.any(np.abs(g0) < 1e-15 * geom.k_mag)
+
+
+def _fold_bands(n: int, threads: int) -> list[tuple[int, int]]:
+    """Row bands [i0, i1) of an n x n grid that share its representatives
+    i <= j about equally: as many bands as the smallest multiple of
+    threads that gives shares of at most _TILE_POINTS, each band ending on
+    the row that completes its share (so it may exceed the share by part
+    of a row)."""
+    done_by_row = np.cumsum(np.arange(n, 0, -1))
+    total = int(done_by_row[-1])
+    count = -(-total // _TILE_POINTS)
+    count += -count % threads
+    ends = np.searchsorted(done_by_row, total * np.arange(1, count + 1) / count) + 1
+    return [(int(i0), int(i1)) for i0, i1 in zip((0, *ends), ends) if i1 > i0]
+
+
 def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
-          state: dict):
+          assemble, state: dict, repair, report):
     """Tiled evaluation shared by grid_scan and coherence_scan.
 
-    Checks copies of the axes, then walks theta-row tiles of at most
-    _TILE_POINTS points (at least one row).  Each tile nudges by 1e-12 rad
-    every theta row that puts k exactly in the surface (g0 = 0), calls
-    solve(theta_rows, rho) for the engine result and a per-tile statistic,
-    and copies the kept fields into full-grid arrays allocated up front:
+    Checks copies of the axes and allocates the full-grid arrays up front:
     the ``state`` arrays (name -> trailing shape), R, T and the physical
-    mask.  The engine's values do not depend on the array size (see
-    dispersion._transfer_factors), so the grid equals one whole-grid call
-    bit for bit.  With more than one tile, the tiles are shared among one
-    thread per CPU in the process's affinity mask (the calling thread and a
-    pool): numpy releases the GIL, and each tile writes only its own rows.
+    mask.  A tile calls solve(theta, rho) for the channel solve of its
+    points (dispersion._solve_*), assemble(solved, amp0) for their fields
+    at the channel projections amp0 of u0 (dispersion._assemble_*) and
+    repair(fields, theta, rho) for a statistic; it then copies the kept
+    fields into the grid.  Once every tile is done, report(statistics)
+    logs, and a secular root with a backward error above _ROOT_TOL raises
+    WaveGridError.
 
-    Returns the WaveGrid and the per-tile statistics in tile order, for the
-    caller to reduce and raise or log on once per scan.
+    Where _folds holds, a tile is a band of theta rows holding its share
+    of the representatives (i, j), i <= j (see _fold_bands): it solves
+    them once and assembles each at (i, j) and at its image (j, i), with
+    the image's own spin axis.  Elsewhere a tile is at most _TILE_POINTS
+    points of whole
+    theta rows (at least one row), and it first nudges by 1e-12 rad every
+    theta row that puts k exactly in the surface (g0 = 0).  The engine's
+    values do not depend on the array size (see
+    dispersion._transfer_factors), so the grid equals one whole-grid call
+    bit for bit either way.  The images of a band's representatives lie in
+    its own columns below the diagonal, so no two tiles write one entry.
+    With more than one tile, the tiles are shared among one thread per CPU
+    in the process's affinity mask (the calling thread and a pool): numpy
+    releases the GIL.
     """
     th = np.asarray(theta_axis, float).copy()
     rh = np.asarray(rho_axis, float).copy()
@@ -191,50 +230,106 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
         raise WaveGridError("axes must not be empty")
     if not (_axes_ok(th) and _axes_ok(rh)):
         raise WaveGridError("axes must be strictly increasing and uniform")
-    shape = (th.size, rh.size)
-    kept = {name: np.empty(shape + tail, complex) for name, tail in state.items()}
-    kept.update((name, np.empty(shape)) for name in ("R", "T"))
-    physical = np.empty(shape, bool)
-    rows = max(1, _TILE_POINTS // rh.size)
-    starts = range(0, th.size, rows)
+    n_t, n_r = th.size, rh.size
+    kept = {name: np.empty((n_t, n_r) + tail, complex)
+            for name, tail in state.items()}
+    kept.update((name, np.empty((n_t, n_r))) for name in ("R", "T"))
+    physical = np.empty((n_t, n_r), bool)
+    u0 = np.asarray(u0, complex)
+    cpus, rows = _cpus(), max(1, _TILE_POINTS // n_r)
 
-    def tile(i0):
-        band = slice(i0, i0 + rows)
-        t = th[band]  # a view: the nudge lands in th
+    def fields(sol, u_hat):
+        res = assemble(sol, dp._channel_projections(u_hat, u0))
+        return dp._point(sol, {**res, "g0": sol["g0"]})
+
+    def store(res, t, r, put):
+        """Repair the fields res of the points (t, r) and put each kept
+        one into its grid array."""
+        stat = repair(res, t, r)
+        res = {**res, "physical": res["g0"] > 0.0}
+        for name, out in {**kept, "physical": physical}.items():
+            put(out, res[name])
+        return stat
+
+    def worst(sol):
+        return float(np.max(sol["backward_error"]))
+
+    def row_tile(i0):
+        i1 = min(i0 + rows, n_t)
+        t = th[i0:i1]  # a view: the nudge lands in th
         _, g0, _, _ = geom.kinematics(t[:, None], rh[None, :])
         t[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
-        res, stat = solve(t, rh)
-        for name, out in kept.items():
-            out[band] = res[name]
-        physical[band] = res["g0"] > 0.0
-        return stat
+        t, r = t[:, None], rh[None, :]
+        sol = solve(t, r)
+
+        def put(out, v):
+            out[i0:i1] = v
+
+        return worst(sol), [store(fields(sol, sol["u_hat"]), t, r, put)]
+
+    def fold_tile(band):
+        # representatives of rows i0 <= i < i1: the d diagonal points, the
+        # triangle i < j < i1, then the block j >= i1 row by row, which
+        # with its image block is stored by slices
+        i0, i1 = band
+        d, cols = i1 - i0, n_r - i1
+        ti, tj = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+        ti = np.concatenate((np.arange(d), ti)) + i0
+        tj = np.concatenate((np.arange(d), tj)) + i0
+        tri = ti.size
+        t = np.concatenate((th[ti], np.repeat(th[i0:i1], cols)))
+        r = np.concatenate((rh[tj], np.tile(rh[i1:], d)))
+        sol = solve(t, r)
+
+        def block(v):   # the last d * cols entries, as (d, cols, ...)
+            return v[len(v) - d * cols:].reshape((d, cols) + v.shape[1:])
+
+        def put(out, v):
+            out[ti, tj] = v[:tri]
+            out[i0:i1, i1:] = block(v)
+
+        def put_image(out, v):   # v leaves out the diagonal
+            out[tj[d:], ti[d:]] = v[:tri - d]
+            out[i1:, i0:i1] = block(v).swapaxes(0, 1)
+
+        stats = [store(fields(sol, sol["u_hat"]), t, r, put)]
+        if t.size > d:   # the image (j, i) lies at theta = r, rho = t
+            image = fields(sol, dp._spin_axis(geom, r, t))
+            image = {name: v[d:] for name, v in image.items()}
+            stats.append(store(image, r[d:], t[d:], put_image))
+        return worst(sol), stats
+
+    if _folds(geom, th, rh):
+        tile, tiles = fold_tile, _fold_bands(n_t, cpus)
+    else:
+        tile, tiles = row_tile, range(0, n_t, rows)
 
     # every k-th tile to each of `workers` threads; the calling thread is
     # one of them, since each thread keeps the memory its tiles freed in its
     # own malloc arena, so one pool thread fewer lowers the peak RSS
-    workers = min(_cpus(), len(starts))
-    shares = [starts[k::workers] for k in range(workers)]
+    workers = min(cpus, len(tiles))
+    shares = [tiles[k::workers] for k in range(workers)]
 
     def run(share):
-        return [tile(i0) for i0 in share]
+        return [tile(t) for t in share]
 
     if workers > 1:
         with ThreadPoolExecutor(workers - 1) as pool:
             others = pool.map(run, shares[1:])
-            by_share = [run(shares[0]), *others]
+            results = [r for share in [run(shares[0]), *others] for r in share]
     else:
-        by_share = [run(starts)]
-    stats = [None] * len(starts)
-    for k, results in enumerate(by_share):
-        stats[k::workers] = results
-
-    grid = WaveGrid(theta=th, rho=rh, geometry=geom,
-                    u0=np.asarray(u0, complex), physical=physical, **kept)
-    return grid, stats
+        results = run(tiles)
+    report([stat for _, stats in results for stat in stats])
+    largest = max(w for w, _ in results)
+    if largest > _ROOT_TOL:
+        raise WaveGridError(f"secular root backward error {largest:.2e} "
+                            f"exceeds {_ROOT_TOL:.0e}")
+    return WaveGrid(theta=th, rho=rh, geometry=geom, u0=u0,
+                    physical=physical, **kept)
 
 
 def _nonfinite(res, names) -> np.ndarray:
-    """(theta, rho) mask of the points where a named field is not finite."""
+    """Mask of the points where a named field is not finite."""
     bad = np.zeros(res["R"].shape, bool)
     for name in names:
         a = res[name]
@@ -248,58 +343,61 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     """Dense exit-field evaluation over the tensor grid theta x rho.
 
     Deterministic and independent of evaluation order: the grid is solved
-    in theta-row tiles, possibly on several threads, and equals one
-    whole-grid exit_amplitude_maps call bit for bit; only psi0, psiH, R, T
-    and the physical mask are kept.  Exactly grazing axis
-    values are nudged by 1e-12 rad; points where the boundary system is
-    singular are retried with a nudged theta and, if still unsolvable,
-    stored as NaN, never dropped (one log warning per scan).  Every secular
-    root must have a backward error of at most 1e-12, else WaveGridError is
-    raised once the whole grid is done.
+    in tiles, possibly on several threads, and equals one whole-grid
+    exit_amplitude_maps call bit for bit; only psi0, psiH, R, T and the
+    physical mask are kept.  Where H and n lie on the lab x axis (Bragg
+    backscattering) and theta and rho are the same axis, each theta <-> rho
+    mirror pair is solved once and assembled at both points, with the same
+    bits.  Exactly grazing axis values are nudged by 1e-12 rad; points
+    where the boundary system is singular are retried one by one with a
+    nudged theta and, if still unsolvable, stored as NaN, never dropped
+    (one log warning per scan).  Every secular root must have a backward
+    error of at most 1e-12, else WaveGridError is raised once the whole
+    grid is done.
     """
-    def solve(t, rh):
-        res = exit_amplitude_maps(geom, crystal, u0, t[:, None], rh[None, :])
+    def repair(res, t, r):
         bad = _nonfinite(res, ("psi0", "psiH"))
         singular = int(bad.sum())
-        if singular:
-            ii, jj = np.nonzero(bad)
-            retry = exit_amplitude_maps(
-                geom, crystal, u0, t[ii] * (1.0 + 1e-12) + 1e-15, rh[jj])
-            for name in ("psi0", "psiH", "R", "T"):
-                res[name][ii, jj] = retry[name]
-        nan = int(_nonfinite(res, ("psi0", "psiH")).sum()) if singular else 0
-        return res, (singular, nan, float(np.max(res["backward_error"])))
+        if not singular:
+            return 0, 0
+        at = np.nonzero(bad)
+        t, r = (np.broadcast_to(a, bad.shape)[at] for a in (t, r))
+        retry = exit_amplitude_maps(geom, crystal, u0,
+                                    t * (1.0 + 1e-12) + 1e-15, r)
+        for name in ("psi0", "psiH", "R", "T"):
+            res[name][at] = retry[name]
+        return singular, int(_nonfinite(res, ("psi0", "psiH")).sum())
 
-    grid, stats = _scan(geom, u0, theta_axis, rho_axis, solve,
-                        {"psi0": (2,), "psiH": (2,)})
-    singular, nan, worst = zip(*stats)
-    if sum(singular):
-        log.warning("grid_scan: %d singular points retried with a nudged "
-                    "theta, %d remain NaN", sum(singular), sum(nan))
-    if max(worst) > _ROOT_TOL:
-        raise WaveGridError(f"secular root backward error {max(worst):.2e} "
-                            f"exceeds {_ROOT_TOL:.0e}")
-    return grid
+    def report(stats):
+        singular, nan = (sum(s) for s in zip(*stats))
+        if singular:
+            log.warning("grid_scan: %d singular points retried with a nudged "
+                        "theta, %d remain NaN", singular, nan)
+
+    return _scan(geom, u0, theta_axis, rho_axis,
+                 lambda t, r: dp._solve_amplitudes(geom, crystal, t, r),
+                 dp._assemble_amplitudes, {"psi0": (2,), "psiH": (2,)},
+                 repair, report)
 
 
 def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
                    theta_axis, rho_axis, span_A: float | None = None
                    ) -> WaveGrid:
     """Thickness-ensemble companion of grid_scan (see exit_coherence_maps):
-    a grid holding rho0/rhoH instead of psi0/psiH, solved in the same
-    theta-row tiles on axes checked and nudged off grazing incidence as
-    grid_scan's are, and equal to one whole-grid exit_coherence_maps call
-    bit for bit.  Points left NaN are logged once per scan."""
-    def solve(t, rh):
-        res = exit_coherence_maps(geom, crystal, u0, t[:, None], rh[None, :],
-                                  span_A=span_A)
-        return res, int(_nonfinite(res, ("rho0", "rhoH")).sum())
+    a grid holding rho0/rhoH instead of psi0/psiH, on axes checked and
+    nudged off grazing incidence as grid_scan's are, solved in the same
+    tiles with the same theta <-> rho fold, and equal to one whole-grid
+    exit_coherence_maps call bit for bit.  Points left NaN are logged once
+    per scan, and a secular root is checked as in grid_scan."""
+    def report(nan):
+        if sum(nan):
+            log.warning("coherence_scan: %d points are NaN", sum(nan))
 
-    grid, nan = _scan(geom, u0, theta_axis, rho_axis, solve,
-                      {"rho0": (2, 2), "rhoH": (2, 2)})
-    if sum(nan):
-        log.warning("coherence_scan: %d points are NaN", sum(nan))
-    return grid
+    return _scan(geom, u0, theta_axis, rho_axis,
+                 lambda t, r: dp._solve_coherences(geom, crystal, t, r, span_A),
+                 dp._assemble_coherences, {"rho0": (2, 2), "rhoH": (2, 2)},
+                 lambda res, t, r: int(_nonfinite(res, ("rho0", "rhoH")).sum()),
+                 report)
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +526,8 @@ def winding_number(phase: np.ndarray, loop, mask: np.ndarray = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Grid export: a compact binary format and CSV
+# CSV export
 # ---------------------------------------------------------------------------
-
-_MAGIC = b"SODIFFG1"
-_HDR = struct.Struct("<8sII d d d d I 12x")  # 64 bytes total
-
-
-def write_binary(grid: WaveGrid, path):
-    """Compact grid dump: 64-byte header (magic, dims, axis ranges, dtype
-    code 0 = complex128) followed by psi0, psiH, R, T in C order."""
-    grid._require_pure("write_binary")
-    nt, nr = grid.theta.size, grid.rho.size
-    header = _HDR.pack(_MAGIC, nt, nr, float(grid.theta[0]), float(grid.theta[-1]),
-                       float(grid.rho[0]), float(grid.rho[-1]), 0)
-    assert len(header) == 64
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(grid.psi0, dtype=np.complex128).tobytes())
-        fh.write(np.ascontiguousarray(grid.psiH, dtype=np.complex128).tobytes())
-        fh.write(np.ascontiguousarray(grid.R, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(grid.T, dtype=np.float64).tobytes())
-
 
 _CSV_CHUNK_ROWS = 1024
 

@@ -6,7 +6,7 @@ brute-force definitions, sharing no code path with the package internals
 it checks.
 """
 
-import struct
+import logging
 
 import numpy as np
 
@@ -285,7 +285,7 @@ def laue_coherence_all_beats(geom, crystal, u0, theta, rho, span_A):
     """Laue ensemble coherences (rho0, rhoH) summed over all 16 (a, b, i, j)
     beats of the closed form, the cross-branch ones whatever their window,
     with C[1, 0] summed apart from C[0, 1] and no Hermitian projection."""
-    ch = dp._channels(geom, crystal, u0, theta, rho)
+    ch = dp._channels(geom, crystal, theta, rho)
     ig1, ig2, X1, X2, diff, prod = dp._transfer_setup(dp.LAUE, ch)
     # indexed [branch][channel]
     ig = (ig1, ig2)
@@ -300,34 +300,51 @@ def laue_coherence_all_beats(geom, crystal, u0, theta, rho, span_A):
                * np.exp(idk * geom.thickness_A))
         C0[..., a, b] += np.conj(At[j][b]) * At[i][a] * win
         CH[..., a, b] += np.conj(Ar[j][b]) * Ar[i][a] * win
-    basis = ch["amp0"]
+    basis = dp._channel_projections(ch["u_hat"], u0)
     outer = basis[:, None, ..., :, None] * np.conj(basis[None, :, ..., None, :])
     rho0 = np.einsum("...ab,ab...ij->...ij", C0, outer)
     rhoH = np.einsum("...ab,ab...ij->...ij", CH, outer)
     return rho0, rhoH
 
 
-GRID_HEADER = struct.Struct("<8sII4dI12x")   # the README's 64-byte header
+def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
+    """grid_scan (ensemble False) or coherence_scan (True) as the scans
+    behaved before the theta <-> rho fold: one whole-grid public engine
+    call, no tiles, threads or fold.  Grazing theta rows are nudged by
+    1e-12 rad; a pure grid's non-finite points are retried with a nudged
+    theta; the scans' warning is logged on "sodiff.wavefield"; a root
+    backward error above 1e-12 raises WaveGridError.  Returns the grid's
+    fields by name, with its theta axis and physical mask."""
+    log = logging.getLogger("sodiff.wavefield")
+    th = np.asarray(theta, float).copy()
+    rh = np.asarray(rho, float)
+    _, g0, _, _ = geom.kinematics(th[:, None], rh[None, :])
+    th[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
+    T, R = th[:, None], rh[None, :]
+    res = dp.exit_amplitude_maps(geom, crystal, u0, T, R)
+    worst = float(np.max(res["backward_error"]))
+    names = ("rho0", "rhoH") if ensemble else ("psi0", "psiH")
 
+    def nonfinite():
+        shape = res["R"].shape + (-1,)
+        return ~np.all([np.isfinite(res[name]).reshape(shape).all(axis=-1)
+                        for name in names], axis=0)
 
-def read_binary(path) -> dict:
-    """A wavefield.write_binary grid dump read back by the README's layout:
-    the header, then psi0, psiH (complex128) and R, T (float64) in C
-    order; the axes are rebuilt from the header's extremes."""
-    with open(path, "rb") as fh:
-        magic, nt, nr, t0, t1, r0, r1, dtype_code = GRID_HEADER.unpack(
-            fh.read(GRID_HEADER.size))
-        if magic != b"SODIFFG1":
-            raise WaveGridError("not a sodiff grid file")
-        if dtype_code != 0:
-            raise WaveGridError(f"unknown dtype code {dtype_code}")
-        out = {}
-        for name, dt, tail in (("psi0", np.complex128, (2,)),
-                               ("psiH", np.complex128, (2,)),
-                               ("R", np.float64, ()), ("T", np.float64, ())):
-            shape = (nt, nr) + tail
-            count = int(np.prod(shape))
-            out[name] = np.frombuffer(fh.read(count * np.dtype(dt).itemsize),
-                                      dt).reshape(shape)
-    return {"theta": np.linspace(t0, t1, nt), "rho": np.linspace(r0, r1, nr),
-            **out}
+    if ensemble:
+        res = dp.exit_coherence_maps(geom, crystal, u0, T, R, span_A=span_A)
+        if nonfinite().sum():
+            log.warning("coherence_scan: %d points are NaN", nonfinite().sum())
+    elif nonfinite().any():
+        bad = nonfinite()
+        at = np.nonzero(bad)
+        retry = dp.exit_amplitude_maps(
+            geom, crystal, u0, th[at[0]] * (1.0 + 1e-12) + 1e-15, rh[at[1]])
+        for name in ("psi0", "psiH", "R", "T"):
+            res[name][at] = retry[name]
+        log.warning("grid_scan: %d singular points retried with a nudged "
+                    "theta, %d remain NaN", bad.sum(), nonfinite().sum())
+    if worst > 1e-12:
+        raise WaveGridError(f"secular root backward error {worst:.2e} "
+                            "exceeds 1e-12")
+    return {"theta": th, "physical": res["g0"] > 0.0,
+            **{name: res[name] for name in names + ("R", "T")}}

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import sodiff
-from oracles import read_binary
 from sodiff import __version__, cli
+from sodiff import crystal as cr
+from sodiff import dispersion as dp
 from sodiff import wavefield as wf
 
 
@@ -190,21 +191,69 @@ def test_run_twice_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_binary_grid_written_without_pure_grid_analysis(tmp_path):
-    """format = binary dumps the pure grid even when no analysis built it."""
-    text = (MINIMAL.replace("mode = polarization\nbeams = reflected",
-                            "mode = coil-model\nalpha_points = 11")
-            .replace("precision = 9", "format = binary\nprecision = 9"))
+def binary_dump(tmp_path, text):
+    """Run text with format = binary; return wavegrid.npz's arrays and the
+    geometry and axes it records, as scan arguments."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    cfg.write_text(text.replace("precision = 9", "format = binary\nprecision = 9"))
     out = tmp_path / "out"
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
-    assert "wavegrid.sgrid" in json.loads(
+    assert "wavegrid.npz" in json.loads(
         (out / "manifest.json").read_text())["artifacts"]
-    back = read_binary(out / "wavegrid.sgrid")
-    assert back["theta"].size == 11 and back["rho"].size == 1
-    assert back["psi0"].shape == back["psiH"].shape == (11, 1, 2)
-    assert back["R"].shape == back["T"].shape == (11, 1)
+    with np.load(out / "wavegrid.npz") as npz:
+        dump = dict(npz)
+    geom = dp.DiffractionGeometry(
+        k0=tuple(dump["k0"]), H=tuple(dump["H"]), n=tuple(dump["n"]),
+        kind=str(dump["kind"]), thickness_A=float(dump["thickness_A"]),
+        hkl=tuple(int(i) for i in dump["hkl"]))
+    return dump, (geom, cr.reference_quartz(), dump["u0"], dump["theta"],
+                  dump["rho"])
+
+
+def test_binary_grid_written_without_pure_grid_analysis(tmp_path,
+                                                        monkeypatch):
+    """format = binary dumps the grids the analyses built: a config whose
+    analyses all use the ensemble runs coherence_scan once and no
+    grid_scan, and the dump holds that grid with its full axes."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("grid_scan ran for the dump")
+
+    monkeypatch.setattr(wf, "grid_scan", no_scan)
+    scans = []
+    coherence_scan = wf.coherence_scan
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return coherence_scan(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "coherence_scan", counted)
+    dump, args = binary_dump(tmp_path, MINIMAL.replace(
+        "beams = reflected", "beams = reflected\nensemble = true"))
+    assert len(scans) == 1
+    assert {"psi0", "psiH", "R", "T"}.isdisjoint(dump)
+    assert dump["theta"].shape == (11,) and dump["rho"].shape == (1,)
+    grid = coherence_scan(*args)
+    for name in ("rho0", "rhoH", "physical"):
+        assert np.array_equal(dump[name], getattr(grid, name)), name
+    assert np.array_equal(dump["R_ensemble"], grid.R)
+    assert np.array_equal(dump["T_ensemble"], grid.T)
+
+
+def test_binary_dump_holds_the_built_grids(tmp_path):
+    """A run with a pure and an ensemble analysis dumps both grids, bit for
+    bit, with the geometry, incident spinor and full axes to rebuild them:
+    here a 9 x 9 Bragg backscattering grid (a folded scan)."""
+    dump, args = binary_dump(tmp_path, backscattering_config(
+        "bragg", "[analysis]\nmode = polarization-map\nbeams = reflected\n\n"
+        "[analysis]\nmode = polarization-map\nbeams = transmitted\n"
+        "ensemble = true\n"))
+    assert np.array_equal(dump["u0"], np.array([1.0, 1.0]) / np.sqrt(2.0))
+    assert dump["theta"].shape == dump["rho"].shape == (9,)
+    for grid, names in ((wf.grid_scan(*args), ("psi0", "psiH", "R", "T")),
+                        (wf.coherence_scan(*args), ("rho0", "rhoH"))):
+        for name in names + ("physical",):
+            assert np.array_equal(dump[name], getattr(grid, name)), name
+    assert np.array_equal(dump["R_ensemble"], wf.coherence_scan(*args).R)
 
 
 def test_import_loads_no_scipy():

@@ -611,7 +611,7 @@ def laue_back_beats(quartz, thickness):
     lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
     g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, thickness)
     ax = np.deg2rad(np.linspace(-0.3, 0.3, 48))
-    ch = dp._channels(g, quartz, (1.0, 0.0), ax[:, None], ax[None, :])
+    ch = dp._channels(g, quartz, ax[:, None], ax[None, :])
     ig = dp._transfer_setup(dp.LAUE, ch)[:2]   # [branch][channel]
     x = min(np.min(np.abs(ig[i][a].imag - ig[1 - i][b].imag))
             for a, b in ((0, 0), (1, 1), (0, 1)) for i in range(2))

@@ -1,12 +1,13 @@
+import logging
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import polarization_map_whole, read_binary
+from oracles import polarization_map_whole, scan_whole
 from sodiff import dispersion as dp
 from sodiff import oam
 from sodiff import wavefield as wf
@@ -64,6 +65,8 @@ def test_wide_window_scan_accepted(quartz, thermal_bragg_100um,
 
 def test_perturbed_root_rejected(quartz, thermal_bragg_100um, u0_along_beam,
                                  monkeypatch):
+    """A secular root off by 1e-9 relative is rejected by either scan once
+    the grid is done: the check lives in their shared tiling."""
     solve = dp._solve_channel
 
     def perturbed(*args):
@@ -72,8 +75,10 @@ def test_perturbed_root_rejected(quartz, thermal_bragg_100um, u0_along_beam,
         return y, X
 
     monkeypatch.setattr(dp, "_solve_channel", perturbed)
-    with pytest.raises(wf.WaveGridError, match="backward error"):
-        small_grid(quartz, thermal_bragg_100um, u0_along_beam, n=5)
+    ax = np.linspace(-2e-5, 2e-5, 5)
+    for scan in (wf.grid_scan, wf.coherence_scan):
+        with pytest.raises(wf.WaveGridError, match="backward error"):
+            scan(thermal_bragg_100um, quartz, u0_along_beam, ax, ax)
 
 
 def test_grid_requires_uniform_axes(quartz, thermal_bragg_100um, u0_along_beam):
@@ -136,14 +141,19 @@ def test_tiling_invisible(quartz, u0_along_beam, monkeypatch, case, scan,
 def test_tiling_stress_many_threads(quartz, u0_along_beam, monkeypatch):
     """One-row tiles on eight threads (more than the cores) with a short
     thread switch interval: every row, the nudged grazing one included,
-    still equals the whole-grid engine call."""
+    still equals the whole-grid engine call.  The same holds for a folded
+    scan in bands of 40 representatives, whose threads write mirror images
+    into each other's rows."""
     geom, th, rh = tiling_case(quartz, "laue-back")
-    monkeypatch.setattr(wf, "_TILE_POINTS", rh.size)
+    back, ax = back_bragg(quartz), np.deg2rad(0.45) * np.linspace(-1, 1, 61)
     monkeypatch.setattr(wf, "_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        monkeypatch.setattr(wf, "_TILE_POINTS", rh.size)
         grid = wf.grid_scan(geom, quartz, u0_along_beam, th, rh)
+        monkeypatch.setattr(wf, "_TILE_POINTS", 40)
+        folded = wf.grid_scan(back, quartz, u0_along_beam, ax, ax)
     finally:
         sys.setswitchinterval(interval)
     whole = dp.exit_amplitude_maps(geom, quartz, u0_along_beam,
@@ -151,24 +161,230 @@ def test_tiling_stress_many_threads(quartz, u0_along_beam, monkeypatch):
     assert np.nonzero(grid.theta != th)[0].tolist() == [65]
     for name in ("psi0", "psiH", "R", "T"):
         assert np.array_equal(getattr(grid, name), whole[name]), name
+    assert_equals_whole(folded, scan_whole(back, quartz, u0_along_beam, ax,
+                                           ax), "grid")
 
 
 def test_grid_scan_memory_bounded_by_kept_fields(quartz, thermal_bragg_100um,
                                                  u0_along_beam, monkeypatch):
     """A 512^2 scan on two threads allocates at most its kept arrays plus
-    1 KiB per point of the two tiles in flight (about 0.7 KiB measured);
-    the per-point diagnostics of the whole grid never exist at once."""
+    1 KiB per point of the two tiles in flight (about 0.6 KiB measured);
+    the per-point diagnostics of the whole grid never exist at once.  The
+    same bound holds for a folded scan (Bragg backscattering, one axis),
+    which keeps no representatives beyond its tiles."""
     monkeypatch.setattr(wf, "_cpus", lambda: 2)
-    ax = np.linspace(-2e-5, 2e-5, 512)
-    tracemalloc.start()
-    try:
-        grid = wf.grid_scan(thermal_bragg_100um, quartz, u0_along_beam, ax, ax)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    kept = sum(a.nbytes for a in (grid.psi0, grid.psiH, grid.R, grid.T,
-                                  grid.physical))
-    assert peak <= kept + 2 * 1024 * wf._TILE_POINTS
+    for geom, half in ((thermal_bragg_100um, 2e-5),
+                       (back_bragg(quartz), np.deg2rad(0.45))):
+        ax = np.linspace(-half, half, 512)
+        assert wf._folds(geom, ax, ax) == (geom is not thermal_bragg_100um)
+        tracemalloc.start()
+        try:
+            grid = wf.grid_scan(geom, quartz, u0_along_beam, ax, ax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (grid.psi0, grid.psiH, grid.R, grid.T,
+                                      grid.physical))
+        assert peak <= kept + 2 * 1024 * wf._TILE_POINTS
+        del grid
+
+
+# ---------------------------------------------------------------------------
+# the theta <-> rho fold of Bragg backscattering scans
+# ---------------------------------------------------------------------------
+
+SCANS = {"grid": (wf.grid_scan, dp._solve_amplitudes, ("psi0", "psiH")),
+         "coherence": (wf.coherence_scan, dp._solve_coherences,
+                       ("rho0", "rhoH"))}
+FOLD_U0 = pytest.mark.parametrize("u0", [
+    (1.0, 1.0), (1.0, 0.0), (0.6 - 0.3j, -0.2 + 0.7j)],
+    ids=["along-beam", "spin-up", "complex"])
+
+
+def back_bragg(quartz, thickness=1e8):
+    """Bragg backscattering from quartz (110): H and n on the lab x axis."""
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
+    return dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, thickness)
+
+
+def count_solved(monkeypatch, scan):
+    """A list that gathers the number of points of every channel solve of
+    the named scan's engine."""
+    name = SCANS[scan][1].__name__
+    solve, sizes = getattr(dp, name), []
+
+    def counted(geom, crystal, theta, rho, *args):
+        sizes.append(np.broadcast(theta, rho).size)
+        return solve(geom, crystal, theta, rho, *args)
+
+    monkeypatch.setattr(dp, name, counted)
+    return sizes
+
+
+def assert_equals_whole(grid, whole, scan):
+    for name in SCANS[scan][2] + ("R", "T", "physical", "theta"):
+        assert getattr(grid, name).tobytes() == whole[name].tobytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("n", [24, 25])
+@FOLD_U0
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+def test_fold_equals_unfolded(quartz, monkeypatch, scan, u0, n, workers):
+    """Bragg backscattering on one axis for theta and rho: a scan solves
+    each theta <-> rho pair once, n (n + 1)/2 points, and equals the
+    unfolded whole-grid scan byte for byte, in bands of about 40
+    representatives (rows split between bands, and blocks of one row
+    beside triangles), for even and odd n on 1, 2 and 8 threads."""
+    u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
+    geom, ax = back_bragg(quartz), np.deg2rad(0.45) * np.linspace(-1, 1, n)
+    monkeypatch.setattr(wf, "_TILE_POINTS", 40)
+    monkeypatch.setattr(wf, "_cpus", lambda: workers)
+    sizes = count_solved(monkeypatch, scan)
+    grid = SCANS[scan][0](geom, quartz, u0, ax, ax)
+    assert sum(sizes) == n * (n + 1) // 2
+    assert_equals_whole(grid, scan_whole(geom, quartz, u0, ax, ax,
+                                         ensemble=scan == "coherence"), scan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+def test_fold_tiny_grids(quartz, u0_along_beam, monkeypatch, scan, n):
+    """A folded 1 x 1, 2 x 2 or 3 x 3 grid (one representative computed
+    as two copies; one image) equals the unfolded whole-grid scan."""
+    geom, ax = back_bragg(quartz), 1e-3 * np.arange(n)
+    sizes = count_solved(monkeypatch, scan)
+    grid = SCANS[scan][0](geom, quartz, u0_along_beam, ax, ax)
+    assert sum(sizes) == n * (n + 1) // 2
+    assert_equals_whole(grid, scan_whole(geom, quartz, u0_along_beam, ax, ax,
+                                         ensemble=scan == "coherence"), scan)
+
+
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+def test_fold_singular_points_as_unfolded(quartz, monkeypatch, caplog, scan):
+    """A channel solve made NaN on theta row y and rho column y (a set
+    mirrored onto itself): the folded scan stores, retries one image at a
+    time and logs as the unfolded whole-grid scan does.  Of the 2n - 1
+    singular points, the row's recover at their own nudged theta off the
+    diagonal, and the column's n stay NaN."""
+    geom, n = back_bragg(quartz), 25
+    ax = np.deg2rad(0.45) * np.linspace(-1, 1, n)
+    y = ax[7]
+    name = SCANS[scan][1].__name__
+    solve = getattr(dp, name)
+
+    def singular(geom, crystal, theta, rho, *args):
+        sol = solve(geom, crystal, theta, rho, *args)
+        bad = np.broadcast_to((theta == y) | (rho == y), sol["g0"].shape)
+        if "t" in sol:
+            sol["t"][:, bad] = sol["r"][:, bad] = np.nan
+        else:
+            sol["C0"][bad] = sol["CH"][bad] = np.nan
+        return sol
+
+    monkeypatch.setattr(dp, name, singular)
+    monkeypatch.setattr(wf, "_TILE_POINTS", 40)
+    monkeypatch.setattr(wf, "_cpus", lambda: 2)
+    u0 = np.array([0.6 - 0.3j, -0.2 + 0.7j]) / np.sqrt(0.98)
+    results, logs = [], []
+    for run in (lambda: SCANS[scan][0](geom, quartz, u0, ax, ax),
+                lambda: scan_whole(geom, quartz, u0, ax, ax,
+                                   ensemble=scan == "coherence")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sodiff.wavefield"):
+            results.append(run())
+        logs.append([(r.name, r.levelname, r.getMessage())
+                     for r in caplog.records])
+    assert_equals_whole(*results, scan)
+    assert logs[0] == logs[1]
+    message = ("grid_scan: 49 singular points retried with a nudged theta, "
+               "25 remain NaN" if scan == "grid"
+               else "coherence_scan: 49 points are NaN")
+    assert logs[0] == [("sodiff.wavefield", "WARNING", message)]
+
+
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+def test_fold_raises_as_unfolded(quartz, u0_along_beam, monkeypatch, scan):
+    """A perturbed root fails a folded scan with the unfolded scan's
+    message: the largest backward error is the same number."""
+    solve = dp._solve_channel
+
+    def perturbed(*args):
+        y, X = solve(*args)
+        y[0] *= 1.0 + 1e-9
+        return y, X
+
+    monkeypatch.setattr(dp, "_solve_channel", perturbed)
+    geom, ax = back_bragg(quartz), np.deg2rad(0.45) * np.linspace(-1, 1, 9)
+    messages = []
+    for run in (lambda: SCANS[scan][0](geom, quartz, u0_along_beam, ax, ax),
+                lambda: scan_whole(geom, quartz, u0_along_beam, ax, ax,
+                                   ensemble=scan == "coherence")):
+        with pytest.raises(wf.WaveGridError, match="backward error") as err:
+            run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("ulp", [False, True], ids=["equal", "one-ulp"])
+@pytest.mark.parametrize("case", ["back-bragg", "bragg", "laue-back"])
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+def test_fold_only_where_exact(quartz, u0_along_beam, monkeypatch, scan, case,
+                               ulp):
+    """Only Bragg backscattering with bitwise-equal axes folds.  With one
+    rho value one ulp up, or in 2 A Bragg or Laue backscattering (whose
+    theta = 0 row is grazing and nudged), every point is solved; each
+    scan equals the unfolded whole-grid scan byte for byte."""
+    n = 21
+    if case == "back-bragg":
+        geom, half = back_bragg(quartz), np.deg2rad(0.45)
+    elif case == "bragg":
+        geom, half = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG,
+                                      1e6), 2e-5
+    else:
+        lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.LAUE)
+        geom = dp.make_geometry(quartz, (1, 1, 0), lam, dp.LAUE, 2e7)
+        half = np.deg2rad(0.3)
+    th = half * np.arange(-10, 11) / 10
+    rh = th.copy()
+    if ulp:
+        rh[4] = np.nextafter(rh[4], np.inf)
+    sizes = count_solved(monkeypatch, scan)
+    grid = SCANS[scan][0](geom, quartz, u0_along_beam, th, rh)
+    folded = case == "back-bragg" and not ulp
+    assert sum(sizes) == (n * (n + 1) // 2 if folded else n * n)
+    assert_equals_whole(grid, scan_whole(geom, quartz, u0_along_beam, th, rh,
+                                         ensemble=scan == "coherence"), scan)
+    assert np.array_equal(grid.rho, rh)
+
+
+ANGLE = st.floats(-0.02, 0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=12))
+@example([(-0.01640369933700032, 0.01964931278715237)])
+def test_mirror_symmetry_bitwise(quartz, points):
+    """In Bragg backscattering (H and n on the lab x axis), swapping theta
+    and rho swaps k_y and k_z and leaves the kinematics and every channel
+    scalar bitwise unchanged, from single points to small arrays,
+    signed zeros and subnormals included.  The example is a point where
+    1 + theta^2 + rho^2 and 1 + rho^2 + theta^2 round apart (about 6 in
+    10^5 random points do), which sqrt(1 + (theta^2 + rho^2)) avoids."""
+    geom = back_bragg(quartz, 2e6)
+    th, rh = np.array(points).T
+    k, *kin = dp._kinematics(geom, geom.k_mag, th, rh)
+    k_m, *kin_m = dp._kinematics(geom, geom.k_mag, rh, th)
+    assert k_m[..., (0, 2, 1)].tobytes() == k.tobytes()
+    for a, b in zip(kin, kin_m):
+        assert a.tobytes() == b.tobytes()
+    sol = dp._solve_coherences(geom, quartz, th, rh, None)
+    sol.update(dp._solve_amplitudes(geom, quartz, th, rh))
+    mirror = dp._solve_coherences(geom, quartz, rh, th, None)
+    mirror.update(dp._solve_amplitudes(geom, quartz, rh, th))
+    for key in ("alpha0", "beta", "g0", "gH", "w", "kappa_scale", "y", "X",
+                "backward_error", "t", "r", "C0", "CH"):
+        assert sol[key].tobytes() == mirror[key].tobytes(), key
 
 
 # ---------------------------------------------------------------------------
@@ -488,27 +704,8 @@ def test_averaged_reflected_transverse_polarization_weak(laue_coherence_grid):
 
 
 # ---------------------------------------------------------------------------
-# export formats
+# CSV export
 # ---------------------------------------------------------------------------
-
-def test_binary_roundtrip(tmp_path, quartz, thermal_bragg_100um, u0_along_beam):
-    grid = small_grid(quartz, thermal_bragg_100um, u0_along_beam, n=9)
-    path = tmp_path / "grid.sgrid"
-    wf.write_binary(grid, path)
-    back = read_binary(path)
-    assert np.array_equal(back["psi0"], grid.psi0)
-    assert np.array_equal(back["psiH"], grid.psiH)
-    assert np.array_equal(back["R"], grid.R)
-    assert np.allclose(back["theta"], grid.theta)
-    assert path.stat().st_size == 64 + grid.psi0.nbytes * 2 + grid.R.nbytes * 2
-
-
-def test_binary_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"\x00" * 200)
-    with pytest.raises(wf.WaveGridError):
-        read_binary(path)
-
 
 def per_row_csv(columns, precision, header_lines):
     """The CSV text formatted one value at a time, row by row."""
