@@ -471,7 +471,17 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     return {**res, "v0": sol["v0"], "energy_meV": sol["energy_meV"]}
 
 
-_BRAGG_ENSEMBLE_POINTS = 32
+# Gauss-Hermite rule of the Bragg thickness ensemble (Abramowitz & Stegun
+# 25.4.46): D' = D + x span_A, x ~ N(0, 1), as the +-x node pairs of the
+# positive nodes, each with the square root of its weight
+_ENSEMBLE_NODES = 8
+_x, _w = np.polynomial.hermite_e.hermegauss(_ENSEMBLE_NODES)
+_NODE_X, _NODE_ROOT_W = _x[_x > 0], np.sqrt(_w[_x > 0] / np.sqrt(2.0 * np.pi))
+del _x, _w
+# |Re(g1)| span_A at which the rule's error on <e^{i a x}> = e^{-a^2/2}
+# reaches 1e-12 (a = 0.627); beyond it an ensemble is logged as
+# under-resolved
+_ENSEMBLE_PHASE_LIMIT = 0.62
 # |Re(dk)| span_A beyond which a Laue cross-branch beat is dropped: its
 # window factor is then below exp(-72) = 5.4e-32
 _NEGLIGIBLE_BEAT = 12.0
@@ -481,7 +491,9 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
                       theta, rho, span_A: float | None) -> dict:
     """The _channels result with the thickness-ensemble coherences of the
     channel amplitudes, C0 = <t_s conj(t_s')> and CH = <r_s conj(r_s')>,
-    each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps."""
+    each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps.
+    A Bragg result also holds ensemble_phase, the call's largest
+    |Re(g1)| span_A (see _check_ensemble)."""
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     elif not 0.0 <= span_A < np.inf:
@@ -522,26 +534,42 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
         for C in (C0, CH):
             C[..., 1, 0] = np.conj(C[..., 0, 1])
     else:
-        # Equally spaced thicknesses D0 + k h: q = e^{i g1 D}, E_b = e^{i g2 D}
-        # are stepped by e^{i g h}, for both spin channels at once.  Only
-        # |z|^2 and conj(z_1) z_0 of z = t/diff, r/prod are summed.
-        n = _BRAGG_ENSEMBLE_POINTS
-        D0, h = geom.thickness_A - 1.5 * span_A, 3.0 * span_A / (n - 1)
-        q, E_b = np.exp(ig1 * D0), np.exp(ig2 * D0)
-        step_q, step_E = np.exp(ig1 * h), np.exp(ig2 * h)
+        # Gauss-Hermite nodes D' = D + x span_A in +-x pairs: e^{i g D'} is
+        # e^{i g D} times or divided by e^{i g x span_A}, one exp per pair
+        # for each of g1 and g2.  Only 1/(X1 - q X2) depends on the
+        # node: |z|^2 and conj(z_1) z_0 of z = t/(diff E_b), r/prod are
+        # summed, with sqrt(w) folded into the reciprocal, in buffers reused
+        # from node to node; diff, prod and E_b = e^{i g2 D} come after.
+        D = geom.thickness_A
+        q0 = np.exp(ig1 * D)
+        q, inv, z, step_q, step_E = (np.empty_like(q0) for _ in range(5))
+        sq, cz = np.empty(q0.shape), np.empty(shape, complex)
         diag, off = np.zeros((2, 2) + shape), np.zeros((2,) + shape, complex)
-        for _ in range(n):
-            inv = 1.0 / (X1 - q * X2)
-            for i, z in enumerate((E_b * inv, (1.0 - q) * inv)):
-                diag[i] += z.real * z.real
-                diag[i] += z.imag * z.imag
-                off[i] += np.conj(z[1]) * z[0]
-            q *= step_q
-            E_b *= step_E
-        for C, d, o, f in zip((C0, CH), diag, off, (diff, prod)):
-            C[..., 0, 0], C[..., 1, 1] = np.abs(f) ** 2 * d / n
-            C[..., 0, 1] = np.conj(f[1]) * f[0] * o / n
+        for x, root_w in zip(_NODE_X, _NODE_ROOT_W):
+            for step, ig in ((step_q, ig1), (step_E, ig2)):
+                np.exp(np.multiply(ig, x * span_A, out=step), out=step)
+            for apply in (np.multiply, np.divide):   # the node +x, then -x
+                apply(q0, step_q, out=q)
+                np.multiply(q, X2, out=inv)
+                np.subtract(X1, inv, out=inv)
+                np.divide(root_w, inv, out=inv)
+                for i in range(2):
+                    if i == 0:
+                        apply(inv, step_E, out=z)
+                    else:
+                        np.multiply(np.subtract(1.0, q, out=z), inv, out=z)
+                    for part in (z.real, z.imag):
+                        diag[i] += np.multiply(part, part, out=sq)
+                    np.conjugate(z[1], out=cz)
+                    off[i] += np.multiply(cz, z[0], out=cz)
+        del q, inv, z, step_q, step_E, sq, cz
+        E_b = np.exp(ig2 * D)
+        for C, d, o, f in zip((C0, CH), diag, off, (diff * E_b, prod)):
+            C[..., 0, 0], C[..., 1, 1] = np.abs(f) ** 2 * d
+            C[..., 0, 1] = np.conj(f[1]) * f[0] * o
             C[..., 1, 0] = np.conj(C[..., 0, 1])
+        sol["ensemble_phase"] = span_A * float(np.fmax.reduce(
+            np.abs(ig1.imag), axis=None, initial=0.0))
     sol["C0"], sol["CH"] = C0, CH
     return sol
 
@@ -549,18 +577,29 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
 def _assemble_coherences(sol: dict, amp0) -> dict:
     """rho0, rhoH (..., 2, 2), R and T: the channel coherences of the
     _solve_coherences result sol carried to the lab spin basis by the
-    channel projections amp0 of the incident spinor."""
+    channel projections amp0 of the incident spinor.
+
+    Only the independent entries [0,0], [0,1] and [1,1] are summed, each
+    over the channel pairs (a, b) from zero; [1,0] is the conjugate of
+    [0,1] and the diagonal its real part, so the result is exactly
+    Hermitian, as C0 and CH are."""
     C0, CH = sol["C0"], sol["CH"]
-    rho0 = np.zeros(C0.shape, complex)
-    rhoH = np.zeros(C0.shape, complex)
-    for a in range(2):
-        for b in range(2):
-            outer = amp0[a][..., :, None] * np.conj(amp0[b][..., None, :])
-            rho0 += C0[..., a, b, None, None] * outer
-            rhoH += CH[..., a, b, None, None] * outer
-    for m in (rho0, rhoH):   # exactly Hermitian, as C0 and CH are
-        m[..., 1, 0] = np.conj(m[..., 0, 1])
-        m[..., (0, 1), (0, 1)] = m[..., (0, 1), (0, 1)].real
+    # named, so that no product below has a temporary as its right operand
+    # (see _transfer_factors)
+    amp0_conj = np.conj(amp0)
+    rho0 = np.empty(C0.shape, complex)
+    rhoH = np.empty(C0.shape, complex)
+    for m, n in ((0, 0), (0, 1), (1, 1)):
+        sum0 = np.zeros(C0.shape[:-2], complex)
+        sumH = np.zeros(C0.shape[:-2], complex)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            outer = amp0[a][..., m] * amp0_conj[b][..., n]
+            sum0 += C0[..., a, b] * outer
+            sumH += CH[..., a, b] * outer
+        for rho, total in ((rho0, sum0), (rhoH, sumH)):
+            rho[..., m, n] = total.real if m == n else total
+    for rho in (rho0, rhoH):
+        rho[..., 1, 0] = np.conj(rho[..., 0, 1])
 
     T = rho0[..., 0, 0].real + rho0[..., 1, 1].real
     R = ((rhoH[..., 0, 0].real + rhoH[..., 1, 1].real)
@@ -582,28 +621,43 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     preserving every spin-orbit observable: intensities, polarization and
     the relative phase accumulated between spin channels.
 
-    The two geometries use different ensembles.  Laue averages over a
-    Gaussian of width span_A in closed form (the amplitudes are
+    Both geometries average over one Gaussian ensemble of thicknesses,
+    D' ~ N(D, span_A^2).  Laue does so in closed form (the amplitudes are
     two-exponential sums): one sum of branch beats for each of the three
     channel entries C[0,0], C[1,1] and C[0,1], with C[1,0] = conj(C[0,1]).
     A cross-branch beat is dropped at every point where its window factor
     is below exp(-_NEGLIGIBLE_BEAT^2/2) = 5.4e-32, and not formed at all
     where that holds over the whole call, so a 35 mm backscattering crystal
-    forms 6 exponentials per point.  Bragg averages _BRAGG_ENSEMBLE_POINTS
-    equally weighted thicknesses uniform over +-1.5 span_A, reached by
-    stepped exponentials (round-off about 1e-14 at 100 um, 1e-12 at
-    10 mm).  span_A (Angstrom, finite and >= 0) defaults to 1e-5 of the
-    thickness, far below any real tolerance yet enough to suppress the Laue
-    branch beats below double precision.
+    forms 6 exponentials per point.  Bragg uses the _ENSEMBLE_NODES-point
+    Gauss-Hermite rule, whose nodes D + x span_A come in +-x pairs that
+    share one exponential per branch wavenumber.  The rule's error on the
+    averaged phases e^{i g1 D'} stays below 1e-12 while |Re(g1)| span_A
+    is at most _ENSEMBLE_PHASE_LIMIT (g1 the difference of the branch
+    wavenumbers); a call that exceeds it logs one warning on
+    "sodiff.dispersion".  span_A (Angstrom, finite and >= 0) defaults to
+    1e-5 of the thickness, far below any real tolerance yet enough to
+    suppress the Laue branch beats below double precision; span_A = 0
+    gives the pure outer products.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
     (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
     where the beam enters the crystal).
     """
     sol = _solve_coherences(geom, crystal, theta, rho, span_A)
+    _check_ensemble("exit_coherence_maps", sol.get("ensemble_phase", 0.0))
     res = _assemble_coherences(
         sol, _channel_projections(sol["u_hat"], u0_spinor))
     return _point(sol, {**res, "g0": sol["g0"]})
+
+
+def _check_ensemble(caller: str, phase: float) -> None:
+    """Log one warning when a Bragg ensemble's largest |Re(g1)| span_A,
+    phase, exceeds _ENSEMBLE_PHASE_LIMIT."""
+    if phase > _ENSEMBLE_PHASE_LIMIT:
+        log.warning("%s: Bragg thickness ensemble under-resolved: "
+                    "|Re(g1)| span_A reaches %.3g, above %.2g for %d "
+                    "Gauss-Hermite nodes", caller, phase,
+                    _ENSEMBLE_PHASE_LIMIT, _ENSEMBLE_NODES)
 
 
 

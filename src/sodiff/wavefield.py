@@ -205,9 +205,10 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
     points (dispersion._solve_*), assemble(solved, amp0) for their fields
     at the channel projections amp0 of u0 (dispersion._assemble_*) and
     repair(fields, theta, rho) for a statistic; it then copies the kept
-    fields into the grid.  Once every tile is done, report(statistics)
-    logs, and a secular root with a backward error above _ROOT_TOL raises
-    WaveGridError.
+    fields into the grid.  Once every tile is done, report(statistics,
+    phase) logs, phase being the largest ensemble_phase of the solves (0
+    where they record none), and a secular root with a backward error
+    above _ROOT_TOL raises WaveGridError.
 
     Where _folds holds, a tile is a band of theta rows holding its share
     of the representatives (i, j), i <= j (see _fold_bands): it solves
@@ -252,7 +253,8 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
         return stat
 
     def worst(sol):
-        return float(np.max(sol["backward_error"]))
+        return (float(np.max(sol["backward_error"])),
+                sol.get("ensemble_phase", 0.0))
 
     def row_tile(i0):
         i1 = min(i0 + rows, n_t)
@@ -319,8 +321,8 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
             results = [r for share in [run(shares[0]), *others] for r in share]
     else:
         results = run(tiles)
-    report([stat for _, stats in results for stat in stats])
-    largest = max(w for w, _ in results)
+    largest, phase = map(max, zip(*(w for w, _ in results)))
+    report([stat for _, stats in results for stat in stats], phase)
     if largest > _ROOT_TOL:
         raise WaveGridError(f"secular root backward error {largest:.2e} "
                             f"exceeds {_ROOT_TOL:.0e}")
@@ -368,7 +370,7 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
             res[name][at] = retry[name]
         return singular, int(_nonfinite(res, ("psi0", "psiH")).sum())
 
-    def report(stats):
+    def report(stats, _phase):
         singular, nan = (sum(s) for s in zip(*stats))
         if singular:
             log.warning("grid_scan: %d singular points retried with a nudged "
@@ -388,10 +390,13 @@ def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     nudged off grazing incidence as grid_scan's are, solved in the same
     tiles with the same theta <-> rho fold, and equal to one whole-grid
     exit_coherence_maps call bit for bit.  Points left NaN are logged once
-    per scan, and a secular root is checked as in grid_scan."""
-    def report(nan):
+    per scan, as is a Bragg ensemble beyond the reach of its quadrature
+    (the largest |Re(g1)| span_A of the tiles, see exit_coherence_maps),
+    and a secular root is checked as in grid_scan."""
+    def report(nan, phase):
         if sum(nan):
             log.warning("coherence_scan: %d points are NaN", sum(nan))
+        dp._check_ensemble("coherence_scan", phase)
 
     return _scan(geom, u0, theta_axis, rho_axis,
                  lambda t, r: dp._solve_coherences(geom, crystal, t, r, span_A),

@@ -348,3 +348,23 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
                             "exceeds 1e-12")
     return {"theta": th, "physical": res["g0"] > 0.0,
             **{name: res[name] for name in names + ("R", "T")}}
+
+
+def assemble_coherences_full(sol, amp0):
+    """rho0 and rhoH of a dispersion._solve_coherences result sol from the
+    channel projections amp0, as full 2x2 matrices: every outer product
+    amp0[a] amp0[b]^dag weighted by C[a, b] and summed from zero over
+    (a, b) = (0, 0), (0, 1), (1, 0), (1, 1), then [1, 0] replaced by the
+    conjugate of [0, 1] and the diagonal by its real part."""
+    C0, CH = sol["C0"], sol["CH"]
+    rho0 = np.zeros(C0.shape, complex)
+    rhoH = np.zeros(C0.shape, complex)
+    for a in range(2):
+        for b in range(2):
+            outer = amp0[a][..., :, None] * np.conj(amp0[b][..., None, :])
+            rho0 += C0[..., a, b, None, None] * outer
+            rhoH += CH[..., a, b, None, None] * outer
+    for m in (rho0, rhoH):
+        m[..., 1, 0] = np.conj(m[..., 0, 1])
+        m[..., (0, 1), (0, 1)] = m[..., (0, 1), (0, 1)].real
+    return rho0, rhoH

@@ -1,12 +1,13 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_force_potential, channel_entries,
-                     channel_projector, darwin_reflectivity,
+from oracles import (assemble_coherences_full, brute_force_potential,
+                     channel_entries, channel_projector, darwin_reflectivity,
                      laue_coherence_all_beats, pendelloesung_length,
                      potential_fourier, two_beam_point)
 from sodiff import crystal as cr
@@ -544,29 +545,41 @@ def test_laue_ensemble_equals_gauss_hermite_average(quartz, u0_along_beam):
     assert np.max(np.abs(ens["rho0"] - pure0)) > 1e-5
 
 
-@pytest.mark.parametrize("thickness, bound", [
-    pytest.param(1e6, 1e-13, id="100um"), pytest.param(1e8, 1e-11, id="10mm")])
+BACK_TH = 3e-3 * np.linspace(-1.0, 1.0, 7)[:, None]
+BACK_RH = 3e-3 * np.linspace(-1.0, 1.0, 5)[None, :]
+
+
+@pytest.mark.parametrize("case, bound", [
+    pytest.param("100um", 1e-13, id="100um"),
+    pytest.param("10mm", 1e-11, id="10mm"),
+    pytest.param("35mm-back", 1e-11, id="35mm-back")])
 def test_bragg_ensemble_equals_mean_of_outer_products(quartz, u0_along_beam,
-                                                      thickness, bound):
-    """The Bragg ensemble is the plain mean of the pure outer products at
-    its _BRAGG_ENSEMBLE_POINTS thicknesses, uniform over +-1.5 span_A.  The
-    ensemble steps its exponentials from one thickness to the next, so the
-    two sides differ by the rounding of phases g D of up to 2e4 rad at
-    10 mm (measured 1.2e-12 there, 1.3e-14 at 100 um)."""
-    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, thickness)
+                                                      case, bound):
+    """The Bragg ensemble is the average of the pure outer products over
+    D' ~ N(D, span_A^2), as the Laue one is: a 128-node Gauss-Hermite
+    quadrature of them gives it at 100 um and 10 mm (2 A) and at 35 mm
+    (backscattering, +-3 mrad).  The two sides differ by the rounding of
+    phases g D of up to 2e4 rad at 10 mm, formed once per node by the
+    reference and once per pair by the ensemble."""
+    if case == "35mm-back":
+        lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
+        g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 3.5e8)
+        th, rh = BACK_TH, BACK_RH
+    else:
+        g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG,
+                             {"100um": 1e6, "10mm": 1e8}[case])
+        th, rh = ENSEMBLE_TH, ENSEMBLE_RH
     span = 1e-5 * g.thickness_A   # the default
-    ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, ENSEMBLE_TH,
-                                 ENSEMBLE_RH)
-    n = dp._BRAGG_ENSEMBLE_POINTS
-    thicknesses = g.thickness_A + span * np.linspace(-1.5, 1.5, n)
-    rho0, rhoH = weighted_outer_products(quartz, g, u0_along_beam,
-                                         ENSEMBLE_TH, ENSEMBLE_RH,
-                                         thicknesses, np.full(n, 1.0 / n))
+    ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, rh)
+    x, w = np.polynomial.hermite_e.hermegauss(128)
+    rho0, rhoH = weighted_outer_products(quartz, g, u0_along_beam, th, rh,
+                                         g.thickness_A + span * x,
+                                         w / np.sqrt(2.0 * np.pi))
     assert np.max(np.abs(ens["rho0"] - rho0)) <= bound
     assert np.max(np.abs(ens["rhoH"] - rhoH)) <= bound
     # one point given as scalars
-    point = dp.exit_coherence_maps(g, quartz, u0_along_beam,
-                                   ENSEMBLE_TH[3, 0], ENSEMBLE_RH[0, 2])
+    point = dp.exit_coherence_maps(g, quartz, u0_along_beam, th[3, 0],
+                                   rh[0, 2])
     assert np.max(np.abs(point["rho0"] - rho0[3, 2])) <= bound
     assert np.max(np.abs(point["rhoH"] - rhoH[3, 2])) <= bound
 
@@ -602,6 +615,73 @@ def test_bragg_ensemble_exactly_hermitian(quartz, u0):
         res = dp.exit_coherence_maps(g, quartz, u0, 1e-4 * ax[:, None],
                                      ax[None, :])
         assert_exactly_hermitian(res)
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+def test_zero_span_gives_pure_outer_products(quartz, u0_along_beam, kind):
+    """span_A = 0 puts every thickness of the ensemble at D: both geometries
+    give the pure outer products psi psi^dag within 1e-15 of the trace of
+    both beams' products at the point (measured 4.4e-16 Bragg, 7.3e-16
+    Laue; the Bragg node weights sum to 1 up to round-off).  The scale is
+    the exit flux, not each beam's own trace, since a beam may vanish: at
+    a Pendelloesung zero of the Laue reflection rhoH is 1e-10 of its
+    trace off."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, ENSEMBLE_TH,
+                                 ENSEMBLE_RH, span_A=0.0)
+    pure = weighted_outer_products(quartz, g, u0_along_beam, ENSEMBLE_TH,
+                                   ENSEMBLE_RH, [g.thickness_A], [1.0])
+    trace = sum(np.real(np.trace(ref, axis1=-2, axis2=-1)) for ref in pure)
+    for rho, ref in zip((ens["rho0"], ens["rhoH"]), pure):
+        assert np.all(np.abs(rho - ref) <= 1e-15 * trace[..., None, None])
+
+
+@pytest.mark.parametrize("n", [2, 8192, 40000])
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+@HERMITIAN_U0
+def test_coherence_assembly_equals_full_matrices(quartz, u0, kind, n):
+    """The assembly sums only the independent entries [0,0], [0,1] and
+    [1,1], on 1-D point arrays, and equals the full-matrix assembly of
+    every outer product bit for bit, sign bits included: for arrays below
+    and above 256 KiB, where numpy evaluates a product with a temporary
+    right operand in place (see dispersion._transfer_factors)."""
+    u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    sol = dp._solve_coherences(g, quartz, np.linspace(-3e-5, 3e-5, n),
+                               np.linspace(1e-3, -1e-3, n), None)
+    amp0 = dp._channel_projections(sol["u_hat"], u0)
+    res = dp._assemble_coherences(sol, amp0)
+    for name, full in zip(("rho0", "rhoH"),
+                          assemble_coherences_full(sol, amp0)):
+        assert res[name].tobytes() == full.tobytes(), name
+
+
+def test_bragg_ensemble_guard(quartz, u0_along_beam, monkeypatch, caplog):
+    """The reach of the Bragg rule, the largest |Re(g1)| span_A, is checked
+    once per call and once per scan, over all of the scan's tiles.  A
+    10 mm crystal at 2 A reads 0.19 over +-5 Darwin widths and is silent;
+    over +-10 mrad it reads 59, and each call and scan logs one warning."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e8)
+    centre = dp.darwin_center_theta(quartz, g)
+    narrow = centre + 5.0 * dp.darwin_fwhm_rad(quartz, g) * np.linspace(
+        -1.0, 1.0, 401)
+    wide = centre + 1e-2 * np.linspace(-1.0, 1.0, 2001)
+    monkeypatch.setattr(wf, "_TILE_POINTS", 256)
+    for th, phase, warned in ((narrow, 0.19, False), (wide, 59.0, True)):
+        sol = dp._solve_coherences(g, quartz, th, 0.0, None)
+        assert sol["ensemble_phase"] == pytest.approx(phase, rel=0.02)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sodiff"):
+            dp.exit_coherence_maps(g, quartz, u0_along_beam, th, 0.0)
+            wf.coherence_scan(g, quartz, u0_along_beam, th, np.zeros(1))
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "sodiff.dispersion"]
+        if warned:
+            assert [m.split(":")[0] for m in logged] == [
+                "exit_coherence_maps", "coherence_scan"]
+            assert all("reaches 58.9" in m for m in logged)
+        else:
+            assert logged == []
 
 
 def laue_back_beats(quartz, thickness):

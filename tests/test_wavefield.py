@@ -165,6 +165,24 @@ def test_tiling_stress_many_threads(quartz, u0_along_beam, monkeypatch):
                                            ax), "grid")
 
 
+@pytest.mark.parametrize("case", ["thermal", "back"])
+def test_bragg_coherence_scan_above_one_tile_equals_whole(
+        quartz, thermal_bragg_100um, u0_along_beam, case):
+    """A Bragg coherence_scan of 97 x 97 = 9409 points, more than one tile
+    (in theta rows, or in fold bands for backscattering), equals the
+    whole-grid scan bit for bit, though the whole grid's arrays exceed
+    256 KiB: the ensemble's node loop writes into buffers, so no value
+    depends on the array size."""
+    if case == "thermal":
+        geom, ax = thermal_bragg_100um, np.linspace(-3e-5, 3e-5, 97)
+    else:
+        geom, ax = back_bragg(quartz), np.deg2rad(0.45) * np.linspace(-1, 1, 97)
+    assert ax.size ** 2 > wf._TILE_POINTS
+    grid = wf.coherence_scan(geom, quartz, u0_along_beam, ax, ax)
+    assert_equals_whole(grid, scan_whole(geom, quartz, u0_along_beam, ax, ax,
+                                         ensemble=True), "coherence")
+
+
 def test_grid_scan_memory_bounded_by_kept_fields(quartz, thermal_bragg_100um,
                                                  u0_along_beam, monkeypatch):
     """A 512^2 scan on two threads allocates at most its kept arrays plus
