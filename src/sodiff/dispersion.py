@@ -472,13 +472,18 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 
 
 # Gauss-Hermite rule of the Bragg thickness ensemble (Abramowitz & Stegun
-# 25.4.46): D' = D + x span_A, x ~ N(0, 1), as the +-x node pairs of the
-# positive nodes, each with the square root of its weight
+# 25.4.46): D' = D + x span_A, x ~ N(0, 1), taken as the +-x pairs of its
+# positive nodes, each with the square root of its weight.  The nodes and
+# weights are the eigenvalues and squared first eigenvector components of
+# the Jacobi matrix of the Hermite recurrence (Golub & Welsch, 1969; the
+# weights normalised to sum to 1), so that importing the module does not
+# import numpy.polynomial.
 _ENSEMBLE_NODES = 8
-_x, _w = np.polynomial.hermite_e.hermegauss(_ENSEMBLE_NODES)
-_NODE_X, _NODE_ROOT_W = _x[_x > 0], np.sqrt(_w[_x > 0] / np.sqrt(2.0 * np.pi))
-del _x, _w
-# |Re(g1)| span_A at which the rule's error on <e^{i a x}> = e^{-a^2/2}
+_x, _v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, _ENSEMBLE_NODES)), -1))
+_w = _v[0, _x > 0] ** 2
+_NODE_X, _NODE_ROOT_W = _x[_x > 0], np.sqrt(_w / (2.0 * _w.sum()))
+del _x, _v, _w
+# |g1| span_A at which the rule's error on <e^{i a x}> = e^{-a^2/2}
 # reaches 1e-12 (a = 0.627); beyond it an ensemble is logged as
 # under-resolved
 _ENSEMBLE_PHASE_LIMIT = 0.62
@@ -493,7 +498,7 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
     channel amplitudes, C0 = <t_s conj(t_s')> and CH = <r_s conj(r_s')>,
     each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps.
     A Bragg result also holds ensemble_phase, the call's largest
-    |Re(g1)| span_A (see _check_ensemble)."""
+    |g1| span_A (see _check_ensemble)."""
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     elif not 0.0 <= span_A < np.inf:
@@ -569,7 +574,7 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
             C[..., 0, 1] = np.conj(f[1]) * f[0] * o
             C[..., 1, 0] = np.conj(C[..., 0, 1])
         sol["ensemble_phase"] = span_A * float(np.fmax.reduce(
-            np.abs(ig1.imag), axis=None, initial=0.0))
+            np.abs(ig1), axis=None, initial=0.0))
     sol["C0"], sol["CH"] = C0, CH
     return sol
 
@@ -631,9 +636,10 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     forms 6 exponentials per point.  Bragg uses the _ENSEMBLE_NODES-point
     Gauss-Hermite rule, whose nodes D + x span_A come in +-x pairs that
     share one exponential per branch wavenumber.  The rule's error on the
-    averaged phases e^{i g1 D'} stays below 1e-12 while |Re(g1)| span_A
-    is at most _ENSEMBLE_PHASE_LIMIT (g1 the difference of the branch
-    wavenumbers); a call that exceeds it logs one warning on
+    averaged factors e^{i g1 D'} stays below 1e-12 while |g1| span_A is
+    at most _ENSEMBLE_PHASE_LIMIT (g1 the complex difference of the branch
+    wavenumbers: Re(g1) sets the phase and Im(g1) the decay across the
+    ensemble); a call that exceeds it logs one warning on
     "sodiff.dispersion".  span_A (Angstrom, finite and >= 0) defaults to
     1e-5 of the thickness, far below any real tolerance yet enough to
     suppress the Laue branch beats below double precision; span_A = 0
@@ -651,11 +657,11 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 
 
 def _check_ensemble(caller: str, phase: float) -> None:
-    """Log one warning when a Bragg ensemble's largest |Re(g1)| span_A,
-    phase, exceeds _ENSEMBLE_PHASE_LIMIT."""
+    """Log one warning when a Bragg ensemble's largest |g1| span_A, phase,
+    exceeds _ENSEMBLE_PHASE_LIMIT."""
     if phase > _ENSEMBLE_PHASE_LIMIT:
         log.warning("%s: Bragg thickness ensemble under-resolved: "
-                    "|Re(g1)| span_A reaches %.3g, above %.2g for %d "
+                    "|g1| span_A reaches %.3g, above %.2g for %d "
                     "Gauss-Hermite nodes", caller, phase,
                     _ENSEMBLE_PHASE_LIMIT, _ENSEMBLE_NODES)
 

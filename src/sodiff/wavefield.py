@@ -391,7 +391,7 @@ def coherence_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     tiles with the same theta <-> rho fold, and equal to one whole-grid
     exit_coherence_maps call bit for bit.  Points left NaN are logged once
     per scan, as is a Bragg ensemble beyond the reach of its quadrature
-    (the largest |Re(g1)| span_A of the tiles, see exit_coherence_maps),
+    (the largest |g1| span_A of the tiles, see exit_coherence_maps),
     and a secular root is checked as in grid_scan."""
     def report(nan, phase):
         if sum(nan):

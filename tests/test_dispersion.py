@@ -657,31 +657,39 @@ def test_coherence_assembly_equals_full_matrices(quartz, u0, kind, n):
 
 
 def test_bragg_ensemble_guard(quartz, u0_along_beam, monkeypatch, caplog):
-    """The reach of the Bragg rule, the largest |Re(g1)| span_A, is checked
+    """The reach of the Bragg rule, the largest |g1| span_A, is checked
     once per call and once per scan, over all of the scan's tiles.  A
     10 mm crystal at 2 A reads 0.19 over +-5 Darwin widths and is silent;
-    over +-10 mrad it reads 59, and each call and scan logs one warning."""
+    over +-10 mrad it reads 59 (Re(g1), the phase), and on the Darwin
+    plateau with span_A = 1 mm it reads 134 (Im(g1), the decay across the
+    ensemble, Re(g1) being 0 there); each such call and scan logs one
+    warning."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e8)
     centre = dp.darwin_center_theta(quartz, g)
-    narrow = centre + 5.0 * dp.darwin_fwhm_rad(quartz, g) * np.linspace(
-        -1.0, 1.0, 401)
+    width = dp.darwin_fwhm_rad(quartz, g)
+    narrow = centre + 5.0 * width * np.linspace(-1.0, 1.0, 401)
     wide = centre + 1e-2 * np.linspace(-1.0, 1.0, 2001)
-    monkeypatch.setattr(wf, "_TILE_POINTS", 256)
-    for th, phase, warned in ((narrow, 0.19, False), (wide, 59.0, True)):
-        sol = dp._solve_coherences(g, quartz, th, 0.0, None)
-        assert sol["ensemble_phase"] == pytest.approx(phase, rel=0.02)
+    plateau = centre + 0.3 * width * np.linspace(-1.0, 1.0, 401)
+    monkeypatch.setattr(wf, "_TILE_POINTS", 64)
+    for th, span, phase in ((narrow, None, 0.188), (wide, None, 58.9),
+                            (plateau, 1e7, 134.0)):
+        sol = dp._solve_coherences(g, quartz, th, 0.0, span)
+        assert sol["ensemble_phase"] == pytest.approx(phase, rel=0.01)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sodiff"):
-            dp.exit_coherence_maps(g, quartz, u0_along_beam, th, 0.0)
-            wf.coherence_scan(g, quartz, u0_along_beam, th, np.zeros(1))
+            dp.exit_coherence_maps(g, quartz, u0_along_beam, th, 0.0,
+                                   span_A=span)
+            wf.coherence_scan(g, quartz, u0_along_beam, th, np.zeros(1),
+                              span_A=span)
         logged = [r.getMessage() for r in caplog.records
                   if r.name == "sodiff.dispersion"]
-        if warned:
+        if phase < dp._ENSEMBLE_PHASE_LIMIT:
+            assert logged == []
+        else:
             assert [m.split(":")[0] for m in logged] == [
                 "exit_coherence_maps", "coherence_scan"]
-            assert all("reaches 58.9" in m for m in logged)
-        else:
-            assert logged == []
+            assert all(f"reaches {sol['ensemble_phase']:.3g}," in m
+                       for m in logged)
 
 
 def laue_back_beats(quartz, thickness):
