@@ -474,15 +474,14 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
 # Gauss-Hermite rule of the Bragg thickness ensemble (Abramowitz & Stegun
 # 25.4.46): D' = D + x span_A, x ~ N(0, 1), taken as the +-x pairs of its
 # positive nodes, each with the square root of its weight.  The nodes and
-# weights are the eigenvalues and squared first eigenvector components of
-# the Jacobi matrix of the Hermite recurrence (Golub & Welsch, 1969; the
-# weights normalised to sum to 1), so that importing the module does not
-# import numpy.polynomial.
+# weights are those of numpy.polynomial.hermite_e.hermegauss, the weights
+# divided by sqrt(2 pi) (checked by the tests), written out because
+# importing numpy.polynomial would cost every process 17 ms and 1.6 MB.
 _ENSEMBLE_NODES = 8
-_x, _v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, _ENSEMBLE_NODES)), -1))
-_w = _v[0, _x > 0] ** 2
-_NODE_X, _NODE_ROOT_W = _x[_x > 0], np.sqrt(_w / (2.0 * _w.sum()))
-del _x, _v, _w
+_NODE_X = np.array([0.5390798113513751, 1.636519042435108,
+                    2.8024858612875416, 4.1445471861258945])
+_NODE_ROOT_W = np.sqrt([0.37301225767907736, 0.11723990766175905,
+                        0.009635220120788258, 0.00011261453837536765])
 # |g1| span_A at which the rule's error on <e^{i a x}> = e^{-a^2/2}
 # reaches 1e-12 (a = 0.627); beyond it an ensemble is logged as
 # under-resolved

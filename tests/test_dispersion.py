@@ -545,6 +545,19 @@ def test_laue_ensemble_equals_gauss_hermite_average(quartz, u0_along_beam):
     assert np.max(np.abs(ens["rho0"] - pure0)) > 1e-5
 
 
+def test_ensemble_nodes_are_gauss_hermite():
+    """The Bragg ensemble's written-out nodes and weights are the positive
+    half of numpy's probabilists' Gauss-Hermite rule, normalised to N(0, 1),
+    and the pairs' weights sum to 1."""
+    x, w = np.polynomial.hermite_e.hermegauss(dp._ENSEMBLE_NODES)
+    half = dp._ENSEMBLE_NODES // 2
+    assert dp._NODE_X.size == half
+    np.testing.assert_allclose(dp._NODE_X, x[half:], rtol=1e-15)
+    np.testing.assert_allclose(dp._NODE_ROOT_W ** 2,
+                               w[half:] / np.sqrt(2.0 * np.pi), rtol=1e-15)
+    assert abs(2.0 * np.sum(dp._NODE_ROOT_W ** 2) - 1.0) <= 1e-15
+
+
 BACK_TH = 3e-3 * np.linspace(-1.0, 1.0, 7)[:, None]
 BACK_RH = 3e-3 * np.linspace(-1.0, 1.0, 5)[None, :]
 
