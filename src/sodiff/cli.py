@@ -201,10 +201,16 @@ def _build_geometry(block: dict, crys) -> disp.DiffractionGeometry:
     except ValueError:
         raise ConfigError("[geometry] hkl must be three integers")
     thickness_A = _get_float(block, "thickness_mm") * 1e7
+    if not 0.0 <= thickness_A < np.inf:
+        raise ConfigError(f"key 'thickness_mm': expected a finite thickness "
+                          f">= 0, got {block['thickness_mm']}")
     if _get_bool(block, "backscattering", False):
         lam = disp.backscattering_wavelength(crys, hkl, kind)
     else:
         lam = _get_float(block, "wavelength_A")
+        if not 0.0 < lam < np.inf:
+            raise ConfigError(f"key 'wavelength_A': expected a positive "
+                              f"finite wavelength, got {block['wavelength_A']}")
     return disp.make_geometry(crys, hkl, lam, kind, thickness_A)
 
 

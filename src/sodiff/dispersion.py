@@ -27,6 +27,11 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
+import operator
+import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +61,10 @@ class DiffractionGeometry:
     thickness_A is measured along the inward surface normal n.  The
     rocking/tilt offsets (theta, rho) are not part of the geometry: every
     engine takes them as broadcast arrays and evaluates them through
-    kinematics().
+    kinematics().  The vectors are stored as 3-tuples of floats, hkl as a
+    3-tuple of ints (or None), kind as a str and thickness_A as a float,
+    whatever sequences or arrays they were given as, so a geometry is
+    hashable.
     """
 
     k0: tuple[float, float, float]      # nominal incident wavevector, 1/A
@@ -67,17 +75,30 @@ class DiffractionGeometry:
     hkl: tuple[int, int, int] | None = None  # for structure-factor phases
 
     def __post_init__(self):
-        if self.kind not in (BRAGG, LAUE):
-            raise DispersionError(f"unknown geometry kind {self.kind!r}")
-        n = np.asarray(self.n, float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        kind = str(self.kind)
+        if kind not in (BRAGG, LAUE):
+            raise DispersionError(f"unknown geometry kind {kind!r}")
+        fields = {"kind": kind, "thickness_A": float(self.thickness_A),
+                  **{name: _triple(name, getattr(self, name), float)
+                     for name in ("k0", "H", "n")}}
+        if self.hkl is not None:
+            fields["hkl"] = _triple("hkl", self.hkl, operator.index)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if abs(math.hypot(*self.n) - 1.0) > 1e-12:
             raise DispersionError("surface normal must be unit length")
-        if self.thickness_A < 0:
-            raise DispersionError("thickness must be non-negative")
+        if not 0.0 <= self.thickness_A < np.inf:
+            raise DispersionError(
+                f"thickness must be finite and >= 0, got {self.thickness_A}")
 
     @property
     def k_mag(self) -> float:
-        return float(np.linalg.norm(self.k0))
+        """|k0|, computed on first use and kept: the engines, kinematics()
+        and wavelength_A read it on every call."""
+        k_mag = self.__dict__.get("_k_mag")
+        if k_mag is None:
+            k_mag = self.__dict__["_k_mag"] = float(np.linalg.norm(self.k0))
+        return k_mag
 
     @property
     def wavelength_A(self) -> float:
@@ -93,7 +114,11 @@ class DiffractionGeometry:
         asymmetry ratio beta = gH/g0 is left to the caller, which must rule
         out grazing incidence (g0 = 0) first.
         """
-        return _kinematics(self, self.k_mag, theta, rho)
+        k = _wavevector(self.k_mag, theta, rho)
+        H = np.asarray(self.H, float)
+        n = np.asarray(self.n, float)
+        alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
+        return k, k @ n, (k + H) @ n, alpha0
 
     @property
     def cos_gamma(self) -> float:
@@ -108,6 +133,17 @@ class DiffractionGeometry:
         return float(g0) / float(gH)
 
 
+def _triple(name: str, values, convert) -> tuple:
+    """values as a 3-tuple, each converted; DispersionError otherwise."""
+    try:
+        out = tuple(map(convert, values))
+    except (TypeError, ValueError) as exc:
+        raise DispersionError(f"{name} must be three numbers: {exc}") from None
+    if len(out) != 3:
+        raise DispersionError(f"{name} must have 3 components, got {len(out)}")
+    return out
+
+
 def _wavevector(k_mag: float, theta, rho) -> np.ndarray:
     """k = |k0| (1, theta, rho)/norm, (..., 3).  The norm is formed as
     sqrt(1 + (theta^2 + rho^2)), so k at (rho, theta) is k at (theta, rho)
@@ -119,15 +155,6 @@ def _wavevector(k_mag: float, theta, rho) -> np.ndarray:
     k *= k_mag
     k /= norm[..., None]
     return k
-
-
-def _kinematics(geom: DiffractionGeometry, k_mag: float, theta, rho):
-    """DiffractionGeometry.kinematics with |k0| given."""
-    k = _wavevector(k_mag, theta, rho)
-    H = np.asarray(geom.H, float)
-    n = np.asarray(geom.n, float)
-    alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
-    return k, k @ n, (k + H) @ n, alpha0
 
 
 def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
@@ -147,6 +174,9 @@ def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
     idealisation), so that the rocking half-plane theta < 0 is the side on
     which the beam actually enters the crystal.
     """
+    if not 0.0 < wavelength_A < np.inf:
+        raise DispersionError(
+            f"wavelength must be finite and > 0, got {wavelength_A}")
     h_vec = reciprocal_vector(crystal, hkl)
     h_mag = float(np.linalg.norm(h_vec))
     k_mag = 2.0 * np.pi / wavelength_A
@@ -187,6 +217,11 @@ def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str) -> float:
 # Spin-channel kernel
 # ---------------------------------------------------------------------------
 
+def _has_zero(a) -> bool:
+    """not a.all(), in a quarter of its time on a one-point call."""
+    return np.count_nonzero(a) < a.size
+
+
 def _solve_channel(beta, b, p, vH):
     """Vectorised secular-equation roots and amplitude ratios.
 
@@ -198,7 +233,7 @@ def _solve_channel(beta, b, p, vH):
     computed from the product y1 y2 = -p / beta to avoid cancellation.
     """
     vH = np.asarray(vH, complex)
-    if not vH.all():
+    if _has_zero(vH):
         raise DispersionError("forbidden reflection: V(H) = 0")
 
     disc = np.asarray(b**2 + 4.0 * beta * p, complex)
@@ -228,6 +263,11 @@ def _backward_error(beta, b, p, y):
 
 
 _REFLECTION_CACHE_SIZE = 32
+# one-point _channels results kept by _reused_channels: one per point of a
+# thickness sweep
+_CHANNEL_CACHE_SIZE = 16
+_CHANNEL_CACHE: OrderedDict = OrderedDict()
+_CHANNEL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -251,7 +291,7 @@ def _reflection(geom: DiffractionGeometry, crystal: CrystalModel) -> Reflection:
     already in the crystal frame, and are keyed on it."""
     if geom.hkl is not None:
         return _build_reflection(crystal, geom.hkl, None)
-    return _build_reflection(crystal, None, tuple(float(h) for h in geom.H))
+    return _build_reflection(crystal, None, geom.H)
 
 
 @functools.lru_cache(maxsize=_REFLECTION_CACHE_SIZE)
@@ -294,8 +334,8 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
         point = th.shape if th.ndim >= rh.ndim else rh.shape
         th, rh = th.reshape(1).repeat(2), rh.reshape(())
     k_mag = geom.k_mag
-    k, g0, gH, alpha0 = _kinematics(geom, k_mag, th, rh)
-    if not (g0.all() and gH.all()):
+    k, g0, gH, alpha0 = geom.kinematics(th, rh)
+    if _has_zero(g0) or _has_zero(gH):
         raise DispersionError("grid touches an exactly grazing point")
     beta = gH / g0
     u_hat, w = schwinger_axis(k, geom.H)
@@ -318,6 +358,42 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
             "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
             "energy_meV": energy, "kappa_scale": k_mag**2 / g0,
             "y": y, "X": X, "backward_error": backward}
+
+
+def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
+                     theta, rho) -> dict:
+    """_channels(geom, crystal, theta, rho), taken from the channel cache
+    when the offsets broadcast to one point.
+
+    The cache is a bounded LRU shared by all threads.  Its key is
+    everything a _channels result reads except the thickness: the bits and
+    shapes of theta and rho, the bits of k0, H and n (so -0.0 and +0.0 are
+    different keys), kind, hkl and the crystal's value.  A thickness sweep
+    at one point therefore solves its channel problem once.  A miss solves
+    it for the caller's own geometry and crystal and stores the result with
+    its arrays read-only; the caller gets a copy of the dict, to which it
+    may add keys.
+    """
+    th, rh = np.asarray(theta, float), np.asarray(rho, float)
+    if not th.size == rh.size == 1:
+        return _channels(geom, crystal, th, rh)
+    key = (th.shape, th.tobytes(), rh.shape, rh.tobytes(),
+           struct.pack("9d", *geom.k0, *geom.H, *geom.n), geom.kind,
+           geom.hkl, crystal)
+    with _CHANNEL_LOCK:
+        ch = _CHANNEL_CACHE.get(key)
+        if ch is not None:
+            _CHANNEL_CACHE.move_to_end(key)
+    if ch is None:
+        ch = _channels(geom, crystal, th, rh)
+        for v in ch.values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+        with _CHANNEL_LOCK:
+            _CHANNEL_CACHE[key] = ch
+            if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
+                _CHANNEL_CACHE.popitem(last=False)
+    return dict(ch)
 
 
 def _spin_axis(geom: DiffractionGeometry, theta, rho) -> np.ndarray:
@@ -401,12 +477,19 @@ def _transfer_factors(kind, setup, D):
 
 def _point(ch: dict, res: dict) -> dict:
     """res as it is, or, when _channels computed a single point twice, its
-    first copy in the shape of the call's offsets."""
+    first copy in the shape of the call's offsets.  A read-only view there
+    is one of the channel cache's arrays (see _reused_channels), so it is
+    copied: no array a caller receives shares memory with the cache."""
     point = ch["point"]
     if point is None:
         return res
-    return {key: v[0] if point == () else v[:1].reshape(point + v.shape[1:])
-            for key, v in res.items()}
+    first = (0,) + (None,) * len(point)   # point is all ones
+    out = {}
+    for key, v in res.items():
+        v = v[first]
+        frozen = isinstance(v, np.ndarray) and not v.flags.writeable
+        out[key] = v.copy() if frozen else v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +503,11 @@ def _point(ch: dict, res: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _solve_amplitudes(geom: DiffractionGeometry, crystal: CrystalModel,
-                      theta, rho) -> dict:
+                      theta, rho, reuse: bool = False) -> dict:
     """The _channels result with the transfer factors t and r (channel, ...)
-    of the geometry's thickness."""
-    sol = _channels(geom, crystal, theta, rho)
+    of the geometry's thickness; with reuse, the channels are read through
+    the one-point cache of _reused_channels (the scans leave it off)."""
+    sol = (_reused_channels if reuse else _channels)(geom, crystal, theta, rho)
     sol["t"], sol["r"] = _transfer_factors(
         geom.kind, _transfer_setup(geom.kind, sol), geom.thickness_A)
     return sol
@@ -450,13 +534,18 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     Both scalar channels of _channels are carried through the crystal on
     their leading channel axis, and the exit transfer operator
     sum_s t_s P_s is applied to the incident spinor in the fixed lab basis.
-    A 0-d (theta, rho) gives the same values as that point of a grid.
+    A 0-d (theta, rho) gives the same values as that point of a grid.  The
+    channel problem of one point does not depend on the thickness, so a
+    one-point call reads it from a small shared cache (see
+    _reused_channels): a thickness sweep at fixed (theta, rho) solves it
+    once, and the transfer factors and the assembly run on every call,
+    with the same bits as a solve.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
     per-point root backward_error).
     """
-    sol = _solve_amplitudes(geom, crystal, theta, rho)
+    sol = _solve_amplitudes(geom, crystal, theta, rho, reuse=True)
     res = _assemble_amplitudes(
         sol, _channel_projections(sol["u_hat"], u0_spinor))
     # (branch, channel, ...) -> (..., channel, branch), as views
@@ -492,17 +581,18 @@ _NEGLIGIBLE_BEAT = 12.0
 
 
 def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
-                      theta, rho, span_A: float | None) -> dict:
+                      theta, rho, span_A: float | None,
+                      reuse: bool = False) -> dict:
     """The _channels result with the thickness-ensemble coherences of the
     channel amplitudes, C0 = <t_s conj(t_s')> and CH = <r_s conj(r_s')>,
     each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps.
     A Bragg result also holds ensemble_phase, the call's largest
-    |g1| span_A (see _check_ensemble)."""
+    |g1| span_A (see _check_ensemble).  reuse is _solve_amplitudes'."""
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     elif not 0.0 <= span_A < np.inf:
         raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
-    sol = _channels(geom, crystal, theta, rho)
+    sol = (_reused_channels if reuse else _channels)(geom, crystal, theta, rho)
     shape = sol["g0"].shape
     ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, sol)
 
@@ -642,13 +732,15 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     "sodiff.dispersion".  span_A (Angstrom, finite and >= 0) defaults to
     1e-5 of the thickness, far below any real tolerance yet enough to
     suppress the Laue branch beats below double precision; span_A = 0
-    gives the pure outer products.
+    gives the pure outer products.  A one-point call reuses the channel
+    solve of an earlier one-point call at the same (theta, rho), crystal
+    and beam, as exit_amplitude_maps does; the ensemble runs on every call.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
     (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
     where the beam enters the crystal).
     """
-    sol = _solve_coherences(geom, crystal, theta, rho, span_A)
+    sol = _solve_coherences(geom, crystal, theta, rho, span_A, reuse=True)
     _check_ensemble("exit_coherence_maps", sol.get("ensemble_phase", 0.0))
     res = _assemble_coherences(
         sol, _channel_projections(sol["u_hat"], u0_spinor))

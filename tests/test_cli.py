@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -203,9 +204,8 @@ def binary_dump(tmp_path, text):
     with np.load(out / "wavegrid.npz") as npz:
         dump = dict(npz)
     geom = dp.DiffractionGeometry(
-        k0=tuple(dump["k0"]), H=tuple(dump["H"]), n=tuple(dump["n"]),
-        kind=str(dump["kind"]), thickness_A=float(dump["thickness_A"]),
-        hkl=tuple(int(i) for i in dump["hkl"]))
+        k0=dump["k0"], H=dump["H"], n=dump["n"], kind=dump["kind"],
+        thickness_A=dump["thickness_A"], hkl=dump["hkl"])
     return dump, (geom, cr.reference_quartz(), dump["u0"], dump["theta"],
                   dump["rho"])
 
@@ -254,6 +254,26 @@ def test_binary_dump_holds_the_built_grids(tmp_path):
         for name in names + ("physical",):
             assert np.array_equal(dump[name], getattr(grid, name)), name
     assert np.array_equal(dump["R_ensemble"], wf.coherence_scan(*args).R)
+
+
+def test_geometry_from_dump_arrays_equals_made(tmp_path):
+    """A geometry built straight from wavegrid.npz's arrays (no tuple or
+    float conversions) stores the fields make_geometry stores, with the
+    same types and bits, hashes like it, and gives the engine's bytes."""
+    _, (geom, quartz, u0, theta, rho) = binary_dump(tmp_path, MINIMAL)
+    made = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 0.05 * 1e7)
+    for field in dataclasses.fields(made):
+        a, b = getattr(geom, field.name), getattr(made, field.name)
+        assert repr(a) == repr(b), field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    assert geom == made and hash(geom) == hash(made)
+    assert geom.hkl == (1, 1, 0) and type(geom.hkl[0]) is int
+    for th in (theta[3], theta[3:5]):
+        ours = dp.exit_amplitude_maps(geom, quartz, u0, th, rho[0])
+        theirs = dp.exit_amplitude_maps(made, quartz, u0, th, rho[0])
+        for key in ours:
+            assert np.asarray(ours[key]).tobytes() == \
+                np.asarray(theirs[key]).tobytes(), key
 
 
 def test_import_loads_no_scipy():
@@ -523,6 +543,36 @@ def test_oam_settings_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
     assert code == cli.EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "config", "detail": detail}
+
+
+@pytest.mark.parametrize("setting, detail", [
+    *(pytest.param(f"thickness_mm = {v}", "key 'thickness_mm': expected a "
+                   f"finite thickness >= 0, got {v}", id=f"thickness-{v}")
+      for v in ("nan", "inf", "-1")),
+    *(pytest.param(f"wavelength_A = {v}", "key 'wavelength_A': expected a "
+                   f"positive finite wavelength, got {v}", id=f"wavelength-{v}")
+      for v in ("0", "-2", "nan")),
+])
+def test_impossible_geometry_rejected_before_any_scan(tmp_path, capsys,
+                                                      monkeypatch, setting,
+                                                      detail):
+    """A thickness that is negative or not finite, and a wavelength that
+    is not positive and finite, are config errors (exit 2) raised before
+    any scan: no traceback, no NaN fields and no artifacts from a crystal
+    that cannot exist."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the config was checked")
+
+    monkeypatch.setattr(wf, "grid_scan", no_scan)
+    key = setting.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", setting, MINIMAL, flags=re.M)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": detail}
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_wall_excludes_grid_build(tmp_path, capsys, monkeypatch):

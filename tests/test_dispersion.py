@@ -1,5 +1,7 @@
 import dataclasses
 import logging
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -346,6 +348,62 @@ def test_unreachable_bragg_rejected(quartz):
         dp.make_geometry(quartz, (1, 1, 0), 5.2, dp.BRAGG, 1e6)
 
 
+@pytest.mark.parametrize("wavelength", [0.0, -2.0, np.nan, np.inf])
+def test_impossible_wavelength_rejected(quartz, wavelength):
+    with pytest.raises(dp.DispersionError, match="wavelength"):
+        dp.make_geometry(quartz, (1, 1, 0), wavelength, dp.BRAGG, 1e6)
+
+
+@pytest.mark.parametrize("thickness", [np.nan, np.inf, -1.0])
+def test_impossible_thickness_rejected(thermal_bragg_100um, thickness):
+    """A slab of negative or non-finite thickness cannot exist; one of
+    zero thickness can."""
+    with pytest.raises(dp.DispersionError, match="thickness"):
+        dataclasses.replace(thermal_bragg_100um, thickness_A=thickness)
+    assert dataclasses.replace(thermal_bragg_100um,
+                               thickness_A=0.0).thickness_A == 0.0
+
+
+def test_geometry_fields_normalised(thermal_bragg_100um):
+    """Vectors given as lists or arrays are stored as 3-tuples of floats
+    and Miller indices as a 3-tuple of ints, so the geometry equals and
+    hashes like the tuple-built one; a wrong length or a non-integer Miller
+    index is a DispersionError."""
+    g = thermal_bragg_100um
+    from_arrays = dp.DiffractionGeometry(
+        k0=np.array(g.k0), H=list(g.H), n=np.array(g.n), kind=g.kind,
+        thickness_A=np.float64(g.thickness_A), hkl=np.array(g.hkl))
+    assert from_arrays == g and hash(from_arrays) == hash(g)
+    for name in ("k0", "H", "n"):
+        assert all(type(x) is float for x in getattr(from_arrays, name))
+    assert all(type(i) is int for i in from_arrays.hkl)
+    assert type(from_arrays.thickness_A) is float
+    for change in ({"k0": (1.0, 0.0)}, {"H": [1.0, 2.0, 3.0, 4.0]},
+                   {"n": np.ones((3, 1))}, {"hkl": (1, 1)},
+                   {"hkl": (1.5, 1.0, 0.0)}):
+        with pytest.raises(dp.DispersionError):
+            dataclasses.replace(g, **change)
+
+
+def test_k_mag_computed_once(thermal_bragg_100um, monkeypatch):
+    """|k0| has np.linalg.norm's bits and is computed on first use only."""
+    g = dataclasses.replace(thermal_bragg_100um, thickness_A=3e5)
+    expected = float(np.linalg.norm(np.array(g.k0)))
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for _ in range(3):
+        assert g.k_mag == expected
+        g.kinematics(0.0, 0.0)
+        assert g.wavelength_A == 2.0 * np.pi / expected
+    assert len(calls) == 1
+
+
 def test_geometry_kind_asymmetry_signs(quartz):
     """Bragg: diffracted beam exits the entry face (b_asym < 0); Laue: both
     beams move inward (b_asym > 0).  Grazing backscattering Laue is the
@@ -431,6 +489,7 @@ def test_equal_crystal_parsed_again_hits_cache(monkeypatch):
     assert first is not second and first == second
     g = dp.make_geometry(first, (1, 1, 0), 2.0, dp.LAUE, 1e6)
     one_point(first, g, 1e-6)
+    dp._CHANNEL_CACHE.clear()
     calls = counting_structure_sums(monkeypatch)
     one_point(second, g, 1e-6)
     assert calls == []
@@ -476,6 +535,7 @@ def test_hand_built_geometry_keyed_on_H(quartz):
     res = dp.exit_amplitude_maps(hand, quartz, np.array([1.0, 0.0]),
                                  0.05, -0.02)
     dp._build_reflection.cache_clear()
+    dp._CHANNEL_CACHE.clear()
     cold = dp.exit_amplitude_maps(hand, quartz, np.array([1.0, 0.0]),
                                   0.05, -0.02)
     for key in ("psi0", "psiH", "R", "T", "y", "X"):
@@ -501,6 +561,152 @@ def test_cached_results_equal_uncached(quartz, u0_along_beam, monkeypatch,
     for key in ("rho0", "rhoH", "R", "T"):
         assert np.array_equal(cached_ens[key], uncached_ens[key])
     assert dp.scalar_reflection_scale(quartz, g) == cached_scale
+
+
+# ---------------------------------------------------------------------------
+# the one-point channel cache
+# ---------------------------------------------------------------------------
+
+CACHE_THETA_SHAPES = pytest.mark.parametrize("shape", [(), (1,), (1, 1)],
+                                             ids=["0d", "1", "1x1"])
+
+
+def engine_calls(crystal, u0):
+    """(name, call(geom, theta, rho)) of both public engines."""
+    return [("amplitudes", lambda g, t, r: dp.exit_amplitude_maps(
+                 g, crystal, u0, t, r)),
+            ("coherences", lambda g, t, r: dp.exit_coherence_maps(
+                 g, crystal, u0, t, r))]
+
+
+def assert_same_bits(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        x, y = np.asarray(a[key]), np.asarray(b[key])
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype,
+                                                    y.tobytes()), key
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+@CACHE_THETA_SHAPES
+def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
+                                                      kind, shape):
+    """A one-point call that hits the channel cache gives the bytes of a
+    miss after the cache is cleared, and of that point of a two-point grid,
+    for every key of both engines' results, diagnostics included; also
+    after the thickness changes between the call that filled the entry and
+    the hit.  theta = +0.0 and -0.0 are two entries."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    thinner = dataclasses.replace(g, thickness_A=7.5e5)
+    rh = np.zeros(shape)
+    for theta in (1.5e-6, 0.0, -0.0):
+        th = np.full(shape, theta)
+        for name, call in engine_calls(quartz, u0_along_beam):
+            dp._CHANNEL_CACHE.clear()
+            miss = call(g, th, rh)
+            assert len(dp._CHANNEL_CACHE) == 1, name
+            hit = call(g, th, rh)
+            assert_same_bits(hit, miss)
+            after_thickness = call(thinner, th, rh)   # a hit at a new D
+            assert len(dp._CHANNEL_CACHE) == 1, name
+            dp._CHANNEL_CACHE.clear()
+            assert_same_bits(after_thickness, call(thinner, th, rh))
+            line = call(g, np.array([theta, 2e-6]), 0.0)
+            assert_same_bits(miss, {key: v[0].reshape(shape + v.shape[1:])
+                                    if isinstance(v, np.ndarray) else v
+                                    for key, v in line.items()})
+    dp._CHANNEL_CACHE.clear()
+    plus, minus = np.zeros(shape), np.full(shape, -0.0)
+    for th in (plus, minus):
+        dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
+    assert len(dp._CHANNEL_CACHE) == 2
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+@CACHE_THETA_SHAPES
+def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
+    """The cache's arrays are read-only and no returned array shares
+    memory with them: a caller that overwrites every array it received
+    does not change the next call's bytes."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    th, rh = np.full(shape, 1.5e-6), np.zeros(shape)
+    for name, call in engine_calls(quartz, u0_along_beam):
+        dp._CHANNEL_CACHE.clear()
+        first = call(g, th, rh)
+        expected = {key: np.array(v, copy=True) for key, v in first.items()}
+        (cached,) = dp._CHANNEL_CACHE.values()
+        stored = [v for v in cached.values() if isinstance(v, np.ndarray)]
+        assert stored and not any(v.flags.writeable for v in stored)
+        for res in (first, call(g, th, rh)):
+            for key, v in res.items():
+                if isinstance(v, np.ndarray):
+                    assert not any(np.shares_memory(v, c) for c in stored), key
+                    v[...] = np.nan
+        assert_same_bits(call(g, th, rh), expected)
+
+
+def test_channel_cache_bounded(quartz, u0_along_beam):
+    """Distinct one-point keys beyond _CHANNEL_CACHE_SIZE evict the least
+    recently used: the entry count never exceeds it."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
+    dp._CHANNEL_CACHE.clear()
+    for th in np.linspace(-2e-5, 2e-5, 3 * dp._CHANNEL_CACHE_SIZE):
+        one_point(quartz, g, th)
+        assert len(dp._CHANNEL_CACHE) <= dp._CHANNEL_CACHE_SIZE
+    assert len(dp._CHANNEL_CACHE) == dp._CHANNEL_CACHE_SIZE
+
+
+def test_channel_cache_thread_safe(quartz, u0_along_beam, monkeypatch):
+    """Four threads sweeping the thickness of four geometries at once, on a
+    cache of two entries and with a thread switch every microsecond, give
+    the bytes of the same sweeps run one after the other, and the cache
+    never holds more than its size."""
+    monkeypatch.setattr(dp, "_CHANNEL_CACHE_SIZE", 2)
+    sweeps = [(dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6), theta)
+              for kind in (dp.LAUE, dp.BRAGG) for theta in (0.0, 1e-6)]
+    thicknesses = np.linspace(1e5, 2e6, 100)
+
+    def sweep(geom, theta):
+        out = []
+        for D in thicknesses:
+            out.append(dp.exit_amplitude_maps(
+                dataclasses.replace(geom, thickness_A=D), quartz,
+                u0_along_beam, theta, 0.0))
+            assert len(dp._CHANNEL_CACHE) <= 2
+        return out
+
+    dp._CHANNEL_CACHE.clear()
+    sequential = [sweep(*case) for case in sweeps]
+    dp._CHANNEL_CACHE.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(sweeps)) as pool:
+            futures = [pool.submit(sweep, *case) for case in sweeps]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for runs, expected in zip(threaded, sequential):
+        for res, exp in zip(runs, expected):
+            assert_same_bits(res, exp)
+
+
+def test_scans_leave_channel_cache_alone(quartz, u0_along_beam, monkeypatch):
+    """grid_scan and coherence_scan neither read nor fill the cache, on row
+    tiles and on theta <-> rho fold bands, even a band or tile of one
+    point (a 2 x 2 fold on two threads, the last row of an odd grid)."""
+    laue = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
+    back = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 1e6)
+    monkeypatch.setattr(wf, "_cpus", lambda: 2)
+    monkeypatch.setattr(wf, "_TILE_POINTS", 2)
+    dp._CHANNEL_CACHE.clear()
+    for scan in (wf.grid_scan, wf.coherence_scan):
+        scan(laue, quartz, u0_along_beam, np.linspace(-2e-5, 2e-5, 3),
+             np.zeros(1))
+        ax = np.deg2rad(0.45) * np.linspace(-1.0, 1.0, 2)
+        scan(back, quartz, u0_along_beam, ax, ax)
+    assert len(dp._CHANNEL_CACHE) == 0
 
 
 # ---------------------------------------------------------------------------

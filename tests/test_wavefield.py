@@ -231,9 +231,9 @@ def count_solved(monkeypatch, scan):
     name = SCANS[scan][1].__name__
     solve, sizes = getattr(dp, name), []
 
-    def counted(geom, crystal, theta, rho, *args):
+    def counted(geom, crystal, theta, rho, *args, **kwargs):
         sizes.append(np.broadcast(theta, rho).size)
-        return solve(geom, crystal, theta, rho, *args)
+        return solve(geom, crystal, theta, rho, *args, **kwargs)
 
     monkeypatch.setattr(dp, name, counted)
     return sizes
@@ -291,8 +291,8 @@ def test_fold_singular_points_as_unfolded(quartz, monkeypatch, caplog, scan):
     name = SCANS[scan][1].__name__
     solve = getattr(dp, name)
 
-    def singular(geom, crystal, theta, rho, *args):
-        sol = solve(geom, crystal, theta, rho, *args)
+    def singular(geom, crystal, theta, rho, *args, **kwargs):
+        sol = solve(geom, crystal, theta, rho, *args, **kwargs)
         bad = np.broadcast_to((theta == y) | (rho == y), sol["g0"].shape)
         if "t" in sol:
             sol["t"][:, bad] = sol["r"][:, bad] = np.nan
@@ -391,8 +391,8 @@ def test_mirror_symmetry_bitwise(quartz, points):
     10^5 random points do), which sqrt(1 + (theta^2 + rho^2)) avoids."""
     geom = back_bragg(quartz, 2e6)
     th, rh = np.array(points).T
-    k, *kin = dp._kinematics(geom, geom.k_mag, th, rh)
-    k_m, *kin_m = dp._kinematics(geom, geom.k_mag, rh, th)
+    k, *kin = geom.kinematics(th, rh)
+    k_m, *kin_m = geom.kinematics(rh, th)
     assert k_m[..., (0, 2, 1)].tobytes() == k.tobytes()
     for a, b in zip(kin, kin_m):
         assert a.tobytes() == b.tobytes()
