@@ -79,10 +79,11 @@ class DiffractionGeometry:
         if kind not in (BRAGG, LAUE):
             raise DispersionError(f"unknown geometry kind {kind!r}")
         fields = {"kind": kind, "thickness_A": float(self.thickness_A),
+                  "_k_mag": None,   # see k_mag
                   **{name: _triple(name, getattr(self, name), float)
                      for name in ("k0", "H", "n")}}
         if self.hkl is not None:
-            fields["hkl"] = _triple("hkl", self.hkl, operator.index)
+            fields["hkl"] = _triple("hkl", self.hkl, int)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         if abs(math.hypot(*self.n) - 1.0) > 1e-12:
@@ -94,11 +95,11 @@ class DiffractionGeometry:
     @property
     def k_mag(self) -> float:
         """|k0|, computed on first use and kept: the engines, kinematics()
-        and wavelength_A read it on every call."""
-        k_mag = self.__dict__.get("_k_mag")
-        if k_mag is None:
-            k_mag = self.__dict__["_k_mag"] = float(np.linalg.norm(self.k0))
-        return k_mag
+        and wavelength_A read it on every call.  Its slot is set to None at
+        construction, so that every instance has the same attributes."""
+        if self._k_mag is None:
+            object.__setattr__(self, "_k_mag", float(np.linalg.norm(self.k0)))
+        return self._k_mag
 
     @property
     def wavelength_A(self) -> float:
@@ -133,10 +134,16 @@ class DiffractionGeometry:
         return float(g0) / float(gH)
 
 
-def _triple(name: str, values, convert) -> tuple:
-    """values as a 3-tuple, each converted; DispersionError otherwise."""
+def _triple(name: str, values, kind: type) -> tuple:
+    """values as a 3-tuple of kind, float or int (taken by operator.index,
+    so 1.5 is refused); DispersionError otherwise.  A tuple that already is
+    one is returned itself, so geometries made by dataclasses.replace share
+    their vectors."""
+    if (type(values) is tuple and len(values) == 3
+            and all(type(v) is kind for v in values)):
+        return values
     try:
-        out = tuple(map(convert, values))
+        out = tuple(map(float if kind is float else operator.index, values))
     except (TypeError, ValueError) as exc:
         raise DispersionError(f"{name} must be three numbers: {exc}") from None
     if len(out) != 3:
@@ -177,6 +184,7 @@ def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
     if not 0.0 < wavelength_A < np.inf:
         raise DispersionError(
             f"wavelength must be finite and > 0, got {wavelength_A}")
+    hkl = _triple("hkl", hkl, int)
     h_vec = reciprocal_vector(crystal, hkl)
     h_mag = float(np.linalg.norm(h_vec))
     k_mag = 2.0 * np.pi / wavelength_A
@@ -192,8 +200,7 @@ def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
         H = tuple(h_mag * np.array([-s, c, 0.0]))
         n = (s, -c, 0.0) if kind == BRAGG else (c, s, 0.0)
     return DiffractionGeometry(k0=(k_mag, 0.0, 0.0), H=H, n=n, kind=kind,
-                               thickness_A=thickness_A,
-                               hkl=tuple(int(i) for i in hkl))
+                               thickness_A=thickness_A, hkl=hkl)
 
 
 def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str) -> float:
@@ -263,11 +270,12 @@ def _backward_error(beta, b, p, y):
 
 
 _REFLECTION_CACHE_SIZE = 32
-# one-point _channels results kept by _reused_channels: one per point of a
-# thickness sweep
+# one-point _channels results kept by _reused_channels (and keys seen once):
+# one per point of a thickness sweep
 _CHANNEL_CACHE_SIZE = 16
 _CHANNEL_CACHE: OrderedDict = OrderedDict()
 _CHANNEL_LOCK = threading.Lock()
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -368,11 +376,14 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     The cache is a bounded LRU shared by all threads.  Its key is
     everything a _channels result reads except the thickness: the bits and
     shapes of theta and rho, the bits of k0, H and n (so -0.0 and +0.0 are
-    different keys), kind, hkl and the crystal's value.  A thickness sweep
-    at one point therefore solves its channel problem once.  A miss solves
-    it for the caller's own geometry and crystal and stores the result with
-    its arrays read-only; the caller gets a copy of the dict, to which it
-    may add keys.
+    different keys), kind, hkl and the crystal's value.  A key is admitted
+    on its second miss: the first only marks it (value None), so a point
+    that never comes back (a rocking curve, a random crystal) pays for the
+    lookup alone, not for freezing and keeping its arrays, which cost one-off
+    calls 10-20 us each.  A thickness sweep at one point thus solves its
+    channel problem twice and then reads it.  An admitted result is stored
+    with its arrays read-only; the caller gets a copy of the dict, to which
+    it may add keys.
     """
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
     if not th.size == rh.size == 1:
@@ -381,19 +392,22 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
            struct.pack("9d", *geom.k0, *geom.H, *geom.n), geom.kind,
            geom.hkl, crystal)
     with _CHANNEL_LOCK:
-        ch = _CHANNEL_CACHE.get(key)
-        if ch is not None:
+        ch = _CHANNEL_CACHE.get(key, _UNSEEN)
+        if ch is not _UNSEEN:
             _CHANNEL_CACHE.move_to_end(key)
-    if ch is None:
-        ch = _channels(geom, crystal, th, rh)
+    if ch is not None and ch is not _UNSEEN:
+        return dict(ch)
+    admit = ch is None
+    ch = _channels(geom, crystal, th, rh)
+    if admit:
         for v in ch.values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
-        with _CHANNEL_LOCK:
-            _CHANNEL_CACHE[key] = ch
-            if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
-                _CHANNEL_CACHE.popitem(last=False)
-    return dict(ch)
+    with _CHANNEL_LOCK:
+        _CHANNEL_CACHE[key] = ch if admit else None
+        if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
+            _CHANNEL_CACHE.popitem(last=False)
+    return dict(ch) if admit else ch
 
 
 def _spin_axis(geom: DiffractionGeometry, theta, rho) -> np.ndarray:

@@ -354,6 +354,15 @@ def test_impossible_wavelength_rejected(quartz, wavelength):
         dp.make_geometry(quartz, (1, 1, 0), wavelength, dp.BRAGG, 1e6)
 
 
+def test_non_integer_miller_indices_rejected(quartz):
+    """make_geometry used to build H from (1.5, 1, 0) and store hkl
+    (1, 1, 0), whose lattice sums belong to another H."""
+    with pytest.raises(dp.DispersionError, match="hkl"):
+        dp.make_geometry(quartz, (1.5, 1, 0), 2.0, dp.BRAGG, 1e6)
+    g = dp.make_geometry(quartz, np.array([1, 1, 0]), 2.0, dp.BRAGG, 1e6)
+    assert g == dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e6)
+
+
 @pytest.mark.parametrize("thickness", [np.nan, np.inf, -1.0])
 def test_impossible_thickness_rejected(thermal_bragg_100um, thickness):
     """A slab of negative or non-finite thickness cannot exist; one of
@@ -591,11 +600,13 @@ def assert_same_bits(a, b):
 @CACHE_THETA_SHAPES
 def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
                                                       kind, shape):
-    """A one-point call that hits the channel cache gives the bytes of a
-    miss after the cache is cleared, and of that point of a two-point grid,
-    for every key of both engines' results, diagnostics included; also
-    after the thickness changes between the call that filled the entry and
-    the hit.  theta = +0.0 and -0.0 are two entries."""
+    """A one-point call that hits the channel cache gives the bytes of the
+    miss that marked its key, of the miss that stored it, of a miss at a
+    new thickness after the cache is cleared, and of that point of a
+    two-point grid, for every key of both engines' results, diagnostics
+    included; also after the thickness changes between the call that
+    stored the entry and the hit.  theta = +0.0 and -0.0 are two
+    entries."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     thinner = dataclasses.replace(g, thickness_A=7.5e5)
     rh = np.zeros(shape)
@@ -603,23 +614,47 @@ def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
         th = np.full(shape, theta)
         for name, call in engine_calls(quartz, u0_along_beam):
             dp._CHANNEL_CACHE.clear()
-            miss = call(g, th, rh)
-            assert len(dp._CHANNEL_CACHE) == 1, name
+            marked = call(g, th, rh)
+            assert list(dp._CHANNEL_CACHE.values()) == [None], name
+            stored = call(g, th, rh)
+            (entry,) = dp._CHANNEL_CACHE.values()
+            assert isinstance(entry, dict), name
             hit = call(g, th, rh)
-            assert_same_bits(hit, miss)
+            for res in (stored, hit):
+                assert_same_bits(res, marked)
             after_thickness = call(thinner, th, rh)   # a hit at a new D
-            assert len(dp._CHANNEL_CACHE) == 1, name
+            assert list(dp._CHANNEL_CACHE.values()) == [entry], name
             dp._CHANNEL_CACHE.clear()
             assert_same_bits(after_thickness, call(thinner, th, rh))
             line = call(g, np.array([theta, 2e-6]), 0.0)
-            assert_same_bits(miss, {key: v[0].reshape(shape + v.shape[1:])
-                                    if isinstance(v, np.ndarray) else v
-                                    for key, v in line.items()})
+            assert_same_bits(marked, {key: v[0].reshape(shape + v.shape[1:])
+                                      if isinstance(v, np.ndarray) else v
+                                      for key, v in line.items()})
     dp._CHANNEL_CACHE.clear()
-    plus, minus = np.zeros(shape), np.full(shape, -0.0)
-    for th in (plus, minus):
+    for th in (np.zeros(shape), np.full(shape, -0.0)) * 2:
         dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
     assert len(dp._CHANNEL_CACHE) == 2
+    assert all(isinstance(v, dict) for v in dp._CHANNEL_CACHE.values())
+
+
+def test_thickness_sweep_solves_twice(quartz, u0_along_beam, monkeypatch):
+    """A key is stored on its second miss: a 50-thickness sweep at one
+    point solves its channel problem twice, and a point called once keeps
+    only a marker, no arrays."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
+    channels, solved = dp._channels, []
+
+    def counted(*args):
+        solved.append(args)
+        return channels(*args)
+
+    monkeypatch.setattr(dp, "_channels", counted)
+    dp._CHANNEL_CACHE.clear()
+    for D in np.linspace(1e5, 2e6, 50):
+        one_point(quartz, dataclasses.replace(g, thickness_A=D), 0.0)
+    assert len(solved) == 2
+    one_point(quartz, g, 1e-6)
+    assert list(dp._CHANNEL_CACHE.values())[-1] is None
 
 
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
@@ -632,7 +667,8 @@ def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
     th, rh = np.full(shape, 1.5e-6), np.zeros(shape)
     for name, call in engine_calls(quartz, u0_along_beam):
         dp._CHANNEL_CACHE.clear()
-        first = call(g, th, rh)
+        call(g, th, rh)
+        first = call(g, th, rh)   # stores the entry
         expected = {key: np.array(v, copy=True) for key, v in first.items()}
         (cached,) = dp._CHANNEL_CACHE.values()
         stored = [v for v in cached.values() if isinstance(v, np.ndarray)]
@@ -647,12 +683,14 @@ def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
 
 def test_channel_cache_bounded(quartz, u0_along_beam):
     """Distinct one-point keys beyond _CHANNEL_CACHE_SIZE evict the least
-    recently used: the entry count never exceeds it."""
+    recently used, stored entries and marks alike: the entry count never
+    exceeds it."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
     dp._CHANNEL_CACHE.clear()
     for th in np.linspace(-2e-5, 2e-5, 3 * dp._CHANNEL_CACHE_SIZE):
-        one_point(quartz, g, th)
-        assert len(dp._CHANNEL_CACHE) <= dp._CHANNEL_CACHE_SIZE
+        for _ in range(2):
+            one_point(quartz, g, th)
+            assert len(dp._CHANNEL_CACHE) <= dp._CHANNEL_CACHE_SIZE
     assert len(dp._CHANNEL_CACHE) == dp._CHANNEL_CACHE_SIZE
 
 
