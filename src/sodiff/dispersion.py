@@ -551,9 +551,9 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     A 0-d (theta, rho) gives the same values as that point of a grid.  The
     channel problem of one point does not depend on the thickness, so a
     one-point call reads it from a small shared cache (see
-    _reused_channels): a thickness sweep at fixed (theta, rho) solves it
-    once, and the transfer factors and the assembly run on every call,
-    with the same bits as a solve.
+    _reused_channels): a thickness sweep at fixed (theta, rho) solves it on
+    its first two calls only, and the transfer factors and the assembly
+    run on every call, with the same bits as a solve.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
@@ -746,9 +746,10 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     "sodiff.dispersion".  span_A (Angstrom, finite and >= 0) defaults to
     1e-5 of the thickness, far below any real tolerance yet enough to
     suppress the Laue branch beats below double precision; span_A = 0
-    gives the pure outer products.  A one-point call reuses the channel
-    solve of an earlier one-point call at the same (theta, rho), crystal
-    and beam, as exit_amplitude_maps does; the ensemble runs on every call.
+    gives the pure outer products.  One-point calls share the channel
+    cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
+    solves its channel problem on its first two calls only; the ensemble
+    runs on every call.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
     (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
