@@ -78,14 +78,14 @@ class DiffractionGeometry:
         kind = str(self.kind)
         if kind not in (BRAGG, LAUE):
             raise DispersionError(f"unknown geometry kind {kind!r}")
-        fields = {"kind": kind, "thickness_A": float(self.thickness_A),
-                  "_k_mag": None,   # see k_mag
-                  **{name: _triple(name, getattr(self, name), float)
-                     for name in ("k0", "H", "n")}}
+        set_field = functools.partial(object.__setattr__, self)
+        set_field("kind", kind)
+        set_field("thickness_A", float(self.thickness_A))
+        set_field("_k_mag", None)   # see k_mag
+        for name in ("k0", "H", "n"):
+            set_field(name, _triple(name, getattr(self, name), float))
         if self.hkl is not None:
-            fields["hkl"] = _triple("hkl", self.hkl, int)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+            set_field("hkl", _triple("hkl", self.hkl, int))
         if abs(math.hypot(*self.n) - 1.0) > 1e-12:
             raise DispersionError("surface normal must be unit length")
         if not 0.0 <= self.thickness_A < np.inf:
@@ -139,8 +139,7 @@ def _triple(name: str, values, kind: type) -> tuple:
     so 1.5 is refused); DispersionError otherwise.  A tuple that already is
     one is returned itself, so geometries made by dataclasses.replace share
     their vectors."""
-    if (type(values) is tuple and len(values) == 3
-            and all(type(v) is kind for v in values)):
+    if type(values) is tuple and tuple(map(type, values)) == (kind,) * 3:
         return values
     try:
         out = tuple(map(float if kind is float else operator.index, values))
