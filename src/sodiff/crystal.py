@@ -154,9 +154,7 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     k_mag = np.sqrt(k0 * k0 + (k1 * k1 + k2 * k2))
     h0, h1, h2 = H.tolist()
     h_mag = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
-    # count_nonzero: a quarter of the time of .all() and .any() on the
-    # two-point arrays of a one-point engine call
-    if h_mag == 0.0 or np.count_nonzero(k_mag) < k_mag.size:
+    if h_mag == 0.0 or not k_mag.all():
         raise CrystalError("schwinger_axis needs non-zero K and H")
     # K x H and its norm component by component, in np.cross's and
     # np.linalg.norm's operation order
@@ -168,7 +166,7 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     cmag = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     w = cmag / float(H @ H)
     parallel = cmag <= 1e-12 * k_mag * h_mag
-    if np.count_nonzero(parallel):
+    if parallel.any():
         u_hat = cross / np.where(parallel, 1.0, cmag)[..., None]
         u_hat[parallel] = (0.0, 0.0, 1.0)
         return u_hat, np.where(parallel, 0.0, w)

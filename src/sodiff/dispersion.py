@@ -78,17 +78,21 @@ class DiffractionGeometry:
         kind = str(self.kind)
         if kind not in (BRAGG, LAUE):
             raise DispersionError(f"unknown geometry kind {kind!r}")
-        set_field = functools.partial(object.__setattr__, self)
-        set_field("kind", kind)
-        set_field("thickness_A", float(self.thickness_A))
-        set_field("_k_mag", None)   # see k_mag
-        for name in ("k0", "H", "n"):
-            set_field(name, _triple(name, getattr(self, name), float))
-        if self.hkl is not None:
-            set_field("hkl", _triple("hkl", self.hkl, int))
+        hkl = self.hkl
+        stored = {"kind": kind, "thickness_A": float(self.thickness_A),
+                  "k0": _triple("k0", self.k0, float),
+                  "H": _triple("H", self.H, float),
+                  "n": _triple("n", self.n, float),
+                  "hkl": hkl if hkl is None else _triple("hkl", hkl, int)}
+        # only a field that was converted is set again: a geometry made by
+        # dataclasses.replace sets _k_mag alone
+        for name, value in stored.items():
+            if value is not getattr(self, name):
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "_k_mag", None)   # see k_mag
         if abs(math.hypot(*self.n) - 1.0) > 1e-12:
             raise DispersionError("surface normal must be unit length")
-        if not 0.0 <= self.thickness_A < np.inf:
+        if not 0.0 <= self.thickness_A < math.inf:
             raise DispersionError(
                 f"thickness must be finite and >= 0, got {self.thickness_A}")
 
@@ -139,7 +143,8 @@ def _triple(name: str, values, kind: type) -> tuple:
     so 1.5 is refused); DispersionError otherwise.  A tuple that already is
     one is returned itself, so geometries made by dataclasses.replace share
     their vectors."""
-    if type(values) is tuple and tuple(map(type, values)) == (kind,) * 3:
+    if (type(values) is tuple and len(values) == 3
+            and type(values[0]) is type(values[1]) is type(values[2]) is kind):
         return values
     try:
         out = tuple(map(float if kind is float else operator.index, values))
@@ -195,8 +200,8 @@ def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
         H = (-h_mag, 0.0, 0.0)
         n = (1.0, 0.0, 0.0) if kind == BRAGG else (0.0, -1.0, 0.0)
     else:
-        c = np.sqrt(1.0 - s * s)
-        H = tuple(h_mag * np.array([-s, c, 0.0]))
+        c = math.sqrt(1.0 - s * s)
+        H = (h_mag * -s, h_mag * c, 0.0)
         n = (s, -c, 0.0) if kind == BRAGG else (c, s, 0.0)
     return DiffractionGeometry(k0=(k_mag, 0.0, 0.0), H=H, n=n, kind=kind,
                                thickness_A=thickness_A, hkl=hkl)
@@ -223,11 +228,6 @@ def backscattering_wavelength(crystal: CrystalModel, hkl, kind: str) -> float:
 # Spin-channel kernel
 # ---------------------------------------------------------------------------
 
-def _has_zero(a) -> bool:
-    """not a.all(), in a quarter of its time on a one-point call."""
-    return np.count_nonzero(a) < a.size
-
-
 def _solve_channel(beta, b, p, vH):
     """Vectorised secular-equation roots and amplitude ratios.
 
@@ -239,7 +239,7 @@ def _solve_channel(beta, b, p, vH):
     computed from the product y1 y2 = -p / beta to avoid cancellation.
     """
     vH = np.asarray(vH, complex)
-    if _has_zero(vH):
+    if not vH.all():
         raise DispersionError("forbidden reflection: V(H) = 0")
 
     disc = np.asarray(b**2 + 4.0 * beta * p, complex)
@@ -269,12 +269,12 @@ def _backward_error(beta, b, p, y):
 
 
 _REFLECTION_CACHE_SIZE = 32
-# one-point _channels results kept by _reused_channels (and keys seen once):
-# one per point of a thickness sweep
+# one-point _channels results kept by _reused_channels.  A thickness sweep
+# needs one entry (point_sweep's Pendelloesung group and criterion 10 each
+# sweep one point); 16 is not tuned to any measured traffic.
 _CHANNEL_CACHE_SIZE = 16
 _CHANNEL_CACHE: OrderedDict = OrderedDict()
 _CHANNEL_LOCK = threading.Lock()
-_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
         th, rh = th.reshape(1).repeat(2), rh.reshape(())
     k_mag = geom.k_mag
     k, g0, gH, alpha0 = geom.kinematics(th, rh)
-    if _has_zero(g0) or _has_zero(gH):
+    if not (g0.all() and gH.all()):
         raise DispersionError("grid touches an exactly grazing point")
     beta = gH / g0
     u_hat, w = schwinger_axis(k, geom.H)
@@ -375,14 +375,10 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     The cache is a bounded LRU shared by all threads.  Its key is
     everything a _channels result reads except the thickness: the bits and
     shapes of theta and rho, the bits of k0, H and n (so -0.0 and +0.0 are
-    different keys), kind, hkl and the crystal's value.  A key is admitted
-    on its second miss: the first only marks it (value None), so a point
-    that never comes back (a rocking curve, a random crystal) pays for the
-    lookup alone, not for freezing and keeping its arrays, which cost one-off
-    calls 10-20 us each on a 2-vCPU Xeon.  A thickness sweep at one point
-    thus solves its channel problem twice and then reads it.  An admitted
-    result is stored with its arrays read-only; the caller gets a copy of
-    the dict, to which it may add keys.
+    different keys), kind, hkl and the crystal's value.  A miss stores its
+    result with the arrays read-only, so a thickness sweep at one point
+    solves its channel problem once.  The caller gets a copy of the dict,
+    to which it may add keys.
     """
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
     if not th.size == rh.size == 1:
@@ -391,22 +387,19 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
            struct.pack("9d", *geom.k0, *geom.H, *geom.n), geom.kind,
            geom.hkl, crystal)
     with _CHANNEL_LOCK:
-        ch = _CHANNEL_CACHE.get(key, _UNSEEN)
-        if ch is not _UNSEEN:
+        ch = _CHANNEL_CACHE.get(key)
+        if ch is not None:
             _CHANNEL_CACHE.move_to_end(key)
-    if ch is not None and ch is not _UNSEEN:
-        return dict(ch)
-    admit = ch is None
-    ch = _channels(geom, crystal, th, rh)
-    if admit:
+    if ch is None:
+        ch = _channels(geom, crystal, th, rh)
         for v in ch.values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
-    with _CHANNEL_LOCK:
-        _CHANNEL_CACHE[key] = ch if admit else None
-        if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
-            _CHANNEL_CACHE.popitem(last=False)
-    return dict(ch) if admit else ch
+        with _CHANNEL_LOCK:
+            _CHANNEL_CACHE[key] = ch
+            if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
+                _CHANNEL_CACHE.popitem(last=False)
+    return dict(ch)
 
 
 def _spin_axis(geom: DiffractionGeometry, theta, rho) -> np.ndarray:
@@ -516,11 +509,11 @@ def _point(ch: dict, res: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _solve_amplitudes(geom: DiffractionGeometry, crystal: CrystalModel,
-                      theta, rho, reuse: bool = False) -> dict:
-    """The _channels result with the transfer factors t and r (channel, ...)
-    of the geometry's thickness; with reuse, the channels are read through
-    the one-point cache of _reused_channels (the scans leave it off)."""
-    sol = (_reused_channels if reuse else _channels)(geom, crystal, theta, rho)
+                      theta, rho) -> dict:
+    """The _channels result, read through the one-point cache of
+    _reused_channels, with the transfer factors t and r (channel, ...) of
+    the geometry's thickness."""
+    sol = _reused_channels(geom, crystal, theta, rho)
     sol["t"], sol["r"] = _transfer_factors(
         geom.kind, _transfer_setup(geom.kind, sol), geom.thickness_A)
     return sol
@@ -551,14 +544,14 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     channel problem of one point does not depend on the thickness, so a
     one-point call reads it from a small shared cache (see
     _reused_channels): a thickness sweep at fixed (theta, rho) solves it on
-    its first two calls only, and the transfer factors and the assembly
+    its first call only, and the transfer factors and the assembly
     run on every call, with the same bits as a solve.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
     per-point root backward_error).
     """
-    sol = _solve_amplitudes(geom, crystal, theta, rho, reuse=True)
+    sol = _solve_amplitudes(geom, crystal, theta, rho)
     res = _assemble_amplitudes(
         sol, _channel_projections(sol["u_hat"], u0_spinor))
     # (branch, channel, ...) -> (..., channel, branch), as views
@@ -594,18 +587,18 @@ _NEGLIGIBLE_BEAT = 12.0
 
 
 def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
-                      theta, rho, span_A: float | None,
-                      reuse: bool = False) -> dict:
+                      theta, rho, span_A: float | None) -> dict:
     """The _channels result with the thickness-ensemble coherences of the
     channel amplitudes, C0 = <t_s conj(t_s')> and CH = <r_s conj(r_s')>,
     each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps.
     A Bragg result also holds ensemble_phase, the call's largest
-    |g1| span_A (see _check_ensemble).  reuse is _solve_amplitudes'."""
+    |g1| span_A (see _check_ensemble).  The channels are read as in
+    _solve_amplitudes."""
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     elif not 0.0 <= span_A < np.inf:
         raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
-    sol = (_reused_channels if reuse else _channels)(geom, crystal, theta, rho)
+    sol = _reused_channels(geom, crystal, theta, rho)
     shape = sol["g0"].shape
     ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, sol)
 
@@ -747,14 +740,14 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     suppress the Laue branch beats below double precision; span_A = 0
     gives the pure outer products.  One-point calls share the channel
     cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
-    solves its channel problem on its first two calls only; the ensemble
+    solves its channel problem on its first call only; the ensemble
     runs on every call.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
     (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
     where the beam enters the crystal).
     """
-    sol = _solve_coherences(geom, crystal, theta, rho, span_A, reuse=True)
+    sol = _solve_coherences(geom, crystal, theta, rho, span_A)
     _check_ensemble("exit_coherence_maps", sol.get("ensemble_phase", 0.0))
     res = _assemble_coherences(
         sol, _channel_projections(sol["u_hat"], u0_spinor))

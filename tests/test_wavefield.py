@@ -231,9 +231,9 @@ def count_solved(monkeypatch, scan):
     name = SCANS[scan][1].__name__
     solve, sizes = getattr(dp, name), []
 
-    def counted(geom, crystal, theta, rho, *args, **kwargs):
+    def counted(geom, crystal, theta, rho, *args):
         sizes.append(np.broadcast(theta, rho).size)
-        return solve(geom, crystal, theta, rho, *args, **kwargs)
+        return solve(geom, crystal, theta, rho, *args)
 
     monkeypatch.setattr(dp, name, counted)
     return sizes
@@ -291,8 +291,8 @@ def test_fold_singular_points_as_unfolded(quartz, monkeypatch, caplog, scan):
     name = SCANS[scan][1].__name__
     solve = getattr(dp, name)
 
-    def singular(geom, crystal, theta, rho, *args, **kwargs):
-        sol = solve(geom, crystal, theta, rho, *args, **kwargs)
+    def singular(geom, crystal, theta, rho, *args):
+        sol = solve(geom, crystal, theta, rho, *args)
         bad = np.broadcast_to((theta == y) | (rho == y), sol["g0"].shape)
         if "t" in sol:
             sol["t"][:, bad] = sol["r"][:, bad] = np.nan
