@@ -269,12 +269,13 @@ def _backward_error(beta, b, p, y):
 
 
 _REFLECTION_CACHE_SIZE = 32
-# one-point _channels results kept by _reused_channels.  A thickness sweep
-# needs one entry (point_sweep's Pendelloesung group and criterion 10 each
+# one-point _channels results and first-miss marks kept by _reused_channels.
+# A thickness sweep needs one entry (point_sweep's Pendelloesung group and criterion 10 each
 # sweep one point); 16 is not tuned to any measured traffic.
 _CHANNEL_CACHE_SIZE = 16
 _CHANNEL_CACHE: OrderedDict = OrderedDict()
 _CHANNEL_LOCK = threading.Lock()
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -375,10 +376,15 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     The cache is a bounded LRU shared by all threads.  Its key is
     everything a _channels result reads except the thickness: the bits and
     shapes of theta and rho, the bits of k0, H and n (so -0.0 and +0.0 are
-    different keys), kind, hkl and the crystal's value.  A miss stores its
-    result with the arrays read-only, so a thickness sweep at one point
-    solves its channel problem once.  The caller gets a copy of the dict,
-    to which it may add keys.
+    different keys), kind, hkl and the crystal's value.  A key is stored
+    on its second miss; the first only marks it (value None), so a point
+    that never comes back (a rocking curve, a random crystal) skips
+    freezing its arrays and, in _point, copying them out: storing every
+    miss made point_sweep's random and Darwin groups 8 % slower
+    (BENCH_19.json, store_every_miss).  A thickness sweep at one point
+    thus solves its channel problem twice and then reads it.  A stored
+    result has read-only arrays; the caller gets a copy of the dict, to
+    which it may add keys.
     """
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
     if not th.size == rh.size == 1:
@@ -387,19 +393,22 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
            struct.pack("9d", *geom.k0, *geom.H, *geom.n), geom.kind,
            geom.hkl, crystal)
     with _CHANNEL_LOCK:
-        ch = _CHANNEL_CACHE.get(key)
-        if ch is not None:
+        ch = _CHANNEL_CACHE.get(key, _UNSEEN)
+        if ch is not _UNSEEN:
             _CHANNEL_CACHE.move_to_end(key)
-    if ch is None:
-        ch = _channels(geom, crystal, th, rh)
+    if ch is not None and ch is not _UNSEEN:
+        return dict(ch)
+    admit = ch is None
+    ch = _channels(geom, crystal, th, rh)
+    if admit:
         for v in ch.values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
-        with _CHANNEL_LOCK:
-            _CHANNEL_CACHE[key] = ch
-            if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
-                _CHANNEL_CACHE.popitem(last=False)
-    return dict(ch)
+    with _CHANNEL_LOCK:
+        _CHANNEL_CACHE[key] = ch if admit else None
+        if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
+            _CHANNEL_CACHE.popitem(last=False)
+    return dict(ch) if admit else ch
 
 
 def _spin_axis(geom: DiffractionGeometry, theta, rho) -> np.ndarray:
@@ -544,7 +553,7 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     channel problem of one point does not depend on the thickness, so a
     one-point call reads it from a small shared cache (see
     _reused_channels): a thickness sweep at fixed (theta, rho) solves it on
-    its first call only, and the transfer factors and the assembly
+    its first two calls only, and the transfer factors and the assembly
     run on every call, with the same bits as a solve.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
@@ -740,7 +749,7 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     suppress the Laue branch beats below double precision; span_A = 0
     gives the pure outer products.  One-point calls share the channel
     cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
-    solves its channel problem on its first call only; the ensemble
+    solves its channel problem on its first two calls only; the ensemble
     runs on every call.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices

@@ -601,11 +601,12 @@ def assert_same_bits(a, b):
 def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
                                                       kind, shape):
     """A one-point call that hits the channel cache gives the bytes of the
-    miss that stored its entry, of a miss at a new thickness after the
-    cache is cleared, and of that point of a two-point grid, for every key
-    of both engines' results, diagnostics included; also after the
-    thickness changes between the call that stored the entry and the hit.
-    theta = +0.0 and -0.0 are two entries."""
+    miss that marked its key, of the miss that stored it, of a miss at a
+    new thickness after the cache is cleared, and of that point of a
+    two-point grid, for every key of both engines' results, diagnostics
+    included; also after the thickness changes between the call that
+    stored the entry and the hit.  theta = +0.0 and -0.0 are two
+    entries."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     thinner = dataclasses.replace(g, thickness_A=7.5e5)
     rh = np.zeros(shape)
@@ -613,26 +614,33 @@ def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
         th = np.full(shape, theta)
         for name, call in engine_calls(quartz, u0_along_beam):
             dp._CHANNEL_CACHE.clear()
+            marked = call(g, th, rh)
+            assert list(dp._CHANNEL_CACHE.values()) == [None], name
             stored = call(g, th, rh)
             (entry,) = dp._CHANNEL_CACHE.values()
             assert isinstance(entry, dict), name
-            assert_same_bits(call(g, th, rh), stored)
+            hit = call(g, th, rh)
+            for res in (stored, hit):
+                assert_same_bits(res, marked)
             after_thickness = call(thinner, th, rh)   # a hit at a new D
             assert list(dp._CHANNEL_CACHE.values()) == [entry], name
             dp._CHANNEL_CACHE.clear()
             assert_same_bits(after_thickness, call(thinner, th, rh))
             line = call(g, np.array([theta, 2e-6]), 0.0)
-            assert_same_bits(stored, {key: v[0].reshape(shape + v.shape[1:])
+            assert_same_bits(marked, {key: v[0].reshape(shape + v.shape[1:])
                                       if isinstance(v, np.ndarray) else v
                                       for key, v in line.items()})
     dp._CHANNEL_CACHE.clear()
-    for th in (np.zeros(shape), np.full(shape, -0.0)):
+    for th in (np.zeros(shape), np.full(shape, -0.0)) * 2:
         dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
     assert len(dp._CHANNEL_CACHE) == 2
+    assert all(isinstance(v, dict) for v in dp._CHANNEL_CACHE.values())
 
 
-def test_thickness_sweep_solves_once(quartz, u0_along_beam, monkeypatch):
-    """A 50-thickness sweep at one point solves its channel problem once."""
+def test_thickness_sweep_solves_twice(quartz, u0_along_beam, monkeypatch):
+    """A key is stored on its second miss: a 50-thickness sweep at one
+    point solves its channel problem twice, and a point called once keeps
+    only a marker, no arrays."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
     channels, solved = dp._channels, []
 
@@ -644,7 +652,9 @@ def test_thickness_sweep_solves_once(quartz, u0_along_beam, monkeypatch):
     dp._CHANNEL_CACHE.clear()
     for D in np.linspace(1e5, 2e6, 50):
         one_point(quartz, dataclasses.replace(g, thickness_A=D), 0.0)
-    assert len(solved) == 1
+    assert len(solved) == 2
+    one_point(quartz, g, 1e-6)
+    assert list(dp._CHANNEL_CACHE.values())[-1] is None
 
 
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
@@ -657,6 +667,7 @@ def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
     th, rh = np.full(shape, 1.5e-6), np.zeros(shape)
     for name, call in engine_calls(quartz, u0_along_beam):
         dp._CHANNEL_CACHE.clear()
+        call(g, th, rh)
         first = call(g, th, rh)   # stores the entry
         expected = {key: np.array(v, copy=True) for key, v in first.items()}
         (cached,) = dp._CHANNEL_CACHE.values()
@@ -672,12 +683,14 @@ def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
 
 def test_channel_cache_bounded(quartz, u0_along_beam):
     """Distinct one-point keys beyond _CHANNEL_CACHE_SIZE evict the least
-    recently used: the entry count never exceeds it."""
+    recently used, stored entries and marks alike: the entry count never
+    exceeds it."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
     dp._CHANNEL_CACHE.clear()
     for th in np.linspace(-2e-5, 2e-5, 3 * dp._CHANNEL_CACHE_SIZE):
-        one_point(quartz, g, th)
-        assert len(dp._CHANNEL_CACHE) <= dp._CHANNEL_CACHE_SIZE
+        for _ in range(2):
+            one_point(quartz, g, th)
+            assert len(dp._CHANNEL_CACHE) <= dp._CHANNEL_CACHE_SIZE
     assert len(dp._CHANNEL_CACHE) == dp._CHANNEL_CACHE_SIZE
 
 
