@@ -380,7 +380,7 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     on its second miss; the first only marks it (value None), so a point
     that never comes back (a rocking curve, a random crystal) skips
     freezing its arrays and, in _point, copying them out: storing every
-    miss made point_sweep's random and Darwin groups 8 % slower
+    miss made point_sweep's random and Darwin groups about 8 % slower
     (BENCH_19.json, store_every_miss).  A thickness sweep at one point
     thus solves its channel problem twice and then reads it.  A stored
     result has read-only arrays; the caller gets a copy of the dict, to
