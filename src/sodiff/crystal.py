@@ -67,6 +67,10 @@ class AtomSite:
     form_factor: FormFactor = UNIT_FORM_FACTOR
 
 
+# values CrystalModel keeps in its __dict__ besides its fields
+_DERIVED = ("_hash", "_cell_volume", "_reciprocal")
+
+
 @dataclass(frozen=True)
 class CrystalModel:
     """Lattice plus atomic basis; the source of all structure factors.
@@ -84,10 +88,12 @@ class CrystalModel:
         lat = np.asarray(self.lattice, dtype=float)
         if lat.shape != (3, 3):
             raise CrystalError("lattice must be three 3-vectors")
-        if abs(float(np.linalg.det(lat))) < 1e-9:
+        volume = abs(float(np.linalg.det(lat)))
+        if volume < 1e-9:
             raise CrystalError("degenerate lattice")
         if not self.sites:
             raise CrystalError("crystal needs at least one site")
+        object.__setattr__(self, "_cell_volume", volume)
 
     def __hash__(self):
         """The dataclass field hash, computed once per instance: every
@@ -102,8 +108,8 @@ class CrystalModel:
 
     def __getstate__(self):
         # string hashes differ between processes: an unpickled model
-        # computes its own
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # computes its own, and its derived lattice values on first use
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
     @property
     def lattice_matrix(self) -> np.ndarray:
@@ -111,12 +117,26 @@ class CrystalModel:
 
     @property
     def cell_volume_A3(self) -> float:
-        return abs(float(np.linalg.det(self.lattice_matrix)))
+        """|det| of the lattice, computed once per instance."""
+        try:
+            return self.__dict__["_cell_volume"]
+        except KeyError:
+            volume = abs(float(np.linalg.det(self.lattice_matrix)))
+            object.__setattr__(self, "_cell_volume", volume)
+            return volume
 
     @property
     def reciprocal_matrix(self) -> np.ndarray:
-        """Rows b1, b2, b3 with a_i . b_j = 2 pi delta_ij."""
-        return 2.0 * np.pi * np.linalg.inv(self.lattice_matrix).T
+        """Rows b1, b2, b3 with a_i . b_j = 2 pi delta_ij, inverted once per
+        instance.  The kept matrix is read-only and callers get a view of
+        it, which cannot be made writable either."""
+        try:
+            matrix = self.__dict__["_reciprocal"]
+        except KeyError:
+            matrix = 2.0 * np.pi * np.linalg.inv(self.lattice_matrix).T
+            matrix.setflags(write=False)
+            object.__setattr__(self, "_reciprocal", matrix)
+        return matrix.view()
 
     def d_spacing(self, hkl) -> float:
         return 2.0 * np.pi / float(np.linalg.norm(reciprocal_vector(self, hkl)))

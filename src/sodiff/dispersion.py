@@ -382,9 +382,17 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     freezing its arrays and, in _point, copying them out: storing every
     miss made point_sweep's random and Darwin groups about 8 % slower
     (BENCH_19.json, store_every_miss).  A thickness sweep at one point
-    thus solves its channel problem twice and then reads it.  A stored
-    result has read-only arrays; the caller gets a copy of the dict, to
-    which it may add keys.
+    thus solves its channel problem twice and then reads it.
+
+    A stored entry also holds the rest of a call that does not depend on
+    the thickness: "setup", the _transfer_setup of its channels, and
+    "projections", a one-element list holding the channel projections of
+    the last incident spinor used at the point (see _projections).  A hit
+    thus leaves only the transfer factors and the assembly to its caller.
+    A stored entry's arrays are read-only; the caller gets a copy of the
+    dict, to which it may add keys, sharing the projections list.  Offsets
+    of two or more points (every scan tile but a 1 x 1 grid's) get a plain
+    _channels result, without a setup that would outlive its use.
     """
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
     if not th.size == rh.size == 1:
@@ -401,7 +409,9 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     admit = ch is None
     ch = _channels(geom, crystal, th, rh)
     if admit:
-        for v in ch.values():
+        ch["setup"] = _transfer_setup(geom.kind, ch)
+        ch["projections"] = [None]
+        for v in (*ch.values(), *ch["setup"]):
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
     with _CHANNEL_LOCK:
@@ -435,6 +445,27 @@ def _channel_projections(u_hat, u0_spinor) -> np.ndarray:
     amp0[..., 0] = 0.5 * (1.0 + s_uz) * u00 + half_s * (ux - iuy) * u01
     amp0[..., 1] = half_s * (ux + iuy) * u00 + 0.5 * (1.0 - s_uz) * u01
     return amp0.reshape((2,) + u_hat.shape[:-1] + (2,))
+
+
+def _projections(sol: dict, u0_spinor) -> np.ndarray:
+    """_channel_projections of the incident spinor on the channels of the
+    solve sol.  A stored channel-cache entry (see _reused_channels) keeps
+    those of the last spinor used at its point, read-only, keyed on the
+    spinor's shape and complex128 bytes; the list item holding key and
+    projections is replaced as one tuple, so no thread pairs one spinor's
+    key with another's projections."""
+    u0 = np.asarray(u0_spinor, complex)
+    slot = sol.get("projections")
+    if slot is None:
+        return _channel_projections(sol["u_hat"], u0)
+    key = (u0.shape, u0.tobytes())
+    last = slot[0]
+    if last is not None and last[0] == key:
+        return last[1]
+    amp0 = _channel_projections(sol["u_hat"], u0)
+    amp0.setflags(write=False)
+    slot[0] = (key, amp0)
+    return amp0
 
 
 def _transfer_setup(kind, ch: dict):
@@ -521,10 +552,12 @@ def _solve_amplitudes(geom: DiffractionGeometry, crystal: CrystalModel,
                       theta, rho) -> dict:
     """The _channels result, read through the one-point cache of
     _reused_channels, with the transfer factors t and r (channel, ...) of
-    the geometry's thickness."""
+    the geometry's thickness.  A stored entry's transfer setup is read,
+    not computed again."""
     sol = _reused_channels(geom, crystal, theta, rho)
     sol["t"], sol["r"] = _transfer_factors(
-        geom.kind, _transfer_setup(geom.kind, sol), geom.thickness_A)
+        geom.kind, sol.get("setup") or _transfer_setup(geom.kind, sol),
+        geom.thickness_A)
     return sol
 
 
@@ -552,17 +585,18 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     A 0-d (theta, rho) gives the same values as that point of a grid.  The
     channel problem of one point does not depend on the thickness, so a
     one-point call reads it from a small shared cache (see
-    _reused_channels): a thickness sweep at fixed (theta, rho) solves it on
-    its first two calls only, and the transfer factors and the assembly
-    run on every call, with the same bits as a solve.
+    _reused_channels): a thickness sweep at fixed (theta, rho) solves it,
+    sets up its transfer factors and projects the incident spinor on its
+    first two calls only (the projections are kept for the last spinor
+    used at the point), and the transfer factors and the assembly run on
+    every call, with the same bits as a solve.
 
     Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
     (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
     per-point root backward_error).
     """
     sol = _solve_amplitudes(geom, crystal, theta, rho)
-    res = _assemble_amplitudes(
-        sol, _channel_projections(sol["u_hat"], u0_spinor))
+    res = _assemble_amplitudes(sol, _projections(sol, u0_spinor))
     # (branch, channel, ...) -> (..., channel, branch), as views
     point_major = tuple(range(2, sol["y"].ndim)) + (1, 0)
     channel_last = tuple(range(1, sol["t"].ndim)) + (0,)
@@ -609,7 +643,8 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
         raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
     sol = _reused_channels(geom, crystal, theta, rho)
     shape = sol["g0"].shape
-    ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, sol)
+    ig1, ig2, X1, X2, diff, prod = (sol.get("setup")
+                                    or _transfer_setup(geom.kind, sol))
 
     C0 = np.zeros(shape + (2, 2), complex)
     CH = np.zeros(shape + (2, 2), complex)
@@ -749,8 +784,10 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     suppress the Laue branch beats below double precision; span_A = 0
     gives the pure outer products.  One-point calls share the channel
     cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
-    solves its channel problem on its first two calls only; the ensemble
-    runs on every call.
+    solves its channel problem, sets up its branch wavenumbers and
+    projects the incident spinor on its first two calls only (the
+    projections are kept for the last spinor used at the point); the
+    ensemble and the assembly run on every call.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
     (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
@@ -758,8 +795,7 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     """
     sol = _solve_coherences(geom, crystal, theta, rho, span_A)
     _check_ensemble("exit_coherence_maps", sol.get("ensemble_phase", 0.0))
-    res = _assemble_coherences(
-        sol, _channel_projections(sol["u_hat"], u0_spinor))
+    res = _assemble_coherences(sol, _projections(sol, u0_spinor))
     return _point(sol, {**res, "g0": sol["g0"]})
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -285,3 +286,61 @@ def test_crystal_hash_cached_per_instance_not_pickled():
     assert "_hash" in vars(a) and "_hash" not in vars(restored)
     assert restored == a and hash(restored) == fields
     assert "_hash" in vars(restored)
+
+
+def test_lattice_inverted_once_per_crystal(quartz, monkeypatch):
+    """reciprocal_matrix and cell_volume_A3 are computed once per instance:
+    d_spacing, reciprocal_vector and make_geometry of both kinds invert
+    the lattice once, and the determinant __post_init__ takes is the
+    volume."""
+    counts = {"inv": 0, "det": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(a, real=real, name=name):
+            counts[name] += 1
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    crystal = dataclasses.replace(quartz, material_id="inverted-once")
+    assert counts == {"inv": 0, "det": 1}
+    crystal.d_spacing((1, 1, 0))
+    cr.reciprocal_vector(crystal, (1, 0, 0))
+    for kind in (dp.BRAGG, dp.LAUE):
+        dp.make_geometry(crystal, (1, 1, 0), 2.0, kind, 1e6)
+    assert crystal.cell_volume_A3 > 0 and cr.mean_potential_meV(crystal) > 0
+    assert counts == {"inv": 1, "det": 1}
+
+
+def test_derived_lattice_values_survive_pickle_and_replace(quartz):
+    """A crystal restored from a pickle (which leaves the derived values
+    out) and one made by dataclasses.replace give the reciprocal matrix
+    and the volume of the original, bit for bit."""
+    a = cr.reference_quartz()
+    matrix, volume = a.reciprocal_matrix, a.cell_volume_A3
+    assert {"_reciprocal", "_cell_volume"} <= set(vars(a))
+    restored = pickle.loads(pickle.dumps(a))
+    assert not {"_reciprocal", "_cell_volume"} & set(vars(restored))
+    for other in (restored, dataclasses.replace(a, schwinger_scale=0.5),
+                  a.without_schwinger()):
+        assert other.reciprocal_matrix.tobytes() == matrix.tobytes()
+        assert other.cell_volume_A3 == volume
+    fresh = 2.0 * np.pi * np.linalg.inv(a.lattice_matrix).T
+    assert fresh.tobytes() == matrix.tobytes()
+    assert volume == abs(float(np.linalg.det(a.lattice_matrix)))
+
+
+def test_reciprocal_matrix_cannot_be_corrupted():
+    """The returned matrix is a read-only view of the kept one that cannot
+    be made writable, so no caller can change the next caller's value."""
+    c = simple_cubic(a=3.0)
+    before = c.reciprocal_matrix.copy()
+    got = c.reciprocal_matrix
+    with pytest.raises(ValueError):
+        got[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        got.setflags(write=True)
+    with pytest.raises(ValueError):
+        got *= 2.0
+    assert c.reciprocal_matrix.tobytes() == before.tobytes()
+    assert cr.reciprocal_vector(c, (1, 0, 0)).flags.writeable

@@ -658,9 +658,74 @@ def test_thickness_sweep_solves_twice(quartz, u0_along_beam, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+def test_thickness_sweep_hit_runs_thickness_work_only(quartz, u0_along_beam,
+                                                      monkeypatch, kind):
+    """A 50-thickness sweep at one point solves its channels, sets up their
+    transfer factors and projects the incident spinor twice each (on the
+    miss that marks the point and on the miss that stores it), with either
+    engine: a hit reads all three from the cache entry."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    names = ("_channels", "_transfer_setup", "_channel_projections")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, real=getattr(dp, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dp, name, counted)
+    for engine, call in engine_calls(quartz, u0_along_beam):
+        dp._CHANNEL_CACHE.clear()
+        counts.update(dict.fromkeys(names, 0))
+        for D in np.linspace(1e5, 2e6, 50):
+            call(dataclasses.replace(g, thickness_A=D), 1e-6, 0.0)
+        assert counts == dict.fromkeys(names, 2), engine
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+def test_hit_with_new_spinor_projects_again(quartz, u0_along_beam, kind):
+    """The entry keeps the projections of the last spinor used at its
+    point: a hit with another spinor projects that one, takes the slot and
+    gives the bytes of a miss with it, and so does a hit with the first
+    spinor after it."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    other = np.array([0.6 - 0.3j, -0.2 + 0.7j])
+    other /= np.linalg.norm(other)
+    others = dict(engine_calls(quartz, other))
+    for name, call in engine_calls(quartz, u0_along_beam):
+        dp._CHANNEL_CACHE.clear()
+        miss_other = others[name](g, 1e-6, 0.0)   # marks the point
+        miss_first = call(g, 1e-6, 0.0)           # stores it
+        (entry,) = dp._CHANNEL_CACHE.values()
+        (kept,) = entry["projections"]
+        hit_other = others[name](g, 1e-6, 0.0)
+        (now,) = entry["projections"]
+        assert now[0] != kept[0], name
+        assert np.array_equal(
+            now[1], dp._channel_projections(entry["u_hat"], other)), name
+        assert_same_bits(hit_other, miss_other)
+        hit_first = call(g, 1e-6, 0.0)
+        assert entry["projections"][0][0] == kept[0], name
+        assert_same_bits(hit_first, miss_first)
+        assert list(dp._CHANNEL_CACHE.values()) == [entry], name
+
+
+def entry_arrays(value):
+    """Every array a channel-cache entry holds, through its dict, the
+    setup tuple and the projections slot."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (tuple, list)):
+        return []
+    return [a for v in value for a in entry_arrays(v)]
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
 @CACHE_THETA_SHAPES
 def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
-    """The cache's arrays are read-only and no returned array shares
+    """The cache's arrays, those of the transfer setup and the kept
+    projections included, are read-only and no returned array shares
     memory with them: a caller that overwrites every array it received
     does not change the next call's bytes."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
@@ -671,8 +736,11 @@ def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
         first = call(g, th, rh)   # stores the entry
         expected = {key: np.array(v, copy=True) for key, v in first.items()}
         (cached,) = dp._CHANNEL_CACHE.values()
-        stored = [v for v in cached.values() if isinstance(v, np.ndarray)]
-        assert stored and not any(v.flags.writeable for v in stored)
+        stored = entry_arrays(cached)
+        setup, ((_, amp0),) = cached["setup"], cached["projections"]
+        assert len(setup) == 6 and all(
+            any(a is s for s in stored) for a in (*setup, amp0)), name
+        assert not any(v.flags.writeable for v in stored)
         for res in (first, call(g, th, rh)):
             for key, v in res.items():
                 if isinstance(v, np.ndarray):
