@@ -17,8 +17,10 @@ All operations here are pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
+import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -67,8 +69,26 @@ class AtomSite:
     form_factor: FormFactor = UNIT_FORM_FACTOR
 
 
-# values CrystalModel keeps in its __dict__ besides its fields
-_DERIVED = ("_hash", "_cell_volume", "_reciprocal")
+_LATTICE_CACHE_SIZE = 32
+
+
+def _lattice_bits(lattice) -> bytes:
+    """The nine lattice components as float64 bytes: the key of
+    _inverted_lattice, so -0.0 and +0.0 are different lattices."""
+    (a, b, c), (d, e, f), (g, h, i) = lattice
+    return struct.pack("9d", a, b, c, d, e, f, g, h, i)
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _inverted_lattice(bits: bytes) -> tuple[float, np.ndarray]:
+    """(|det L|, 2 pi inv(L).T) of the lattice L whose _lattice_bits are
+    bits, the matrix read-only.  Kept in a bounded LRU cache keyed on the
+    lattice, not on the crystal instance: crystals that share a lattice
+    (a fit over random sites) share one entry, and no instance grows."""
+    lat = np.frombuffer(bits).reshape(3, 3)
+    matrix = 2.0 * np.pi * np.linalg.inv(lat).T
+    matrix.setflags(write=False)
+    return abs(float(np.linalg.det(lat))), matrix
 
 
 @dataclass(frozen=True)
@@ -88,12 +108,10 @@ class CrystalModel:
         lat = np.asarray(self.lattice, dtype=float)
         if lat.shape != (3, 3):
             raise CrystalError("lattice must be three 3-vectors")
-        volume = abs(float(np.linalg.det(lat)))
-        if volume < 1e-9:
+        if abs(float(np.linalg.det(lat))) < 1e-9:
             raise CrystalError("degenerate lattice")
         if not self.sites:
             raise CrystalError("crystal needs at least one site")
-        object.__setattr__(self, "_cell_volume", volume)
 
     def __hash__(self):
         """The dataclass field hash, computed once per instance: every
@@ -108,8 +126,8 @@ class CrystalModel:
 
     def __getstate__(self):
         # string hashes differ between processes: an unpickled model
-        # computes its own, and its derived lattice values on first use
-        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
+        # computes its own
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def lattice_matrix(self) -> np.ndarray:
@@ -117,26 +135,16 @@ class CrystalModel:
 
     @property
     def cell_volume_A3(self) -> float:
-        """|det| of the lattice, computed once per instance."""
-        try:
-            return self.__dict__["_cell_volume"]
-        except KeyError:
-            volume = abs(float(np.linalg.det(self.lattice_matrix)))
-            object.__setattr__(self, "_cell_volume", volume)
-            return volume
+        """|det| of the lattice, computed once per distinct lattice (see
+        _inverted_lattice)."""
+        return _inverted_lattice(_lattice_bits(self.lattice))[0]
 
     @property
     def reciprocal_matrix(self) -> np.ndarray:
         """Rows b1, b2, b3 with a_i . b_j = 2 pi delta_ij, inverted once per
-        instance.  The kept matrix is read-only and callers get a view of
-        it, which cannot be made writable either."""
-        try:
-            matrix = self.__dict__["_reciprocal"]
-        except KeyError:
-            matrix = 2.0 * np.pi * np.linalg.inv(self.lattice_matrix).T
-            matrix.setflags(write=False)
-            object.__setattr__(self, "_reciprocal", matrix)
-        return matrix.view()
+        distinct lattice (see _inverted_lattice): a read-only view of the
+        kept matrix, which cannot be made writable either."""
+        return _inverted_lattice(_lattice_bits(self.lattice))[1].view()
 
     def d_spacing(self, hkl) -> float:
         return 2.0 * np.pi / float(np.linalg.norm(reciprocal_vector(self, hkl)))

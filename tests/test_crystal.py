@@ -288,39 +288,41 @@ def test_crystal_hash_cached_per_instance_not_pickled():
     assert "_hash" in vars(restored)
 
 
-def test_lattice_inverted_once_per_crystal(quartz, monkeypatch):
-    """reciprocal_matrix and cell_volume_A3 are computed once per instance:
-    d_spacing, reciprocal_vector and make_geometry of both kinds invert
-    the lattice once, and the determinant __post_init__ takes is the
-    volume."""
+def test_lattice_inverted_once_per_lattice(quartz, monkeypatch):
+    """reciprocal_matrix and cell_volume_A3 are computed once per distinct
+    lattice: d_spacing, reciprocal_vector and make_geometry of both kinds
+    invert a new lattice once, a second crystal on that lattice (other
+    sites, as a fit over random crystals makes) not again, and neither
+    instance keeps anything beyond its hash."""
     counts = {"inv": 0, "det": 0}
     for name in counts:
-        real = getattr(np.linalg, name)
-
-        def counted(a, real=real, name=name):
+        def counted(a, real=getattr(np.linalg, name), name=name):
             counts[name] += 1
             return real(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    crystal = dataclasses.replace(quartz, material_id="inverted-once")
-    assert counts == {"inv": 0, "det": 1}
-    crystal.d_spacing((1, 1, 0))
-    cr.reciprocal_vector(crystal, (1, 0, 0))
-    for kind in (dp.BRAGG, dp.LAUE):
-        dp.make_geometry(crystal, (1, 1, 0), 2.0, kind, 1e6)
-    assert crystal.cell_volume_A3 > 0 and cr.mean_potential_meV(crystal) > 0
-    assert counts == {"inv": 1, "det": 1}
+    lattice = tuple(tuple(1.001 * x for x in row) for row in quartz.lattice)
+    first = dataclasses.replace(quartz, lattice=lattice)
+    second = dataclasses.replace(first, sites=first.sites[:3])
+    assert counts == {"inv": 0, "det": 2}   # __post_init__'s check
+    for crystal in (first, second):
+        crystal.d_spacing((1, 1, 0))
+        cr.reciprocal_vector(crystal, (1, 0, 0))
+        for kind in (dp.BRAGG, dp.LAUE):
+            dp.make_geometry(crystal, (1, 1, 0), 2.0, kind, 1e6)
+        assert crystal.cell_volume_A3 > 0 and cr.mean_potential_meV(crystal) > 0
+        assert set(vars(crystal)) <= {*vars(quartz), "_hash"}
+    assert counts == {"inv": 1, "det": 3}
 
 
-def test_derived_lattice_values_survive_pickle_and_replace(quartz):
-    """A crystal restored from a pickle (which leaves the derived values
-    out) and one made by dataclasses.replace give the reciprocal matrix
-    and the volume of the original, bit for bit."""
+def test_derived_lattice_values_survive_pickle_and_replace():
+    """A crystal restored from a pickle and one made by
+    dataclasses.replace give the reciprocal matrix and the volume of the
+    original, bit for bit, and those of the uncached formulas; a lattice
+    that differs only in the sign of a zero is a lattice of its own."""
     a = cr.reference_quartz()
     matrix, volume = a.reciprocal_matrix, a.cell_volume_A3
-    assert {"_reciprocal", "_cell_volume"} <= set(vars(a))
     restored = pickle.loads(pickle.dumps(a))
-    assert not {"_reciprocal", "_cell_volume"} & set(vars(restored))
     for other in (restored, dataclasses.replace(a, schwinger_scale=0.5),
                   a.without_schwinger()):
         assert other.reciprocal_matrix.tobytes() == matrix.tobytes()
@@ -328,6 +330,14 @@ def test_derived_lattice_values_survive_pickle_and_replace(quartz):
     fresh = 2.0 * np.pi * np.linalg.inv(a.lattice_matrix).T
     assert fresh.tobytes() == matrix.tobytes()
     assert volume == abs(float(np.linalg.det(a.lattice_matrix)))
+    plus = simple_cubic(a=3.0)
+    minus = dataclasses.replace(plus, lattice=((3.0, -0.0, 0.0),)
+                                + plus.lattice[1:])
+    assert plus == minus
+    assert cr._lattice_bits(plus.lattice) != cr._lattice_bits(minus.lattice)
+    for c in (plus, minus):
+        fresh = 2.0 * np.pi * np.linalg.inv(c.lattice_matrix).T
+        assert c.reciprocal_matrix.tobytes() == fresh.tobytes()
 
 
 def test_reciprocal_matrix_cannot_be_corrupted():
