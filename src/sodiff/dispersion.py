@@ -624,6 +624,26 @@ _NODE_ROOT_W = np.sqrt([0.37301225767907736, 0.11723990766175905,
 # reaches 1e-12 (a = 0.627); beyond it an ensemble is logged as
 # under-resolved
 _ENSEMBLE_PHASE_LIMIT = 0.62
+# Rules of fewer nodes, each taken at a point where it gives the 8-node
+# rule's result to round-off.  An n-node rule errs on <e^{i b x}> by about
+# c_n b^{2n}.  The products summed at a point are series in
+# rho^j e^{i (j+1) a x}, where a is the largest rate of the point's node
+# factors (|g1|, 2 |Im g2| and |g2_0 - conj(g2_1)|, times span_A) and rho
+# the ratio of the smaller to the larger of |q0 X2| and |X1|, both over the
+# channels.  So the rule errs on them by at most
+#     c_n a^{2n} sum_j (j+1)^{2n} rho^j = c_n a^{2n} A(rho)/(1 - rho)^{2n+1},
+# A the Eulerian polynomial of degree 2n - 1, and a point takes the first
+# rule whose bound is at most _RULE_TOL.  Each rule: its nodes x >= 0
+# (x = 0 taken once, the others as +-x pairs), their root weights, c_n and
+# the coefficients of A.
+_SHORT_RULES = (
+    (np.array([0.0, 1.7320508075688772]), np.sqrt([2.0 / 3.0, 1.0 / 6.0]),
+     1.0 / 120.0, (1, 57, 302, 302, 57, 1)),
+    (np.array([0.7419637843027258, 2.3344142183389773]),
+     np.sqrt([0.45412414523193156, 0.04587585476806842]),
+     1.0 / 1680.0, (1, 247, 4293, 15619, 15619, 4293, 247, 1)),
+)
+_RULE_TOL = 1e-16
 # |Re(dk)| span_A beyond which a Laue cross-branch beat is dropped: its
 # window factor is then below exp(-72) = 5.4e-32
 _NEGLIGIBLE_BEAT = 12.0
@@ -646,8 +666,10 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
     ig1, ig2, X1, X2, diff, prod = (sol.get("setup")
                                     or _transfer_setup(geom.kind, sol))
 
-    C0 = np.zeros(shape + (2, 2), complex)
-    CH = np.zeros(shape + (2, 2), complex)
+    # stored channel pair first, so that each entry C[..., a, b] that the
+    # ensemble writes and the assembly reads is contiguous
+    C0, CH = (np.moveaxis(np.zeros((2, 2) + shape, complex), (0, 1), (-2, -1))
+              for _ in range(2))
     if geom.kind == LAUE:
         # Laue amplitudes are two-exponential sums, so the Gaussian
         # thickness-ensemble average of every quadratic product is exact:
@@ -678,35 +700,26 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
         for C in (C0, CH):
             C[..., 1, 0] = np.conj(C[..., 0, 1])
     else:
-        # Gauss-Hermite nodes D' = D + x span_A in +-x pairs: e^{i g D'} is
-        # e^{i g D} times or divided by e^{i g x span_A}, one exp per pair
-        # for each of g1 and g2.  Only 1/(X1 - q X2) depends on the
-        # node: |z|^2 and conj(z_1) z_0 of z = t/(diff E_b), r/prod are
-        # summed, with sqrt(w) folded into the reciprocal, in buffers reused
-        # from node to node; diff, prod and E_b = e^{i g2 D} come after.
+        # Each point takes its own rule (see _bragg_rules), the points of
+        # each gathered when a call mixes rules; the choice is per point,
+        # so no value depends on the tile.
         D = geom.thickness_A
         q0 = np.exp(ig1 * D)
-        q, inv, z, step_q, step_E = (np.empty_like(q0) for _ in range(5))
-        sq, cz = np.empty(q0.shape), np.empty(shape, complex)
-        diag, off = np.zeros((2, 2) + shape), np.zeros((2,) + shape, complex)
-        for x, root_w in zip(_NODE_X, _NODE_ROOT_W):
-            for step, ig in ((step_q, ig1), (step_E, ig2)):
-                np.exp(np.multiply(ig, x * span_A, out=step), out=step)
-            for apply in (np.multiply, np.divide):   # the node +x, then -x
-                apply(q0, step_q, out=q)
-                np.multiply(q, X2, out=inv)
-                np.subtract(X1, inv, out=inv)
-                np.divide(root_w, inv, out=inv)
-                for i in range(2):
-                    if i == 0:
-                        apply(inv, step_E, out=z)
-                    else:
-                        np.multiply(np.subtract(1.0, q, out=z), inv, out=z)
-                    for part in (z.real, z.imag):
-                        diag[i] += np.multiply(part, part, out=sq)
-                    np.conjugate(z[1], out=cz)
-                    off[i] += np.multiply(cz, z[0], out=cz)
-        del q, inv, z, step_q, step_E, sq, cz
+        rules = _bragg_rules(q0, ig1, ig2, X1, X2, span_A)
+        diag, off = np.empty((2, 2) + shape), np.empty((2,) + shape, complex)
+        for pick, rule in rules:
+            if pick.all():
+                diag, off = _bragg_node_sums(q0, ig1, ig2, X1, X2, span_A,
+                                             *rule)
+            elif pick.any():
+                # one point is gathered twice: see _channels
+                at = np.flatnonzero(pick)
+                rows = np.resize(at, max(at.size, 2))
+                terms = (v.reshape(2, -1)[:, rows]
+                         for v in (q0, ig1, ig2, X1, X2))
+                d, o = _bragg_node_sums(*terms, span_A, *rule)
+                diag.reshape(2, 2, -1)[..., at] = d[..., :at.size]
+                off.reshape(2, -1)[:, at] = o[:, :at.size]
         E_b = np.exp(ig2 * D)
         for C, d, o, f in zip((C0, CH), diag, off, (diff * E_b, prod)):
             C[..., 0, 0], C[..., 1, 1] = np.abs(f) ** 2 * d
@@ -716,6 +729,98 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
             np.abs(ig1), axis=None, initial=0.0))
     sol["C0"], sol["CH"] = C0, CH
     return sol
+
+
+def _bragg_rules(q0, ig1, ig2, X1, X2, span_A) -> list:
+    """[(points, (node_x, root_w))]: the points of (channel, ...) arrays
+    that each rule of _SHORT_RULES serves, the first that does, and last
+    the rest, for the 8-node rule; a rule that serves none may be left out.
+    """
+    near, far = np.abs(q0 * X2), np.abs(X1)
+    larger = np.maximum(near, far)
+    rho = np.max(np.divide(np.minimum(near, far), larger,
+                           out=np.ones(larger.shape), where=larger > 0.0),
+                 axis=0)
+    rate = np.max(np.maximum(np.abs(ig1), 2.0 * np.abs(ig2.real)), axis=0)
+    rate = np.maximum(rate, np.abs(ig2[0] + np.conj(ig2[1]))) * span_A
+    left = np.ones(rho.shape, bool)
+    rules = []
+    for node_x, root_w, c, eulerian in _SHORT_RULES:
+        if not left.any():
+            break
+        n = 2 * node_x.size - (node_x[0] == 0.0)
+        poly = np.full(rho.shape, float(eulerian[-1]))
+        for coef in eulerian[-2::-1]:
+            poly *= rho
+            poly += coef
+        pick = left & (c * _ipow(rate * rate, n) * poly
+                       <= _RULE_TOL * _ipow(1.0 - rho, 2 * n + 1))
+        left &= ~pick
+        rules.append((pick, (node_x, root_w)))
+    return rules + [(left, (_NODE_X, _NODE_ROOT_W))]
+
+
+def _ipow(x, k: int):
+    """x**k for a whole k >= 1, by products: numpy's power calls pow() on
+    every element."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def _bragg_node_sums(q0, ig1, ig2, X1, X2, span_A, node_x, root_w):
+    """Sums over the Gauss-Hermite nodes D' = D + x span_A (x = 0 once and
+    the +-x pairs of the other node_x, weights root_w^2) of a Bragg
+    ensemble, over (channel, ...)
+    points: diag (2, channel, ...) of |z|^2 and off (2, ...) of
+    conj(z_1) z_0, for z = t/(diff E_b) and r/prod.
+
+    e^{i g1 D'} is q0 = e^{i g1 D} times or divided by e^{i g1 x span_A},
+    one exp per pair.  E_b's node factor e = e^{i g2 x span_A} enters the
+    t sums as |e|^{+-2} = e^{+-2 Re(i g2) x span_A} and, in conj(z_1) z_0,
+    as conj(e_1) e_0 = e^{(i g2_0 + conj(i g2_1)) x span_A} or its
+    reciprocal.  Only 1/(X1 - q X2) depends on the node otherwise; its
+    |.|^2 and the products of both channels' reciprocals serve both
+    sums, with sqrt(w) folded into the reciprocal, in buffers reused
+    from node to node."""
+    shape = q0.shape[1:]
+    q, inv, step = (np.empty_like(q0) for _ in range(3))
+    mag, e2, sq, sq2 = (np.empty(q0.shape) for _ in range(4))
+    pair, phase, cz = (np.empty(shape, complex) for _ in range(3))
+    re2 = 2.0 * ig2.real
+    dphase = ig2[0] + np.conj(ig2[1])
+    diag, off = np.zeros((2, 2) + shape), np.zeros((2,) + shape, complex)
+    for x, w in zip(node_x, root_w):
+        if x:
+            xs = x * span_A
+            np.exp(np.multiply(ig1, xs, out=step), out=step)
+            np.exp(np.multiply(re2, xs, out=e2), out=e2)
+            np.exp(np.multiply(dphase, xs, out=phase), out=phase)
+            applies = (np.multiply, np.divide)   # the node +x, then -x
+        else:
+            for v in (step, e2, phase):
+                v.fill(1.0)
+            applies = (np.multiply,)
+        for apply in applies:
+            apply(q0, step, out=q)
+            np.multiply(q, X2, out=inv)
+            np.subtract(X1, inv, out=inv)
+            np.divide(w, inv, out=inv)
+            np.multiply(inv.real, inv.real, out=mag)
+            mag += np.multiply(inv.imag, inv.imag, out=sq)
+            np.conjugate(inv[1], out=pair)
+            np.multiply(pair, inv[0], out=pair)
+            diag[0] += apply(mag, e2, out=sq)
+            off[0] += apply(pair, phase, out=cz)
+            omq = np.subtract(1.0, q, out=inv)   # inv is spent
+            np.multiply(omq.real, omq.real, out=sq)
+            sq += np.multiply(omq.imag, omq.imag, out=sq2)
+            diag[1] += np.multiply(mag, sq, out=sq)
+            np.conjugate(omq[1], out=cz)
+            np.multiply(cz, omq[0], out=cz)
+            off[1] += np.multiply(pair, cz, out=cz)
+    return diag, off
 
 
 def _assemble_coherences(sol: dict, amp0) -> dict:
@@ -779,9 +884,11 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     at most _ENSEMBLE_PHASE_LIMIT (g1 the complex difference of the branch
     wavenumbers: Re(g1) sets the phase and Im(g1) the decay across the
     ensemble); a call that exceeds it logs one warning on
-    "sodiff.dispersion".  span_A (Angstrom, finite and >= 0) defaults to
-    1e-5 of the thickness, far below any real tolerance yet enough to
-    suppress the Laue branch beats below double precision; span_A = 0
+    "sodiff.dispersion".  A point takes a rule of 3 or 4 nodes instead
+    where a bound on its error shows that it gives the 8-node result to
+    round-off (see _SHORT_RULES).  span_A (Angstrom, finite and >= 0)
+    defaults to 1e-5 of the thickness, far below any real tolerance yet
+    enough to suppress the Laue branch beats below double precision; span_A = 0
     gives the pure outer products.  One-point calls share the channel
     cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
     solves its channel problem, sets up its branch wavenumbers and

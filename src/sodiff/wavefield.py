@@ -222,8 +222,8 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
     bit for bit either way.  The images of a band's representatives lie in
     its own columns below the diagonal, so no two tiles write one entry.
     With more than one tile, the tiles are shared among one thread per CPU
-    in the process's affinity mask (the calling thread and a pool): numpy
-    releases the GIL.
+    in the process's affinity mask (the calling thread and a pool), each
+    taking the next tile when it is done: numpy releases the GIL.
     """
     th = np.asarray(theta_axis, float).copy()
     rh = np.asarray(rho_axis, float).copy()
@@ -306,21 +306,24 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
     else:
         tile, tiles = row_tile, range(0, n_t, rows)
 
-    # every k-th tile to each of `workers` threads; the calling thread is
-    # one of them, since each thread keeps the memory its tiles freed in its
-    # own malloc arena, so one pool thread fewer lowers the peak RSS
+    # `workers` threads take the tiles in order, each the next one when it
+    # is done, so a thread whose CPU is slowed takes fewer; the calling
+    # thread is one of them, since each thread keeps the memory its tiles
+    # freed in its own malloc arena, so one pool thread fewer lowers the
+    # peak RSS
     workers = min(cpus, len(tiles))
-    shares = [tiles[k::workers] for k in range(workers)]
+    queue = enumerate(tiles)   # next() on it is atomic under the GIL
 
-    def run(share):
-        return [tile(t) for t in share]
+    def run():
+        return [(k, tile(t)) for k, t in queue]
 
     if workers > 1:
         with ThreadPoolExecutor(workers - 1) as pool:
-            others = pool.map(run, shares[1:])
-            results = [r for share in [run(shares[0]), *others] for r in share]
+            others = [pool.submit(run) for _ in range(workers - 1)]
+            done = run() + [r for f in others for r in f.result()]
     else:
-        results = run(tiles)
+        done = run()
+    results = [r for _, r in sorted(done, key=lambda kr: kr[0])]
     largest, phase = map(max, zip(*(w for w, _ in results)))
     report([stat for _, stats in results for stat in stats], phase)
     if largest > _ROOT_TOL:

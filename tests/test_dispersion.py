@@ -879,6 +879,48 @@ def test_ensemble_nodes_are_gauss_hermite():
     assert abs(2.0 * np.sum(dp._NODE_ROOT_W ** 2) - 1.0) <= 1e-15
 
 
+def rule_mean(node_x, root_w, f):
+    """<f(x)> by a rule of _bragg_node_sums' form: x = 0 once, the other
+    nodes as +-x pairs."""
+    w = root_w ** 2
+    return sum(w_k * (f(x_k) + f(-x_k)) if x_k else w_k * f(0.0)
+               for x_k, w_k in zip(node_x, w))
+
+
+@pytest.mark.parametrize("k", range(len(dp._SHORT_RULES)))
+def test_short_rule_nodes_are_gauss_hermite(k):
+    """The nodes and weights of each short rule are the non-negative half
+    of numpy's probabilists' Gauss-Hermite rule of as many nodes (the
+    3-node rule's middle node is 0), normalised to N(0, 1), and the rule's
+    weights sum to 1."""
+    node_x, root_w, _, _ = dp._SHORT_RULES[k]
+    nodes = 2 * node_x.size - (node_x[0] == 0.0)
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    half = nodes // 2
+    assert node_x.size == nodes - half
+    np.testing.assert_allclose(node_x, x[half:], rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(root_w ** 2,
+                               w[half:] / np.sqrt(2.0 * np.pi), rtol=1e-15)
+    assert abs(rule_mean(node_x, root_w, lambda x: 1.0) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("k", range(len(dp._SHORT_RULES)))
+def test_short_rule_error_bound(k):
+    """The constants of a short rule's error bound (see _SHORT_RULES): its
+    error on <e^{i b x}> = e^{-b^2/2} is c_n b^{2n} to leading order, and
+    the Eulerian polynomial gives sum_j (j+1)^{2n} rho^j."""
+    node_x, root_w, c, eulerian = dp._SHORT_RULES[k]
+    n = 2 * node_x.size - (node_x[0] == 0.0)
+    for b in (0.05, 0.1):
+        error = abs(rule_mean(node_x, root_w, lambda x: np.cos(b * x))
+                    - np.exp(-0.5 * b * b))
+        assert error == pytest.approx(c * b ** (2 * n), rel=0.05)
+    for rho in (0.0, 0.3, 0.9):
+        series = sum((j + 1.0) ** (2 * n) * rho ** j for j in range(2000))
+        closed = np.polyval(eulerian[::-1], rho) / (1.0 - rho) ** (2 * n + 1)
+        assert closed == pytest.approx(series, rel=1e-12)
+
+
 BACK_TH = 3e-3 * np.linspace(-1.0, 1.0, 7)[:, None]
 BACK_RH = 3e-3 * np.linspace(-1.0, 1.0, 5)[None, :]
 
@@ -916,6 +958,73 @@ def test_bragg_ensemble_equals_mean_of_outer_products(quartz, u0_along_beam,
                                    rh[0, 2])
     assert np.max(np.abs(point["rho0"] - rho0[3, 2])) <= bound
     assert np.max(np.abs(point["rhoH"] - rhoH[3, 2])) <= bound
+
+
+def spy_rules(monkeypatch):
+    """A list that gathers the node count of every Bragg node sum."""
+    rules, sums = [], dp._bragg_node_sums
+
+    def spy(*args):
+        node_x = args[-2]
+        rules.append(int(2 * node_x.size - (node_x[0] == 0.0)))
+        return sums(*args)
+
+    monkeypatch.setattr(dp, "_bragg_node_sums", spy)
+    return rules
+
+
+@pytest.mark.parametrize("thickness, used", [
+    pytest.param(2e6, [3], id="200um"),
+    pytest.param(1e8, [3, 4, 8], id="10mm")])
+def test_bragg_short_rules_agree_with_full_rule(quartz, u0_along_beam,
+                                                monkeypatch, thickness, used):
+    """The points that take a short rule get the coherences of the 8-node
+    rule to round-off, within 2e-15 of the point's exit flux (4.4e-16 and
+    3.4e-16 measured) on a 61^2 backscattering grid over +-0.45 deg.  At
+    200 um every point takes the 3-node rule; at 10 mm the call mixes all
+    three rules."""
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
+    g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, thickness)
+    ax = np.deg2rad(0.45) * np.linspace(-1.0, 1.0, 61)
+    rules = spy_rules(monkeypatch)
+    tiered = dp.exit_coherence_maps(g, quartz, u0_along_beam, ax[:, None],
+                                    ax[None, :])
+    assert rules == used
+    monkeypatch.setattr(dp, "_SHORT_RULES", ())
+    full = dp.exit_coherence_maps(g, quartz, u0_along_beam, ax[:, None],
+                                  ax[None, :])
+    assert rules == used + [8]
+    flux = sum(np.real(np.trace(full[key], axis1=-2, axis2=-1))
+               for key in ("rho0", "rhoH"))
+    for key in ("rho0", "rhoH"):
+        assert np.all(np.abs(tiered[key] - full[key])
+                      <= 2e-15 * flux[..., None, None])
+
+
+def test_bragg_mixed_rules_equal_one_point_calls(quartz, u0_along_beam,
+                                                 monkeypatch):
+    """A call whose points take different rules gathers the points of each
+    (a lone one twice, as _channels does) and equals one-point calls bit
+    for bit.  On the 10 mm backscattering line rho = 0, theta at 25 points
+    over +-0.45 deg, the 8-node rule takes the outer seven points on each
+    side, the 3-node rule the next one and the 4-node rule the middle
+    nine."""
+    lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
+    g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 1e8)
+    ax = np.deg2rad(0.45) * np.linspace(-1.0, 1.0, 25)
+    rules = spy_rules(monkeypatch)
+    for pick, used in (([0, 7, 12], [8, 3, 4]), ([7, 8, 9], [3, 4, 4]),
+                       ([0, 1, 12], [8, 8, 4])):
+        th = ax[pick]
+        rules.clear()
+        res = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, 0.0)
+        assert sorted(rules) == sorted(set(used))
+        for k, t in enumerate(th):
+            rules.clear()
+            one = dp.exit_coherence_maps(g, quartz, u0_along_beam, t, 0.0)
+            assert rules == [used[k]]
+            for key in ("rho0", "rhoH", "R", "T"):
+                assert res[key][k].tobytes() == one[key].tobytes(), key
 
 
 def assert_exactly_hermitian(res):
