@@ -624,26 +624,20 @@ _NODE_ROOT_W = np.sqrt([0.37301225767907736, 0.11723990766175905,
 # reaches 1e-12 (a = 0.627); beyond it an ensemble is logged as
 # under-resolved
 _ENSEMBLE_PHASE_LIMIT = 0.62
-# Rules of fewer nodes, each taken at a point where it gives the 8-node
-# rule's result to round-off.  An n-node rule errs on <e^{i b x}> by about
-# c_n b^{2n}.  The products summed at a point are series in
-# rho^j e^{i (j+1) a x}, where a is the largest rate of the point's node
-# factors (|g1|, 2 |Im g2| and |g2_0 - conj(g2_1)|, times span_A) and rho
-# the ratio of the smaller to the larger of |q0 X2| and |X1|, both over the
-# channels.  So the rule errs on them by at most
-#     c_n a^{2n} sum_j (j+1)^{2n} rho^j = c_n a^{2n} A(rho)/(1 - rho)^{2n+1},
-# A the Eulerian polynomial of degree 2n - 1, and a point takes the first
-# rule whose bound is at most _RULE_TOL.  Each rule: its nodes x >= 0
-# (x = 0 taken once, the others as +-x pairs), their root weights, c_n and
-# the coefficients of A.
-_SHORT_RULES = (
-    (np.array([0.0, 1.7320508075688772]), np.sqrt([2.0 / 3.0, 1.0 / 6.0]),
-     1.0 / 120.0, (1, 57, 302, 302, 57, 1)),
-    (np.array([0.7419637843027258, 2.3344142183389773]),
-     np.sqrt([0.45412414523193156, 0.04587585476806842]),
-     1.0 / 1680.0, (1, 247, 4293, 15619, 15619, 4293, 247, 1)),
-)
-_RULE_TOL = 1e-16
+# The 3-node rule (x = 0 once, then the +-x pair), taken at a point where
+# it gives the 8-node rule's result to round-off.  It errs on
+# <e^{i b x}> = e^{-b^2/2} by about b^6/120.  The products summed at a
+# point are series in rho^j e^{i (j+1) a x}, where a is the largest rate of
+# the point's node factors (|g1|, 2 |Im g2| and |g2_0 - conj(g2_1)|, times
+# span_A) and rho the ratio of the smaller to the larger of |q0 X2| and
+# |X1|, both over the channels.  So the rule errs on them by at most
+#     a^6/120 sum_j (j+1)^6 rho^j = a^6/120 A(rho)/(1 - rho)^7,
+# A the Eulerian polynomial _SHORT_EULERIAN of degree 5, and a point takes
+# it where that bound is at most _SHORT_TOL.
+_SHORT_NODE_X = np.array([0.0, 1.7320508075688772])
+_SHORT_NODE_ROOT_W = np.sqrt([2.0 / 3.0, 1.0 / 6.0])
+_SHORT_EULERIAN = (1, 57, 302, 302, 57, 1)
+_SHORT_TOL = 1e-16
 # |Re(dk)| span_A beyond which a Laue cross-branch beat is dropped: its
 # window factor is then below exp(-72) = 5.4e-32
 _NEGLIGIBLE_BEAT = 12.0
@@ -700,12 +694,15 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
         for C in (C0, CH):
             C[..., 1, 0] = np.conj(C[..., 0, 1])
     else:
-        # Each point takes its own rule (see _bragg_rules), the points of
-        # each gathered when a call mixes rules; the choice is per point,
-        # so no value depends on the tile.
+        # Each point takes the 3-node rule where it serves (see
+        # _short_points) and the 8-node rule elsewhere, the points of each
+        # gathered when a call mixes them; the choice is per point, so no
+        # value depends on the tile.
         D = geom.thickness_A
         q0 = np.exp(ig1 * D)
-        rules = _bragg_rules(q0, ig1, ig2, X1, X2, span_A)
+        short = _short_points(q0, ig1, ig2, X1, X2, span_A)
+        rules = ((short, (_SHORT_NODE_X, _SHORT_NODE_ROOT_W)),
+                 (~short, (_NODE_X, _NODE_ROOT_W)))
         diag, off = np.empty((2, 2) + shape), np.empty((2,) + shape, complex)
         for pick, rule in rules:
             if pick.all():
@@ -731,11 +728,9 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
     return sol
 
 
-def _bragg_rules(q0, ig1, ig2, X1, X2, span_A) -> list:
-    """[(points, (node_x, root_w))]: the points of (channel, ...) arrays
-    that each rule of _SHORT_RULES serves, the first that does, and last
-    the rest, for the 8-node rule; a rule that serves none may be left out.
-    """
+def _short_points(q0, ig1, ig2, X1, X2, span_A):
+    """Mask of the points of (channel, ...) arrays that the 3-node rule
+    serves (see _SHORT_NODE_X)."""
     near, far = np.abs(q0 * X2), np.abs(X1)
     larger = np.maximum(near, far)
     rho = np.max(np.divide(np.minimum(near, far), larger,
@@ -743,38 +738,21 @@ def _bragg_rules(q0, ig1, ig2, X1, X2, span_A) -> list:
                  axis=0)
     rate = np.max(np.maximum(np.abs(ig1), 2.0 * np.abs(ig2.real)), axis=0)
     rate = np.maximum(rate, np.abs(ig2[0] + np.conj(ig2[1]))) * span_A
-    left = np.ones(rho.shape, bool)
-    rules = []
-    for node_x, root_w, c, eulerian in _SHORT_RULES:
-        if not left.any():
-            break
-        n = 2 * node_x.size - (node_x[0] == 0.0)
-        poly = np.full(rho.shape, float(eulerian[-1]))
-        for coef in eulerian[-2::-1]:
-            poly *= rho
-            poly += coef
-        pick = left & (c * _ipow(rate * rate, n) * poly
-                       <= _RULE_TOL * _ipow(1.0 - rho, 2 * n + 1))
-        left &= ~pick
-        rules.append((pick, (node_x, root_w)))
-    return rules + [(left, (_NODE_X, _NODE_ROOT_W))]
-
-
-def _ipow(x, k: int):
-    """x**k for a whole k >= 1, by products: numpy's power calls pow() on
-    every element."""
-    out = x
-    for _ in range(k - 1):
-        out = out * x
-    return out
+    poly = np.full(rho.shape, float(_SHORT_EULERIAN[-1]))
+    for coef in _SHORT_EULERIAN[-2::-1]:
+        poly *= rho
+        poly += coef
+    a2, fall = rate * rate, 1.0 - rho
+    fall2 = fall * fall
+    return (a2 * a2 * a2 * poly / 120.0
+            <= _SHORT_TOL * (fall2 * fall2 * fall2 * fall))
 
 
 def _bragg_node_sums(q0, ig1, ig2, X1, X2, span_A, node_x, root_w):
     """Sums over the Gauss-Hermite nodes D' = D + x span_A (x = 0 once and
     the +-x pairs of the other node_x, weights root_w^2) of a Bragg
-    ensemble, over (channel, ...)
-    points: diag (2, channel, ...) of |z|^2 and off (2, ...) of
-    conj(z_1) z_0, for z = t/(diff E_b) and r/prod.
+    ensemble, over (channel, ...) points: diag (2, channel, ...) of |z|^2
+    and off (2, ...) of conj(z_1) z_0, for z = t/(diff E_b) and r/prod.
 
     e^{i g1 D'} is q0 = e^{i g1 D} times or divided by e^{i g1 x span_A},
     one exp per pair.  E_b's node factor e = e^{i g2 x span_A} enters the
@@ -884,11 +862,11 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     at most _ENSEMBLE_PHASE_LIMIT (g1 the complex difference of the branch
     wavenumbers: Re(g1) sets the phase and Im(g1) the decay across the
     ensemble); a call that exceeds it logs one warning on
-    "sodiff.dispersion".  A point takes a rule of 3 or 4 nodes instead
-    where a bound on its error shows that it gives the 8-node result to
-    round-off (see _SHORT_RULES).  span_A (Angstrom, finite and >= 0)
-    defaults to 1e-5 of the thickness, far below any real tolerance yet
-    enough to suppress the Laue branch beats below double precision; span_A = 0
+    "sodiff.dispersion".  A point takes the 3-node rule instead where a
+    bound on its error shows that it gives the 8-node result to round-off
+    (see _SHORT_NODE_X).  span_A (Angstrom, finite and >= 0) defaults to
+    1e-5 of the thickness, far below any real tolerance yet enough to
+    suppress the Laue branch beats below double precision; span_A = 0
     gives the pure outer products.  One-point calls share the channel
     cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
     solves its channel problem, sets up its branch wavenumbers and

@@ -879,45 +879,36 @@ def test_ensemble_nodes_are_gauss_hermite():
     assert abs(2.0 * np.sum(dp._NODE_ROOT_W ** 2) - 1.0) <= 1e-15
 
 
-def rule_mean(node_x, root_w, f):
-    """<f(x)> by a rule of _bragg_node_sums' form: x = 0 once, the other
-    nodes as +-x pairs."""
-    w = root_w ** 2
-    return sum(w_k * (f(x_k) + f(-x_k)) if x_k else w_k * f(0.0)
-               for x_k, w_k in zip(node_x, w))
+def rule_mean(f):
+    """<f(x)> by the 3-node rule: x = 0 once, the other node as a +-x
+    pair."""
+    (w0, w1), x1 = dp._SHORT_NODE_ROOT_W ** 2, dp._SHORT_NODE_X[1]
+    return w0 * f(0.0) + w1 * (f(x1) + f(-x1))
 
 
-@pytest.mark.parametrize("k", range(len(dp._SHORT_RULES)))
-def test_short_rule_nodes_are_gauss_hermite(k):
-    """The nodes and weights of each short rule are the non-negative half
-    of numpy's probabilists' Gauss-Hermite rule of as many nodes (the
-    3-node rule's middle node is 0), normalised to N(0, 1), and the rule's
-    weights sum to 1."""
-    node_x, root_w, _, _ = dp._SHORT_RULES[k]
-    nodes = 2 * node_x.size - (node_x[0] == 0.0)
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    half = nodes // 2
-    assert node_x.size == nodes - half
-    np.testing.assert_allclose(node_x, x[half:], rtol=1e-15, atol=1e-15)
-    np.testing.assert_allclose(root_w ** 2,
-                               w[half:] / np.sqrt(2.0 * np.pi), rtol=1e-15)
-    assert abs(rule_mean(node_x, root_w, lambda x: 1.0) - 1.0) <= 1e-15
+def test_short_rule_nodes_are_gauss_hermite():
+    """The 3-node rule's nodes and weights are the non-negative half of
+    numpy's probabilists' Gauss-Hermite rule of 3 nodes, normalised to
+    N(0, 1), and its weights sum to 1."""
+    x, w = np.polynomial.hermite_e.hermegauss(3)
+    np.testing.assert_allclose(dp._SHORT_NODE_X, x[1:], rtol=1e-15,
+                               atol=1e-15)
+    np.testing.assert_allclose(dp._SHORT_NODE_ROOT_W ** 2,
+                               w[1:] / np.sqrt(2.0 * np.pi), rtol=1e-15)
+    assert abs(rule_mean(lambda x: 1.0) - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("k", range(len(dp._SHORT_RULES)))
-def test_short_rule_error_bound(k):
-    """The constants of a short rule's error bound (see _SHORT_RULES): its
-    error on <e^{i b x}> = e^{-b^2/2} is c_n b^{2n} to leading order, and
-    the Eulerian polynomial gives sum_j (j+1)^{2n} rho^j."""
-    node_x, root_w, c, eulerian = dp._SHORT_RULES[k]
-    n = 2 * node_x.size - (node_x[0] == 0.0)
+def test_short_rule_error_bound():
+    """The constants of the 3-node rule's error bound (see _SHORT_NODE_X):
+    its error on <e^{i b x}> = e^{-b^2/2} is b^6/120 to leading order, and
+    the Eulerian polynomial gives sum_j (j+1)^6 rho^j."""
     for b in (0.05, 0.1):
-        error = abs(rule_mean(node_x, root_w, lambda x: np.cos(b * x))
-                    - np.exp(-0.5 * b * b))
-        assert error == pytest.approx(c * b ** (2 * n), rel=0.05)
+        error = abs(rule_mean(lambda x: np.cos(b * x)) - np.exp(-0.5 * b * b))
+        assert error == pytest.approx(b ** 6 / 120.0, rel=0.05)
     for rho in (0.0, 0.3, 0.9):
-        series = sum((j + 1.0) ** (2 * n) * rho ** j for j in range(2000))
-        closed = np.polyval(eulerian[::-1], rho) / (1.0 - rho) ** (2 * n + 1)
+        series = sum((j + 1.0) ** 6 * rho ** j for j in range(2000))
+        closed = (np.polyval(dp._SHORT_EULERIAN[::-1], rho)
+                  / (1.0 - rho) ** 7)
         assert closed == pytest.approx(series, rel=1e-12)
 
 
@@ -975,14 +966,14 @@ def spy_rules(monkeypatch):
 
 @pytest.mark.parametrize("thickness, used", [
     pytest.param(2e6, [3], id="200um"),
-    pytest.param(1e8, [3, 4, 8], id="10mm")])
-def test_bragg_short_rules_agree_with_full_rule(quartz, u0_along_beam,
+    pytest.param(1e8, [3, 8], id="10mm")])
+def test_bragg_short_rule_agrees_with_full_rule(quartz, u0_along_beam,
                                                 monkeypatch, thickness, used):
-    """The points that take a short rule get the coherences of the 8-node
-    rule to round-off, within 2e-15 of the point's exit flux (4.4e-16 and
-    3.4e-16 measured) on a 61^2 backscattering grid over +-0.45 deg.  At
-    200 um every point takes the 3-node rule; at 10 mm the call mixes all
-    three rules."""
+    """The points that take the 3-node rule get the coherences of the
+    8-node rule to round-off, within 2e-15 of the point's exit flux (4.4e-16
+    and 3.4e-16 measured) on a 61^2 backscattering grid over +-0.45 deg.
+    At 200 um every point takes the 3-node rule; at 10 mm the call mixes
+    both rules."""
     lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
     g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, thickness)
     ax = np.deg2rad(0.45) * np.linspace(-1.0, 1.0, 61)
@@ -990,7 +981,7 @@ def test_bragg_short_rules_agree_with_full_rule(quartz, u0_along_beam,
     tiered = dp.exit_coherence_maps(g, quartz, u0_along_beam, ax[:, None],
                                     ax[None, :])
     assert rules == used
-    monkeypatch.setattr(dp, "_SHORT_RULES", ())
+    monkeypatch.setattr(dp, "_SHORT_TOL", -1.0)
     full = dp.exit_coherence_maps(g, quartz, u0_along_beam, ax[:, None],
                                   ax[None, :])
     assert rules == used + [8]
@@ -1005,20 +996,19 @@ def test_bragg_mixed_rules_equal_one_point_calls(quartz, u0_along_beam,
                                                  monkeypatch):
     """A call whose points take different rules gathers the points of each
     (a lone one twice, as _channels does) and equals one-point calls bit
-    for bit.  On the 10 mm backscattering line rho = 0, theta at 25 points
-    over +-0.45 deg, the 8-node rule takes the outer seven points on each
-    side, the 3-node rule the next one and the 4-node rule the middle
-    nine."""
+    for bit, whichever rule has the lone point.  On the 10 mm
+    backscattering line rho = 0, theta at 25 points over +-0.45 deg, the
+    3-node rule takes the eighth point from each end and the 8-node rule
+    all others."""
     lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
     g = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 1e8)
     ax = np.deg2rad(0.45) * np.linspace(-1.0, 1.0, 25)
     rules = spy_rules(monkeypatch)
-    for pick, used in (([0, 7, 12], [8, 3, 4]), ([7, 8, 9], [3, 4, 4]),
-                       ([0, 1, 12], [8, 8, 4])):
+    for pick, used in (([0, 7, 12], [8, 3, 8]), ([7, 12, 17], [3, 8, 3])):
         th = ax[pick]
         rules.clear()
         res = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, 0.0)
-        assert sorted(rules) == sorted(set(used))
+        assert sorted(rules) == [3, 8]
         for k, t in enumerate(th):
             rules.clear()
             one = dp.exit_coherence_maps(g, quartz, u0_along_beam, t, 0.0)
@@ -1064,7 +1054,7 @@ def test_bragg_ensemble_exactly_hermitian(quartz, u0):
 def test_zero_span_gives_pure_outer_products(quartz, u0_along_beam, kind):
     """span_A = 0 puts every thickness of the ensemble at D: both geometries
     give the pure outer products psi psi^dag within 1e-15 of the trace of
-    both beams' products at the point (measured 4.4e-16 Bragg, 7.3e-16
+    both beams' products at the point (measured 2.8e-16 Bragg, 7.3e-16
     Laue; the Bragg node weights sum to 1 up to round-off).  The scale is
     the exit flux, not each beam's own trace, since a beam may vanish: at
     a Pendelloesung zero of the Laue reflection rhoH is 1e-10 of its
