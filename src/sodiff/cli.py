@@ -225,19 +225,22 @@ def _build_axes(block: dict, crys, geom):
         center = disp.darwin_center_theta(crys, geom)
     elif mode != "zero":
         raise ConfigError("[scan] center must be 'darwin' or 'zero'")
-    if "theta_half_deg" in block:
-        half_t = _get_float(block, "theta_half_deg") * DEG_TO_RAD
-    else:
-        widths = _get_float(block, "theta_half_widths", 5.0)
-        half_t = widths * disp.darwin_fwhm_rad(
-            crys, geom if geom.kind == disp.BRAGG
-            else disp.make_geometry(crys, geom.hkl, geom.wavelength_A,
-                                    disp.BRAGG, geom.thickness_A))
-    if half_t <= 0:
-        raise ConfigError("[scan] empty theta range")
+    key = "theta_half_deg" if "theta_half_deg" in block else "theta_half_widths"
+    half_t = _get_float(block, key, 5.0)
+    if not 0.0 < half_t < np.inf:
+        raise ConfigError(f"key {key!r}: expected a positive finite "
+                          f"half-width, got {block[key]}")
+    half_t *= DEG_TO_RAD if key == "theta_half_deg" else disp.darwin_fwhm_rad(
+        crys, geom if geom.kind == disp.BRAGG
+        else disp.make_geometry(crys, geom.hkl, geom.wavelength_A,
+                                disp.BRAGG, geom.thickness_A))
     theta = center + (np.linspace(-half_t, half_t, n_t) if n_t > 1
                       else np.array([0.0]))
     half_r = _get_float(block, "rho_half_deg", 0.5) * DEG_TO_RAD
+    if not (0.0 < half_r < np.inf if n_r > 1 else abs(half_r) < np.inf):
+        raise ConfigError(f"key 'rho_half_deg': expected a finite "
+                          f"half-width, > 0 when rho_points > 1, got "
+                          f"{block['rho_half_deg']}")
     rho = np.linspace(-half_r, half_r, n_r) if n_r > 1 else np.array([0.0])
     return theta, rho, center
 

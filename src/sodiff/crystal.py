@@ -112,6 +112,9 @@ class CrystalModel:
             raise CrystalError("degenerate lattice")
         if not self.sites:
             raise CrystalError("crystal needs at least one site")
+        if not math.isfinite(self.schwinger_scale):
+            raise CrystalError(f"schwinger_scale must be finite, got "
+                               f"{self.schwinger_scale}")
 
     def __hash__(self):
         """The dataclass field hash, computed once per instance: every

@@ -269,9 +269,10 @@ def _backward_error(beta, b, p, y):
 
 
 _REFLECTION_CACHE_SIZE = 32
-# one-point _channels results and first-miss marks kept by _reused_channels.
-# A thickness sweep needs one entry (point_sweep's Pendelloesung group and criterion 10 each
-# sweep one point); 16 is not tuned to any measured traffic.
+# one-point _channels results (read-only, never returned: see _point) and
+# first-miss marks kept by _reused_channels.  A thickness sweep needs one entry
+# (point_sweep's Pendelloesung group and criterion 10 each sweep one point);
+# 16 is not tuned to any measured traffic.
 _CHANNEL_CACHE_SIZE = 16
 _CHANNEL_CACHE: OrderedDict = OrderedDict()
 _CHANNEL_LOCK = threading.Lock()
@@ -379,7 +380,7 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     different keys), kind, hkl and the crystal's value.  A key is stored
     on its second miss; the first only marks it (value None), so a point
     that never comes back (a rocking curve, a random crystal) skips
-    freezing its arrays and, in _point, copying them out: storing every
+    freezing its arrays and setting up its transfer factors: storing every
     miss made point_sweep's random and Darwin groups about 8 % slower
     (BENCH_19.json, store_every_miss).  A thickness sweep at one point
     thus solves its channel problem twice and then reads it.
@@ -524,8 +525,9 @@ def _transfer_factors(kind, setup, D):
 def _point(ch: dict, res: dict) -> dict:
     """res as it is, or, when _channels computed a single point twice, its
     first copy in the shape of the call's offsets.  A read-only view there
-    is one of the channel cache's arrays (see _reused_channels), so it is
-    copied: no array a caller receives shares memory with the cache."""
+    is one of the channel cache's arrays (see _reused_channels), such as
+    the g0 of exit_coherence_maps, so it is copied: no array a caller
+    receives shares memory with the cache."""
     point = ch["point"]
     if point is None:
         return res
@@ -591,22 +593,11 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     used at the point), and the transfer factors and the assembly run on
     every call, with the same bits as a solve.
 
-    Returns a dict of arrays: psi0, psiH (..., 2), R, T, plus diagnostics
-    (alpha0, beta, g0, gH, w, u_hat, y, X, t, r per channel/branch and the
-    per-point root backward_error).
+    Returns a dict of psi0, psiH (..., 2) and R, T and nothing else: the
+    channel solve behind them is internal.
     """
     sol = _solve_amplitudes(geom, crystal, theta, rho)
-    res = _assemble_amplitudes(sol, _projections(sol, u0_spinor))
-    # (branch, channel, ...) -> (..., channel, branch), as views
-    point_major = tuple(range(2, sol["y"].ndim)) + (1, 0)
-    channel_last = tuple(range(1, sol["t"].ndim)) + (0,)
-    keep = ("alpha0", "beta", "g0", "gH", "w", "u_hat", "backward_error")
-    res = _point(sol, {
-        **res, "t": sol["t"].transpose(channel_last),
-        "r": sol["r"].transpose(channel_last),
-        "y": sol["y"].transpose(point_major),
-        "X": sol["X"].transpose(point_major), **{key: sol[key] for key in keep}})
-    return {**res, "v0": sol["v0"], "energy_meV": sol["energy_meV"]}
+    return _point(sol, _assemble_amplitudes(sol, _projections(sol, u0_spinor)))
 
 
 # Gauss-Hermite rule of the Bragg thickness ensemble (Abramowitz & Stegun

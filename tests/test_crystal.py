@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_force_potential, potential_fourier,
-                     schwinger_axis_cross)
+from oracles import (brute_force_potential, channel_diagnostics,
+                     potential_fourier, schwinger_axis_cross)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff.constants import CONSTANTS, FM_TO_A
@@ -216,8 +216,7 @@ def test_channel_diagonalisation_residual(quartz):
     geom = dp.DiffractionGeometry(k0=(float(np.linalg.norm(K)), 0.0, 0.0),
                                   H=tuple(H), n=(1.0, 0.0, 0.0),
                                   kind=dp.LAUE, thickness_A=1e6)
-    res = dp.exit_amplitude_maps(geom, quartz, np.array([1.0, 0.0]),
-                                 K[1] / K[0], K[2] / K[0])
+    res = channel_diagnostics(geom, quartz, K[1] / K[0], K[2] / K[0])
     vH = -res["y"][:, 0] / res["X"][:, 0]          # channels s = +1, -1
     V = potential_fourier(quartz, H, K)
     sig_u = np.einsum("k,kij->ij", res["u_hat"], cr.SIGMA)

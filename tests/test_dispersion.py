@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (assemble_coherences_full, brute_force_potential,
-                     channel_entries, channel_projector, darwin_reflectivity,
-                     laue_coherence_all_beats, pendelloesung_length,
-                     potential_fourier, two_beam_point)
+                     channel_diagnostics, channel_entries, channel_projector,
+                     darwin_reflectivity, laue_coherence_all_beats,
+                     pendelloesung_length, potential_fourier, two_beam_point)
 from sodiff import crystal as cr
 from sodiff import dispersion as dp
 from sodiff import wavefield as wf
@@ -21,6 +21,14 @@ def one_point(crystal, geom, theta, u0=(1.0, 0.0)):
     """Engine result at a single (theta, rho = 0)."""
     return dp.exit_amplitude_maps(geom, crystal, np.asarray(u0, complex),
                                   theta, 0.0)
+
+
+def with_diagnostics(geom, crystal, theta, rho, u0=(1.0, 0.0)):
+    """Engine result at broadcast (theta, rho) with the channel_diagnostics
+    of the same points."""
+    return {**dp.exit_amplitude_maps(geom, crystal, np.asarray(u0, complex),
+                                     theta, rho),
+            **channel_diagnostics(geom, crystal, theta, rho)}
 
 
 def reference_channel_potentials(crystal, w, hkl=(1, 1, 0)):
@@ -60,7 +68,7 @@ def test_channel_projections_equal_matmul(u0):
 
 def test_secular_residual_and_eq10(quartz, thermal_bragg_100um):
     g = thermal_bragg_100um
-    res = one_point(quartz, g, 3e-6)
+    res = channel_diagnostics(g, quartz, 3e-6, 0.0)
     E, v0 = res["energy_meV"], res["v0"]
     alpha0, beta = float(res["alpha0"]), float(res["beta"])
     channels = reference_channel_potentials(quartz, res["w"])
@@ -77,14 +85,14 @@ def test_secular_residual_and_eq10(quartz, thermal_bragg_100um):
 
 
 def test_branch_ordering_deterministic(quartz, thermal_bragg_100um):
-    res = one_point(quartz, thermal_bragg_100um, -4e-6)
+    res = channel_diagnostics(thermal_bragg_100um, quartz, -4e-6, 0.0)
     for y1, y2 in res["y"]:
         assert (y1.real, y1.imag) <= (y2.real, y2.imag)
 
 
 def test_total_reflection_conjugate_branches(quartz, thermal_bragg_100um):
     center = dp.darwin_center_theta(quartz, thermal_bragg_100um)
-    res = one_point(quartz, thermal_bragg_100um, center)
+    res = channel_diagnostics(thermal_bragg_100um, quartz, center, 0.0)
     b_asym = float(res["g0"] / res["gH"])   # asymmetry factor at the centre
     for (y1, y2), (X1, X2) in zip(res["y"], res["X"]):
         # opposite signs inside the zone (Im eps = Im y / 2E)
@@ -103,7 +111,7 @@ def test_forbidden_reflection_rejected():
 def test_weak_coupling_limit_mean_refraction(quartz, thermal_bragg_100um):
     """vH -> 0 off the Bragg condition: one branch tends to the mean
     optical-potential refraction eps = -v0/2E and carries no reflection."""
-    res = one_point(quartz, thermal_bragg_100um, 5e-4)
+    res = channel_diagnostics(thermal_bragg_100um, quartz, 5e-4, 0.0)
     E, v0 = res["energy_meV"], res["v0"]
     vH, vmH = reference_channel_potentials(quartz, res["w"])[0]
     beta = res["beta"]
@@ -126,7 +134,7 @@ def test_schwinger_branch_splitting_continuity(quartz, thermal_bragg_100um):
     splits = []
     for scale in (1.0, 0.1, 0.0):
         c = dataclasses.replace(quartz, schwinger_scale=scale)
-        res = one_point(c, g, center)
+        res = channel_diagnostics(g, c, center, 0.0)
         y = res["y"]
         splits.append(abs(y[0, 0] - y[1, 0]) / (2 * res["energy_meV"]))
     assert splits[1] > 0
@@ -144,7 +152,7 @@ def test_branch_labels_follow_root_separation(quartz, thermal_bragg_100um):
     label picked by round-off gives about 1400)."""
     g = thermal_bragg_100um
     th = dp.darwin_center_theta(quartz, g) + np.linspace(-1e-5, 1e-5, 2001)
-    res = dp.exit_amplitude_maps(g, quartz, np.array([1.0, 0.0]), th, 0.0)
+    res = channel_diagnostics(g, quartz, th, 0.0)
     y = res["y"]                                   # (theta, channel, branch)
     d = y[..., 1] - y[..., 0]
     by_real = np.abs(d.real) >= np.abs(d.imag)
@@ -161,7 +169,7 @@ def test_branch_labels_follow_root_separation(quartz, thermal_bragg_100um):
 # ---------------------------------------------------------------------------
 
 def assert_matches_point_solve(crystal, g, theta):
-    res = one_point(crystal, g, theta)
+    res = channel_diagnostics(g, crystal, theta, 0.0)
     kappa_scale = g.k_mag**2 / res["g0"]
     channels = reference_channel_potentials(crystal, res["w"])
     for ci, (vH, vmH) in enumerate(channels):
@@ -209,37 +217,43 @@ def test_flux_conservation_scan(quartz, thermal_bragg_100um, u0_along_beam):
     assert np.max(np.abs(res["R"] + res["T"] - 1.0)) < 1e-10
 
 
-ONE_POINT_FIELDS = ("psi0", "psiH", "R", "T")
+ENGINE_KEYS = {"amplitudes": {"psi0", "psiH", "R", "T"},
+               "coherences": {"rho0", "rhoH", "R", "T", "g0"}}
 
 
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
 @pytest.mark.parametrize("u0", [(1.0, 1.0), (0.6 - 0.3j, -0.2 + 0.7j)],
                          ids=["along-beam", "complex"])
 def test_one_point_equals_grid_point(quartz, kind, u0):
-    """A one-point call, with 0-d offsets or with 1-element arrays, equals
-    the same point of a 64^2 grid call bit for bit (the bytes, so the sign
-    of a zero counts too), and a 0-d call equals the point of a theta line.
-    Twelve points, across the Darwin zone and off it."""
+    """With either engine, a one-point call, with 0-d offsets or with
+    1-element arrays, equals the same point of a 64^2 grid call bit for bit
+    (the bytes, so the sign of a zero counts too), and a 0-d call equals
+    the point of a theta line.  Twelve points, across the Darwin zone and
+    off it.  Every result, grid, line or point, holds exactly the engine's
+    ENGINE_KEYS."""
     u0 = np.asarray(u0, complex) / np.linalg.norm(u0)
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     th = dp.darwin_center_theta(quartz, g) + np.linspace(-3e-5, 3e-5, 64)
     rh = np.linspace(-3e-5, 3e-5, 64)
-    grid = dp.exit_amplitude_maps(g, quartz, u0, th[:, None], rh[None, :])
-    line = dp.exit_amplitude_maps(g, quartz, u0, th, 0.0)
-    rng = np.random.default_rng(3)
-    for i, j in rng.integers(0, 64, size=(12, 2)):
-        scalar = dp.exit_amplitude_maps(g, quartz, u0, th[i], rh[j])
-        array = dp.exit_amplitude_maps(g, quartz, u0, th[i:i + 1],
-                                       rh[j:j + 1])
-        on_line = dp.exit_amplitude_maps(g, quartz, u0, float(th[i]), 0.0)
-        for key in ONE_POINT_FIELDS:
-            assert np.shape(scalar[key]) == grid[key].shape[2:]
-            assert array[key].shape == (1,) + grid[key].shape[2:]
-            point = grid[key][i, j].tobytes()
-            assert np.asarray(scalar[key]).tobytes() == point, key
-            assert array[key].tobytes() == point, key
-            assert np.asarray(on_line[key]).tobytes() == \
-                line[key][i].tobytes(), key
+    points = np.random.default_rng(3).integers(0, 64, size=(12, 2))
+    for name, call in engine_calls(quartz, u0):
+        keys = ENGINE_KEYS[name]
+        grid = call(g, th[:, None], rh[None, :])
+        line = call(g, th, 0.0)
+        assert grid.keys() == line.keys() == keys, name
+        for i, j in points:
+            scalar = call(g, th[i], rh[j])
+            array = call(g, th[i:i + 1], rh[j:j + 1])
+            on_line = call(g, float(th[i]), 0.0)
+            assert scalar.keys() == array.keys() == on_line.keys() == keys
+            for key in keys:
+                assert np.shape(scalar[key]) == grid[key].shape[2:]
+                assert array[key].shape == (1,) + grid[key].shape[2:]
+                point = grid[key][i, j].tobytes()
+                assert np.asarray(scalar[key]).tobytes() == point, key
+                assert array[key].tobytes() == point, key
+                assert np.asarray(on_line[key]).tobytes() == \
+                    line[key][i].tobytes(), key
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +281,7 @@ def test_flux_conservation_random_geometries(b1, b2, fx, fy, lam_frac, kind,
     lam = lam_frac * 2.0 * c.d_spacing((1, 1, 0))
     g = dp.make_geometry(c, (1, 1, 0), lam, kind, 10.0**logD)
     th = np.array([theta_off])
-    res = dp.exit_amplitude_maps(g, c, np.array([1.0, 0.0]), th, np.zeros(1))
+    res = with_diagnostics(g, c, th, np.zeros(1))
     y = res["y"][0, 0]
     assume(abs(y[0] - y[1]) > 1e-6 * (abs(y[0]) + abs(y[1])))
     assert abs(res["R"][0] + res["T"][0] - 1.0) < 1e-10
@@ -454,7 +468,7 @@ def test_darwin_width_thermal(quartz):
 def test_pendelloesung_formula_matches_engine(quartz):
     scal = quartz.without_schwinger()
     g = dp.make_geometry(scal, (1, 1, 0), 2.0, dp.LAUE, 1e6)
-    res = one_point(scal, g, 0.0)
+    res = channel_diagnostics(g, scal, 0.0, 0.0)
     y1, y2 = res["y"][0]
     lam_engine = 2 * np.pi * g.cos_gamma / (
         g.k_mag * abs(y1 - y2) / (2 * res["energy_meV"]))
@@ -541,12 +555,10 @@ def test_hand_built_geometry_keyed_on_H(quartz):
         cr.structure_sums(quartz, np.array([1.0, 1.0, 0.0]))[0]
     assert dp._reflection(miller, quartz).H == tuple(H)
 
-    res = dp.exit_amplitude_maps(hand, quartz, np.array([1.0, 0.0]),
-                                 0.05, -0.02)
+    res = with_diagnostics(hand, quartz, 0.05, -0.02)
     dp._build_reflection.cache_clear()
     dp._CHANNEL_CACHE.clear()
-    cold = dp.exit_amplitude_maps(hand, quartz, np.array([1.0, 0.0]),
-                                  0.05, -0.02)
+    cold = with_diagnostics(hand, quartz, 0.05, -0.02)
     for key in ("psi0", "psiH", "R", "T", "y", "X"):
         assert np.array_equal(res[key], cold[key])
 
@@ -558,12 +570,12 @@ def test_cached_results_equal_uncached(quartz, u0_along_beam, monkeypatch,
     th = np.linspace(-3e-5, 3e-5, 7)[:, None]
     rh = np.linspace(-1e-3, 1e-3, 5)[None, :]
     dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
-    cached = dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
+    cached = with_diagnostics(g, quartz, th, rh, u0_along_beam)
     cached_ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, rh)
     cached_scale = dp.scalar_reflection_scale(quartz, g)
     monkeypatch.setattr(dp, "_build_reflection",
                         dp._build_reflection.__wrapped__)
-    uncached = dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
+    uncached = with_diagnostics(g, quartz, th, rh, u0_along_beam)
     uncached_ens = dp.exit_coherence_maps(g, quartz, u0_along_beam, th, rh)
     for key in ("psi0", "psiH", "R", "T", "t", "r", "y", "X", "v0"):
         assert np.array_equal(cached[key], uncached[key])
@@ -603,16 +615,18 @@ def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
     """A one-point call that hits the channel cache gives the bytes of the
     miss that marked its key, of the miss that stored it, of a miss at a
     new thickness after the cache is cleared, and of that point of a
-    two-point grid, for every key of both engines' results, diagnostics
-    included; also after the thickness changes between the call that
-    stored the entry and the hit.  theta = +0.0 and -0.0 are two
+    two-point grid, for every key of both engines' results and of the
+    channel_diagnostics; also after the thickness changes between the call
+    that stored the entry and the hit.  theta = +0.0 and -0.0 are two
     entries."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     thinner = dataclasses.replace(g, thickness_A=7.5e5)
     rh = np.zeros(shape)
+    calls = engine_calls(quartz, u0_along_beam) + [
+        ("diagnostics", lambda g, t, r: channel_diagnostics(g, quartz, t, r))]
     for theta in (1.5e-6, 0.0, -0.0):
         th = np.full(shape, theta)
-        for name, call in engine_calls(quartz, u0_along_beam):
+        for name, call in calls:
             dp._CHANNEL_CACHE.clear()
             marked = call(g, th, rh)
             assert list(dp._CHANNEL_CACHE.values()) == [None], name

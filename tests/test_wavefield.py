@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import polarization_map_whole, scan_whole
+from oracles import channel_diagnostics, polarization_map_whole, scan_whole
 from sodiff import dispersion as dp
 from sodiff import oam
 from sodiff import wavefield as wf
@@ -121,8 +121,9 @@ def test_tiling_invisible(quartz, u0_along_beam, monkeypatch, case, scan,
     if scan == "grid":
         grid = wf.grid_scan(geom, quartz, u0_along_beam, th, rh)
         fields = ("psi0", "psiH")
-        whole = dp.exit_amplitude_maps(geom, quartz, u0_along_beam,
-                                       grid.theta[:, None], rh[None, :])
+        T, R = grid.theta[:, None], rh[None, :]
+        whole = {**dp.exit_amplitude_maps(geom, quartz, u0_along_beam, T, R),
+                 "g0": channel_diagnostics(geom, quartz, T, R)["g0"]}
     else:
         grid = wf.coherence_scan(geom, quartz, u0_along_beam, th, rh)
         fields = ("rho0", "rhoH")
