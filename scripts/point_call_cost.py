@@ -14,6 +14,13 @@ one-point calls.  For each, three costs in microseconds:
   one (the call that stores a point in the channel cache), each call
   timed on its own.
 
+A third case, random, times point_sweep's random group: every call gets a
+fresh two-site crystal on one fixed lattice, its own Bragg or Laue
+geometry, wavelength, thickness and incident spinor, and a theta of shape
+(1,), all drawn and built before the timer starts, as the benchmark draws
+them before a pass.  Its one cost is first_miss: each call builds the
+crystal's reflection and solves a point never seen before.
+
 Each cost is the best of --repeats sets of --calls calls in one process.
 Every tree runs in --processes fresh interpreters (PYTHONPATH set to the
 tree), alternating, with the order of the trees reversed every other
@@ -34,8 +41,8 @@ import sys
 import time
 from pathlib import Path
 
-CASES = ("laue[]", "bragg[1]")
 COSTS = ("hit", "first_miss", "second_miss")
+CASES = {"laue[]": COSTS, "bragg[1]": COSTS, "random": ("first_miss",)}
 
 
 def measure(calls: int, repeats: int) -> dict:
@@ -50,6 +57,8 @@ def measure(calls: int, repeats: int) -> dict:
     scalar = cr.reference_quartz().without_schwinger()
     up = np.array([1.0, 0.0], complex)
     fresh = iter(range(1, 10**9))   # point k sits at theta = k * 1e-10
+    lattice = ((4.2, 0, 0), (0.3, 5.1, 0), (0, 0, 6.3))
+    hkl = (1, 1, 0)
 
     def new_theta(shape):
         return np.full(shape, next(fresh) * 1e-10)
@@ -95,6 +104,34 @@ def measure(calls: int, repeats: int) -> dict:
                                  / calls, 1)
                      for name, run in (("hit", hit), ("first_miss", first_miss),
                                        ("second_miss", second_miss))}
+
+    def random_case(rng):
+        """(geometry, crystal, spinor, theta) of one random-group call."""
+        b = rng.uniform(1.0, 9.0, size=2)
+        frac = rng.uniform(0.05, 0.95, size=3)
+        crys = cr.CrystalModel(
+            "random", lattice,
+            (cr.AtomSite("A", (0.0, 0.0, 0.0), float(b[0]), 12),
+             cr.AtomSite("B", tuple(float(f) for f in frac), float(b[1]), 24)))
+        kind = dp.BRAGG if rng.random() < 0.5 else dp.LAUE
+        lam = float(rng.uniform(0.2, 0.95)) * 2 * crys.d_spacing(hkl)
+        geom = dp.make_geometry(crys, hkl, lam, kind,
+                                float(10 ** rng.uniform(4, 7.5)))
+        spin = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return (geom, crys, spin / np.linalg.norm(spin),
+                np.array([rng.normal(scale=1e-5)]))
+
+    def random_group(seed):
+        rng = np.random.default_rng(seed)
+        cases = [random_case(rng) for _ in range(calls)]
+        rho = np.zeros(1)
+        t0 = time.perf_counter()
+        for geom, crys, u0, theta in cases:
+            dp.exit_amplitude_maps(geom, crys, u0, theta, rho)
+        return time.perf_counter() - t0
+
+    out["random"] = {"first_miss": round(
+        1e6 * min(random_group(seed) for seed in range(repeats)) / calls, 1)}
     return out
 
 
@@ -130,15 +167,15 @@ def main(argv=None) -> int:
         for src in args.src if rnd % 2 == 0 else args.src[::-1]:
             runs[src].append(run_tree(src, args.calls, args.repeats))
     best = {src: {case: {cost: min(r[case][cost] for r in tables)
-                         for cost in COSTS} for case in CASES}
+                         for cost in costs} for case, costs in CASES.items()}
             for src, tables in runs.items()}
 
     print(f"us per call, best of {args.processes} processes x "
           f"{args.repeats} repeats x {args.calls} calls")
     print(f"{'case':<10} {'cost':<12} " + " ".join(
         f"{src:>14}" for src in args.src))
-    for case in CASES:
-        for cost in COSTS:
+    for case, costs in CASES.items():
+        for cost in costs:
             print(f"{case:<10} {cost:<12} " + " ".join(
                 f"{best[src][case][cost]:>14.1f}" for src in args.src))
     if args.json:

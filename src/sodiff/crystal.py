@@ -91,6 +91,27 @@ def _inverted_lattice(bits: bytes) -> tuple[float, np.ndarray]:
     return abs(float(np.linalg.det(lat))), matrix
 
 
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _reciprocal_entry(bits: bytes, hkl: bytes) -> tuple[np.ndarray, float]:
+    """(H, |H|), H read-only, of the Miller indices whose float64 bytes are
+    hkl on the lattice whose _lattice_bits are bits: a bounded LRU cache
+    like _inverted_lattice's, so crystals that share a lattice share it."""
+    H = np.frombuffer((np.frombuffer(hkl) @ _inverted_lattice(bits)[1])
+                      .tobytes())   # on immutable bytes: never writable
+    if not H.any():   # the matrix is invertible: hkl is zero
+        raise CrystalError("hkl = (0,0,0) has no reciprocal vector")
+    return H, float(np.linalg.norm(H))
+
+
+def _reciprocal(crystal: "CrystalModel", hkl) -> tuple[np.ndarray, float]:
+    """_reciprocal_entry of Miller indices hkl on the crystal's lattice."""
+    try:
+        key = struct.pack("3d", *hkl)
+    except (struct.error, TypeError):
+        raise CrystalError("hkl must be a 3-tuple") from None
+    return _reciprocal_entry(_lattice_bits(crystal.lattice), key)
+
+
 @dataclass(frozen=True)
 class CrystalModel:
     """Lattice plus atomic basis; the source of all structure factors.
@@ -150,7 +171,7 @@ class CrystalModel:
         return _inverted_lattice(_lattice_bits(self.lattice))[1].view()
 
     def d_spacing(self, hkl) -> float:
-        return 2.0 * np.pi / float(np.linalg.norm(reciprocal_vector(self, hkl)))
+        return 2.0 * np.pi / _reciprocal(self, hkl)[1]
 
     def without_schwinger(self) -> "CrystalModel":
         return replace(self, schwinger_scale=0.0)
@@ -162,12 +183,7 @@ def reciprocal_vector(crystal: CrystalModel, hkl) -> np.ndarray:
     Satisfies H . a_i = 2 pi hkl_i.  hkl = (0,0,0) is rejected: the H = 0
     Fourier component goes through the dedicated V(0) path instead.
     """
-    hkl = np.asarray(hkl, dtype=float)
-    if hkl.shape != (3,):
-        raise CrystalError("hkl must be a 3-tuple")
-    if np.all(hkl == 0):
-        raise CrystalError("hkl = (0,0,0) has no reciprocal vector")
-    return hkl @ crystal.reciprocal_matrix
+    return _reciprocal(crystal, hkl)[0].copy()
 
 
 def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +195,11 @@ def schwinger_axis(K, H) -> tuple[np.ndarray, np.ndarray]:
     axis and w = 0.  A zero K or H is an error.
     """
     K = np.asarray(K, dtype=float)
+    h0, h1, h2 = map(float, H)   # a geometry's floats, as they are
     H = np.asarray(H, dtype=float)
     k0, k1, k2 = K[..., 0], K[..., 1], K[..., 2]
     # |K|, like |K x H| for H on the x axis, is even under k1 <-> k2
     k_mag = np.sqrt(k0 * k0 + (k1 * k1 + k2 * k2))
-    h0, h1, h2 = H.tolist()
     h_mag = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
     if h_mag == 0.0 or not k_mag.all():
         raise CrystalError("schwinger_axis needs non-zero K and H")

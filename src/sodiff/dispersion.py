@@ -39,8 +39,8 @@ import numpy as np
 from .constants import CONSTANTS, FM_TO_A
 from .crystal import (
     CrystalModel,
+    _reciprocal,
     mean_potential_meV,
-    reciprocal_vector,
     schwinger_axis,
     structure_sums,
 )
@@ -121,9 +121,8 @@ class DiffractionGeometry:
         """
         k = _wavevector(self.k_mag, theta, rho)
         H = np.asarray(self.H, float)
-        n = np.asarray(self.n, float)
         alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + float(H @ H))
-        return k, k @ n, (k + H) @ n, alpha0
+        return k, k @ self.n, (k + H) @ self.n, alpha0
 
     @property
     def cos_gamma(self) -> float:
@@ -189,8 +188,7 @@ def make_geometry(crystal: CrystalModel, hkl, wavelength_A: float, kind: str,
         raise DispersionError(
             f"wavelength must be finite and > 0, got {wavelength_A}")
     hkl = _triple("hkl", hkl, int)
-    h_vec = reciprocal_vector(crystal, hkl)
-    h_mag = float(np.linalg.norm(h_vec))
+    h_mag = _reciprocal(crystal, hkl)[1]
     k_mag = 2.0 * np.pi / wavelength_A
     s = h_mag / (2.0 * k_mag)
     if s > 1.0 + 1e-8:
@@ -305,10 +303,10 @@ def _reflection(geom: DiffractionGeometry, crystal: CrystalModel) -> Reflection:
 
 @functools.lru_cache(maxsize=_REFLECTION_CACHE_SIZE)
 def _build_reflection(crystal: CrystalModel, hkl, H) -> Reflection:
-    H = reciprocal_vector(crystal, hkl) if hkl is not None else np.asarray(H, float)
+    H = _reciprocal(crystal, hkl)[0] if hkl is not None else np.asarray(H, float)
     A, B, h_mag = structure_sums(crystal, H)
     pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
-    return Reflection(H=tuple(float(h) for h in H), h_mag=h_mag, A=A, B=B,
+    return Reflection(H=tuple(H.tolist()), h_mag=h_mag, A=A, B=B,
                       pref=pref, v0=mean_potential_meV(crystal))
 
 
@@ -332,10 +330,10 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
     complex products and k @ v of one point differently, so only an array
     of two or more points rounds as a grid does.
 
-    Returns a dict: point, alpha0, beta, g0, gH, w, u_hat, v0, energy_meV,
-    kappa_scale over the points (...); y and X (branch, channel, ...) from
-    _solve_channel; backward_error (...), the largest _backward_error of
-    the point's four roots, NaN roots skipped.
+    Returns a dict: point, alpha0, beta, b, g0, gH, w, u_hat, v0,
+    energy_meV, kappa_scale over the points (...); p (channel, ...); y and
+    X (branch, channel, ...) from _solve_channel.  Only the scans check the
+    roots (see wavefield._scan), so no one-point call pays for it.
     """
     th, rh = np.asarray(theta, float), np.asarray(rho, float)
     point = None
@@ -359,14 +357,12 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
     vmH = pref * (A.conjugate() + isw * B.conjugate())
     p = vH * vmH
     y, X = _solve_channel(beta, b, p, vH)
-    backward = np.fmax.reduce(_backward_error(beta, b, p, y).reshape(
-        (4,) + w.shape), axis=0, initial=0.0)
 
     energy = CONSTANTS.hbar2_over_2m_meV_A2 * k_mag**2
-    return {"point": point, "alpha0": alpha0, "beta": beta, "g0": g0,
-            "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
+    return {"point": point, "alpha0": alpha0, "beta": beta, "b": b, "p": p,
+            "g0": g0, "gH": gH, "w": w, "u_hat": u_hat, "v0": v0,
             "energy_meV": energy, "kappa_scale": k_mag**2 / g0,
-            "y": y, "X": X, "backward_error": backward}
+            "y": y, "X": X}
 
 
 def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
@@ -390,7 +386,8 @@ def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
     "projections", a one-element list holding the channel projections of
     the last incident spinor used at the point (see _projections).  A hit
     thus leaves only the transfer factors and the assembly to its caller.
-    A stored entry's arrays are read-only; the caller gets a copy of the
+    A stored entry's arrays are read-only, the beta, b, p and y that a 1 x 1
+    scan's root check reads among them; the caller gets a copy of the
     dict, to which it may add keys, sharing the projections list.  Offsets
     of two or more points (every scan tile but a 1 x 1 grid's) get a plain
     _channels result, without a setup that would outlive its use.
@@ -883,7 +880,6 @@ def _check_ensemble(caller: str, phase: float) -> None:
                     "|g1| span_A reaches %.3g, above %.2g for %d "
                     "Gauss-Hermite nodes", caller, phase,
                     _ENSEMBLE_PHASE_LIMIT, _ENSEMBLE_NODES)
-
 
 
 # ---------------------------------------------------------------------------

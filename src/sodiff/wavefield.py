@@ -57,6 +57,7 @@ class WaveGrid:
     psiH: np.ndarray = None      # (n_t, n_r, 2) diffracted spinor envelope
     rho0: np.ndarray = None      # (n_t, n_r, 2, 2) transmitted coherence
     rhoH: np.ndarray = None      # (n_t, n_r, 2, 2) diffracted coherence
+    root_error: float = None     # largest root backward error a scan checked
 
     def _state(self, beam: str):
         """(spinor or coherence map of one beam, whether it is pure)."""
@@ -205,10 +206,11 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
     points (dispersion._solve_*), assemble(solved, amp0) for their fields
     at the channel projections amp0 of u0 (dispersion._assemble_*) and
     repair(fields, theta, rho) for a statistic; it then copies the kept
-    fields into the grid.  Once every tile is done, report(statistics,
-    phase) logs, phase being the largest ensemble_phase of the solves (0
-    where they record none), and a secular root with a backward error
-    above _ROOT_TOL raises WaveGridError.
+    fields into the grid and takes the largest dispersion._backward_error of
+    its solve's roots, NaN ones skipped.  Once every tile is done,
+    report(statistics, phase) logs, phase being the largest ensemble_phase
+    of the solves (0 where they record none), and a largest backward error
+    above _ROOT_TOL raises WaveGridError; the grid keeps it as root_error.
 
     Where _folds holds, a tile is a band of theta rows holding its share
     of the representatives (i, j), i <= j (see _fold_bands): it solves
@@ -253,7 +255,8 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
         return stat
 
     def worst(sol):
-        return (float(np.max(sol["backward_error"])),
+        err = dp._backward_error(sol["beta"], sol["b"], sol["p"], sol["y"])
+        return (float(np.fmax.reduce(err, axis=None, initial=0.0)),
                 sol.get("ensemble_phase", 0.0))
 
     def row_tile(i0):
@@ -330,7 +333,7 @@ def _scan(geom: DiffractionGeometry, u0, theta_axis, rho_axis, solve,
         raise WaveGridError(f"secular root backward error {largest:.2e} "
                             f"exceeds {_ROOT_TOL:.0e}")
     return WaveGrid(theta=th, rho=rh, geometry=geom, u0=u0,
-                    physical=physical, **kept)
+                    physical=physical, root_error=largest, **kept)
 
 
 def _nonfinite(res, names) -> np.ndarray:
@@ -358,7 +361,7 @@ def grid_scan(geom: DiffractionGeometry, crystal: CrystalModel, u0,
     nudged theta and, if still unsolvable, stored as NaN, never dropped
     (one log warning per scan).  Every secular root must have a backward
     error of at most 1e-12, else WaveGridError is raised once the whole
-    grid is done.
+    grid is done; the grid keeps the largest as root_error.
     """
     def repair(res, t, r):
         bad = _nonfinite(res, ("psi0", "psiH"))

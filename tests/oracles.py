@@ -156,15 +156,25 @@ def potential_fourier(crystal, H, K):
     return nuclear - 2.0j * pref * B * sigma_cross
 
 
+def root_backward_error(sol):
+    """The largest dispersion._backward_error of the four roots of each
+    point of a channel solve sol (from its beta, b, p and y), NaN roots
+    skipped, as the scans compute it."""
+    err = dp._backward_error(sol["beta"], sol["b"], sol["p"], sol["y"])
+    return np.fmax.reduce(err.reshape((4,) + sol["w"].shape), axis=0,
+                          initial=0.0)
+
+
 def channel_diagnostics(geom, crystal, theta, rho):
     """The channel solve behind exit_amplitude_maps at broadcast
     (theta, rho), from dispersion._solve_amplitudes through
     dispersion._point: alpha0, beta, g0, gH, w, u_hat and the roots'
-    backward_error over the points, y and X (..., channel, branch), the
-    transfer factors t and r (..., channel), and the scalars v0 and
-    energy_meV.  A one-point call gives them in the shape of its offsets,
-    copied out of the channel cache."""
+    backward_error (root_backward_error) over the points, y and X
+    (..., channel, branch), the transfer factors t and r (..., channel),
+    and the scalars v0 and energy_meV.  A one-point call gives them in the
+    shape of its offsets, copied out of the channel cache."""
     sol = dp._solve_amplitudes(geom, crystal, theta, rho)
+    sol["backward_error"] = root_backward_error(sol)
     # (branch, channel, ...) -> (..., channel, branch), as views
     point_major = tuple(range(2, sol["y"].ndim)) + (1, 0)
     channel_last = tuple(range(1, sol["t"].ndim)) + (0,)
@@ -335,9 +345,9 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
     1e-12 rad; a pure grid's non-finite points are retried with a nudged
     theta; the scans' warning is logged on "sodiff.wavefield"; a root
     backward error above 1e-12 raises WaveGridError.  Returns the grid's
-    fields by name, with its theta axis and physical mask; the backward
-    error and the mask are read from dispersion._channels on the nudged
-    axes."""
+    fields by name, with its theta axis, physical mask and largest root
+    backward error (root_error); the error (root_backward_error) and the
+    mask are computed from dispersion._channels on the nudged axes."""
     log = logging.getLogger("sodiff.wavefield")
     th = np.asarray(theta, float).copy()
     rh = np.asarray(rho, float)
@@ -345,7 +355,7 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
     th[np.any(np.abs(g0) < 1e-15 * geom.k_mag, axis=1)] += 1e-12
     T, R = th[:, None], rh[None, :]
     ch = dp._channels(geom, crystal, T, R)
-    worst = float(np.max(ch["backward_error"]))
+    worst = float(np.max(root_backward_error(ch)))
     physical = dp._point(ch, {"g0": ch["g0"]})["g0"] > 0.0
     res = (dp.exit_coherence_maps(geom, crystal, u0, T, R, span_A=span_A)
            if ensemble else dp.exit_amplitude_maps(geom, crystal, u0, T, R))
@@ -371,7 +381,7 @@ def scan_whole(geom, crystal, u0, theta, rho, ensemble=False, span_A=None):
     if worst > 1e-12:
         raise WaveGridError(f"secular root backward error {worst:.2e} "
                             "exceeds 1e-12")
-    return {"theta": th, "physical": physical,
+    return {"theta": th, "physical": physical, "root_error": worst,
             **{name: res[name] for name in names + ("R", "T")}}
 
 

@@ -339,6 +339,54 @@ def test_derived_lattice_values_survive_pickle_and_replace():
         assert c.reciprocal_matrix.tobytes() == fresh.tobytes()
 
 
+def test_reciprocal_vector_cached_per_lattice_and_hkl(quartz):
+    """H and |H| of a (lattice, hkl) are computed once, in a bounded cache
+    keyed on the lattice's bits: d_spacing, reciprocal_vector,
+    make_geometry of both kinds and the reflection of two crystals on one
+    new lattice (other sites, as a fit over random crystals makes) miss it
+    once per hkl.  They equal hkl @ reciprocal_matrix and its np.linalg.norm
+    bit for bit; a lattice that differs only in the sign of a zero gets
+    its own entry; the cached H is read-only and cannot be made writable,
+    and reciprocal_vector returns a writable copy."""
+    lattice = tuple(tuple(1.003 * x for x in row) for row in quartz.lattice)
+    first = dataclasses.replace(quartz, lattice=lattice)
+    second = dataclasses.replace(first, sites=first.sites[:3])
+    info = cr._reciprocal_entry.cache_info
+    misses = info().misses
+    for crystal in (first, second):
+        crystal.d_spacing((1, 1, 0))
+        cr.reciprocal_vector(crystal, (1, 1, 0))
+        for kind in (dp.BRAGG, dp.LAUE):
+            dp.make_geometry(crystal, (1, 1, 0), 2.0, kind, 1e6)
+        dp._build_reflection(crystal, (1, 1, 0), None)
+    assert info().misses == misses + 1
+    for hkl in ((1, 1, 0), (2, -1, 3), (0, 0, 1)):
+        H, h_mag = cr._reciprocal(first, hkl)
+        fresh = np.asarray(hkl, float) @ first.reciprocal_matrix
+        assert H.tobytes() == fresh.tobytes()
+        assert h_mag == float(np.linalg.norm(fresh))
+        assert cr._reciprocal(second, hkl)[0] is H
+        assert first.d_spacing(hkl) == 2.0 * np.pi / h_mag
+        copy = cr.reciprocal_vector(second, hkl)
+        assert copy.flags.writeable and copy.tobytes() == H.tobytes()
+        with pytest.raises(ValueError):
+            H[0] = 1.0
+        with pytest.raises(ValueError):
+            H.setflags(write=True)
+    plus = simple_cubic(a=3.0)
+    minus = dataclasses.replace(plus, lattice=((3.0, -0.0, 0.0),)
+                                + plus.lattice[1:])
+    H_plus, H_minus = (cr._reciprocal(c, (1, 0, 0))[0] for c in (plus, minus))
+    assert H_plus is not H_minus
+    for c, H in ((plus, H_plus), (minus, H_minus)):
+        assert H.tobytes() == (np.array([1.0, 0.0, 0.0])
+                               @ c.reciprocal_matrix).tobytes()
+    assert info().maxsize == cr._LATTICE_CACHE_SIZE
+    for h in range(1, 2 * cr._LATTICE_CACHE_SIZE + 1):
+        cr._reciprocal(first, (h, 0, 0))
+    assert info().currsize == cr._LATTICE_CACHE_SIZE
+
+
 def test_reciprocal_matrix_cannot_be_corrupted():
     """The returned matrix is a read-only view of the kept one that cannot
     be made writable, so no caller can change the next caller's value."""

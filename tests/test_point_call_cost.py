@@ -10,6 +10,7 @@ SCRIPT = ROOT / "scripts" / "point_call_cost.py"
 
 
 def test_reports_every_cost_of_both_calls(tmp_path):
+    """Every cost of the Laue and Bragg calls and the random case."""
     out = tmp_path / "cost.json"
     done = subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT / "src"), "--calls", "2",
@@ -19,7 +20,8 @@ def test_reports_every_cost_of_both_calls(tmp_path):
     rows = [line.split() for line in done.stdout.splitlines()[2:]]
     assert [row[:2] for row in rows] == [
         [case, cost] for case in ("laue[]", "bragg[1]")
-        for cost in ("hit", "first_miss", "second_miss")]
+        for cost in ("hit", "first_miss", "second_miss")] + [
+        ["random", "first_miss"]]
     assert all(float(row[2]) > 0.0 for row in rows)
     record = json.loads(out.read_text())
     (best,) = record["best"].values()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import channel_diagnostics, polarization_map_whole, scan_whole
+from oracles import (channel_diagnostics, polarization_map_whole,
+                     root_backward_error, scan_whole)
 from sodiff import dispersion as dp
 from sodiff import oam
 from sodiff import wavefield as wf
@@ -243,6 +244,7 @@ def count_solved(monkeypatch, scan):
 def assert_equals_whole(grid, whole, scan):
     for name in SCANS[scan][2] + ("R", "T", "physical", "theta"):
         assert getattr(grid, name).tobytes() == whole[name].tobytes(), name
+    assert grid.root_error == whole["root_error"]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -345,6 +347,88 @@ def test_fold_raises_as_unfolded(quartz, u0_along_beam, monkeypatch, scan):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("case", ["folded", "unfolded", "1x1"])
+@pytest.mark.parametrize("scan", ["grid", "coherence"])
+def test_one_corrupted_root_rejected(quartz, thermal_bragg_100um,
+                                    u0_along_beam, monkeypatch, scan, case):
+    """One secular root off by 1e-9 relative, at the last point of the
+    second tile (a theta <-> rho fold band, or a tile of theta rows),
+    fails the scan: every tile checks the roots of its own solve.  The
+    one point of a 1 x 1 grid is first stored in the channel cache by two
+    one-point calls, which check nothing; its tile then reads the
+    corrupted root from the cache entry without solving again."""
+    monkeypatch.setattr(wf, "_TILE_POINTS", 40)
+    monkeypatch.setattr(wf, "_cpus", lambda: 1)
+    solve, solved = dp._solve_channel, []
+
+    def corrupted(*args):
+        y, X = solve(*args)
+        solved.append(y.shape)
+        if len(solved) == 2:
+            flat = y.reshape(2, 2, -1)
+            assert np.shares_memory(flat, y)
+            flat[0, 0, -1] *= 1.0 + 1e-9
+        return y, X
+
+    monkeypatch.setattr(dp, "_solve_channel", corrupted)
+    if case == "folded":
+        geom = back_bragg(quartz)
+        th = rh = np.deg2rad(0.45) * np.linspace(-1, 1, 9)
+    elif case == "unfolded":
+        geom, th = thermal_bragg_100um, np.linspace(-2e-5, 2e-5, 9)
+        rh = th
+    else:
+        geom, th, rh = thermal_bragg_100um, np.array([1.3e-6]), np.zeros(1)
+        dp._CHANNEL_CACHE.clear()
+        one_point = {"grid": dp.exit_amplitude_maps,
+                     "coherence": dp.exit_coherence_maps}[scan]
+        for _ in range(2):   # the first marks the point, the second stores
+            one_point(geom, quartz, u0_along_beam, th[:, None], rh[None, :])
+        assert isinstance(next(iter(dp._CHANNEL_CACHE.values())), dict)
+    assert wf._folds(geom, th, rh) == (case == "folded")
+    with pytest.raises(wf.WaveGridError, match="backward error"):
+        SCANS[scan][0](geom, quartz, u0_along_beam, th, rh)
+    assert len(solved) == {"folded": 2, "unfolded": 3, "1x1": 2}[case]
+
+
+def test_root_check_runs_in_scans_only(quartz, thermal_bragg_100um,
+                                       u0_along_beam, monkeypatch):
+    """One-point calls of both engines evaluate no backward error, on a
+    miss that marks a point, one that stores it, a hit and a new point.
+    A scan evaluates it once per tile, over all four roots of every point
+    the tile solves: each point of a row tile, each representative of a
+    fold band.  The grid keeps the largest as root_error, the value
+    channel_diagnostics gives over the whole grid."""
+    real, sizes = dp._backward_error, []
+
+    def counted(beta, b, p, y):
+        sizes.append(y.size)
+        return real(beta, b, p, y)
+
+    monkeypatch.setattr(dp, "_backward_error", counted)
+    dp._CHANNEL_CACHE.clear()
+    for call in (dp.exit_amplitude_maps, dp.exit_coherence_maps):
+        for th in (1e-6, 1e-6, 1e-6, 2e-6):
+            call(thermal_bragg_100um, quartz, u0_along_beam, th, 0.0)
+    assert sizes == []
+    monkeypatch.setattr(wf, "_TILE_POINTS", 40)
+    monkeypatch.setattr(wf, "_cpus", lambda: 2)
+    back, ax = back_bragg(quartz), np.deg2rad(0.45) * np.linspace(-1, 1, 9)
+    th = np.linspace(-2e-5, 2e-5, 9)
+    for scan in SCANS:
+        solved = count_solved(monkeypatch, scan)
+        for geom, axis in ((thermal_bragg_100um, th), (back, ax)):
+            sizes.clear()
+            solved.clear()
+            grid = SCANS[scan][0](geom, quartz, u0_along_beam, axis, axis)
+            assert sorted(sizes) == sorted(4 * n for n in solved)
+            assert sum(solved) == (45 if geom is back else 81)
+            whole = channel_diagnostics(geom, quartz, grid.theta[:, None],
+                                        axis[None, :])["backward_error"]
+            assert grid.root_error == float(np.max(whole))
+            assert 0.0 < grid.root_error <= wf._ROOT_TOL
+
+
 @pytest.mark.parametrize("ulp", [False, True], ids=["equal", "one-ulp"])
 @pytest.mark.parametrize("case", ["back-bragg", "bragg", "laue-back"])
 @pytest.mark.parametrize("scan", ["grid", "coherence"])
@@ -401,6 +485,8 @@ def test_mirror_symmetry_bitwise(quartz, points):
     sol.update(dp._solve_amplitudes(geom, quartz, th, rh))
     mirror = dp._solve_coherences(geom, quartz, rh, th, None)
     mirror.update(dp._solve_amplitudes(geom, quartz, rh, th))
+    for s in (sol, mirror):
+        s["backward_error"] = root_backward_error(s)
     for key in ("alpha0", "beta", "g0", "gH", "w", "kappa_scale", "y", "X",
                 "backward_error", "t", "r", "C0", "CH"):
         assert sol[key].tobytes() == mirror[key].tobytes(), key
