@@ -19,7 +19,10 @@ fresh two-site crystal on one fixed lattice, its own Bragg or Laue
 geometry, wavelength, thickness and incident spinor, and a theta of shape
 (1,), all drawn and built before the timer starts, as the benchmark draws
 them before a pass.  Its one cost is first_miss: each call builds the
-crystal's reflection and solves a point never seen before.
+crystal's reflection and solves a point never seen before.  A fourth,
+reflection, times that reflection build alone: dispersion's
+_build_reflection of a fresh two-site crystal of the random group, drawn
+and built before the timer starts; its one cost is first_miss.
 
 Each cost is the best of --repeats sets of --calls calls in one process.
 Every tree runs in --processes fresh interpreters (PYTHONPATH set to the
@@ -42,7 +45,8 @@ import time
 from pathlib import Path
 
 COSTS = ("hit", "first_miss", "second_miss")
-CASES = {"laue[]": COSTS, "bragg[1]": COSTS, "random": ("first_miss",)}
+CASES = {"laue[]": COSTS, "bragg[1]": COSTS, "random": ("first_miss",),
+         "reflection": ("first_miss",)}
 
 
 def measure(calls: int, repeats: int) -> dict:
@@ -105,14 +109,17 @@ def measure(calls: int, repeats: int) -> dict:
                      for name, run in (("hit", hit), ("first_miss", first_miss),
                                        ("second_miss", second_miss))}
 
-    def random_case(rng):
-        """(geometry, crystal, spinor, theta) of one random-group call."""
+    def random_crystal(rng):
         b = rng.uniform(1.0, 9.0, size=2)
         frac = rng.uniform(0.05, 0.95, size=3)
-        crys = cr.CrystalModel(
+        return cr.CrystalModel(
             "random", lattice,
             (cr.AtomSite("A", (0.0, 0.0, 0.0), float(b[0]), 12),
              cr.AtomSite("B", tuple(float(f) for f in frac), float(b[1]), 24)))
+
+    def random_case(rng):
+        """(geometry, crystal, spinor, theta) of one random-group call."""
+        crys = random_crystal(rng)
         kind = dp.BRAGG if rng.random() < 0.5 else dp.LAUE
         lam = float(rng.uniform(0.2, 0.95)) * 2 * crys.d_spacing(hkl)
         geom = dp.make_geometry(crys, hkl, lam, kind,
@@ -130,8 +137,18 @@ def measure(calls: int, repeats: int) -> dict:
             dp.exit_amplitude_maps(geom, crys, u0, theta, rho)
         return time.perf_counter() - t0
 
-    out["random"] = {"first_miss": round(
-        1e6 * min(random_group(seed) for seed in range(repeats)) / calls, 1)}
+    def reflection_group(seed):
+        rng = np.random.default_rng(seed)
+        crystals = [random_crystal(rng) for _ in range(calls)]
+        t0 = time.perf_counter()
+        for crys in crystals:
+            dp._build_reflection(crys, hkl, None)
+        return time.perf_counter() - t0
+
+    for case, group in (("random", random_group),
+                        ("reflection", reflection_group)):
+        out[case] = {"first_miss": round(
+            1e6 * min(group(seed) for seed in range(repeats)) / calls, 1)}
     return out
 
 

@@ -124,8 +124,8 @@ def parse_config(text: str) -> RunConfig:
         if mode not in _ANALYSIS_MODES:
             raise ConfigError(f"analysis mode must be one of "
                               f"{sorted(_ANALYSIS_MODES)}, got {mode!r}")
-        if mode in ("oam", "interference"):
-            _oam_settings(blk)
+        if mode in _SETTINGS:
+            _SETTINGS[mode](blk)
     return RunConfig(crystal=sections["crystal"], geometry=sections["geometry"],
                      scan=sections["scan"], analyses=analyses,
                      output=sections["output"], text=text)
@@ -140,6 +140,15 @@ def _get_float(block, key, default=None):
         return float(block[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number: {block[key]!r}")
+
+
+def _get_finite(block, key, default=None, positive=None):
+    """_get_float, checked finite (and positive when positive names it)."""
+    v = _get_float(block, key, default)
+    if not (0.0 < v < np.inf if positive else abs(v) < np.inf):
+        what = f"positive finite {positive}" if positive else "finite number"
+        raise ConfigError(f"key {key!r}: expected a {what}, got {block[key]}")
+    return v
 
 
 def _get_int(block, key, default=None):
@@ -207,10 +216,7 @@ def _build_geometry(block: dict, crys) -> disp.DiffractionGeometry:
     if _get_bool(block, "backscattering", False):
         lam = disp.backscattering_wavelength(crys, hkl, kind)
     else:
-        lam = _get_float(block, "wavelength_A")
-        if not 0.0 < lam < np.inf:
-            raise ConfigError(f"key 'wavelength_A': expected a positive "
-                              f"finite wavelength, got {block['wavelength_A']}")
+        lam = _get_finite(block, "wavelength_A", None, "wavelength")
     return disp.make_geometry(crys, hkl, lam, kind, thickness_A)
 
 
@@ -226,10 +232,7 @@ def _build_axes(block: dict, crys, geom):
     elif mode != "zero":
         raise ConfigError("[scan] center must be 'darwin' or 'zero'")
     key = "theta_half_deg" if "theta_half_deg" in block else "theta_half_widths"
-    half_t = _get_float(block, key, 5.0)
-    if not 0.0 < half_t < np.inf:
-        raise ConfigError(f"key {key!r}: expected a positive finite "
-                          f"half-width, got {block[key]}")
+    half_t = _get_finite(block, key, 5.0, "half-width")
     half_t *= DEG_TO_RAD if key == "theta_half_deg" else disp.darwin_fwhm_rad(
         crys, geom if geom.kind == disp.BRAGG
         else disp.make_geometry(crys, geom.hkl, geom.wavelength_A,
@@ -408,8 +411,12 @@ def _analysis_phase_map(blk, ctx, writer, tag):
     return summary
 
 
+def _instrument_settings(blk):
+    return _get_finite(blk, "resolution_sigma_factor", 5.0, "factor")
+
+
 def _analysis_instrument(blk, ctx, writer, tag):
-    factor = _get_float(blk, "resolution_sigma_factor", 5.0)
+    factor = _instrument_settings(blk)
     grid = _grid(blk, ctx)
     curve = wave.polarization_curve(grid, wave.REFLECTED, "theta")
     fwhm = disp.darwin_fwhm_rad(ctx["crystal"], ctx["geometry"])
@@ -425,11 +432,19 @@ def _analysis_instrument(blk, ctx, writer, tag):
             "darwin_fwhm_asec": fwhm / ARCSEC_TO_RAD}
 
 
-def _analysis_coil(blk, ctx, writer, tag):
-    tilt = _get_float(blk, "coil_tilt_deg", 5.0) * DEG_TO_RAD
-    guide_mT = _get_float(blk, "guide_field_mT", 1.0)
-    amax = _get_float(blk, "alpha_max_deg", 2.0) * DEG_TO_RAD
+def _coil_settings(blk):
+    """(tilt in rad, guide field in mT of either sign, alpha_max in rad,
+    alpha_points) of a coil-model block."""
     npts = _get_int(blk, "alpha_points", 401)
+    if npts < 1:
+        raise ConfigError(f"key 'alpha_points': expected at least 1, got {npts}")
+    return (_get_finite(blk, "coil_tilt_deg", 5.0) * DEG_TO_RAD,
+            _get_finite(blk, "guide_field_mT", 1.0),
+            _get_finite(blk, "alpha_max_deg", 2.0, "angle") * DEG_TO_RAD, npts)
+
+
+def _analysis_coil(blk, ctx, writer, tag):
+    tilt, guide_mT, amax, npts = _coil_settings(blk)
     alpha = np.linspace(-amax, amax, npts)
     m0 = instr.CoilModel(tilt_rad=tilt)
     mg = instr.CoilModel(tilt_rad=tilt, guide_field_T=guide_mT * 1e-3)
@@ -446,6 +461,9 @@ def _analysis_coil(blk, ctx, writer, tag):
     writer.json(f"{tag}_coil_metrics.json", {"metrics": metrics})
     return metrics
 
+
+_SETTINGS = {"oam": _oam_settings, "interference": _oam_settings,
+             "instrument": _instrument_settings, "coil-model": _coil_settings}
 
 _ANALYSIS_DISPATCH = {
     "polarization": _analysis_polarization,

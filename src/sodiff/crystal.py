@@ -44,6 +44,7 @@ class FormFactor:
 
     Stored unnormalised (f_raw(0) ~ Z); evaluation returns f_raw(s)/f_raw(0)
     so that f(0) = 1 exactly and the spin-orbit strength vanishes at H -> 0.
+    Without Gaussians (UNIT_FORM_FACTOR) f is the float c/c, without numpy.
     """
 
     a: tuple[float, ...]
@@ -51,6 +52,8 @@ class FormFactor:
     c: float
 
     def __call__(self, h_mag: float | np.ndarray) -> float | np.ndarray:
+        if not self.a:
+            return self.c / self.c
         s2 = (np.asarray(h_mag) / (4.0 * np.pi)) ** 2
         raw = self.c + sum(ai * np.exp(-bi * s2) for ai, bi in zip(self.a, self.b))
         raw0 = self.c + sum(self.a)
@@ -129,10 +132,17 @@ class CrystalModel:
         lat = np.asarray(self.lattice, dtype=float)
         if lat.shape != (3, 3):
             raise CrystalError("lattice must be three 3-vectors")
+        if not all(map(math.isfinite, lat.flat)):
+            raise CrystalError(f"lattice must be finite, got {self.lattice}")
         if abs(float(np.linalg.det(lat))) < 1e-9:
             raise CrystalError("degenerate lattice")
         if not self.sites:
             raise CrystalError("crystal needs at least one site")
+        for s in self.sites:
+            ff = s.form_factor
+            if not all(map(math.isfinite, (*s.frac, s.b_fm, *ff.a, *ff.b, ff.c))):
+                raise CrystalError(f"site {s.element}: frac {s.frac}, b_fm {s.b_fm} "
+                                   f"and form factor {ff} must be finite")
         if not math.isfinite(self.schwinger_scale):
             raise CrystalError(f"schwinger_scale must be finite, got "
                                f"{self.schwinger_scale}")
@@ -230,11 +240,13 @@ def site_gammas(crystal: CrystalModel, h_mag: float) -> np.ndarray:
     return crystal.schwinger_scale * g
 
 
-def structure_sums(crystal: CrystalModel, H) -> tuple[complex, complex, float]:
+def structure_sums(crystal: CrystalModel, H,
+                   h_mag=None) -> tuple[complex, complex, float]:
     """Nuclear and spin-orbit lattice sums A = sum b_j e^{iH.r_j},
-    B = sum gamma_j e^{iH.r_j} (both fm), plus |H|."""
+    B = sum gamma_j e^{iH.r_j} (both fm), plus |H|, taken from h_mag when
+    given (the norm _reciprocal_entry keeps beside H)."""
     H = np.asarray(H, dtype=float)
-    h_mag = float(np.linalg.norm(H))
+    h_mag = float(np.linalg.norm(H)) if h_mag is None else h_mag
     lat = crystal.lattice_matrix
     phases = np.array([np.exp(1j * float(np.dot(H, np.asarray(s.frac) @ lat)))
                        for s in crystal.sites])

@@ -38,6 +38,7 @@ import numpy as np
 
 from .constants import CONSTANTS, FM_TO_A
 from .crystal import (
+    CrystalError,
     CrystalModel,
     _reciprocal,
     mean_potential_meV,
@@ -303,14 +304,41 @@ def _reflection(geom: DiffractionGeometry, crystal: CrystalModel) -> Reflection:
 
 @functools.lru_cache(maxsize=_REFLECTION_CACHE_SIZE)
 def _build_reflection(crystal: CrystalModel, hkl, H) -> Reflection:
-    H = _reciprocal(crystal, hkl)[0] if hkl is not None else np.asarray(H, float)
-    A, B, h_mag = structure_sums(crystal, H)
+    H, h_mag = (_reciprocal(crystal, hkl) if hkl is not None
+                else (np.asarray(H, float), None))
+    A, B, h_mag = structure_sums(crystal, H, h_mag)
     pref = CONSTANTS.two_pi_hbar2_over_m_meV_A3 * FM_TO_A / crystal.cell_volume_A3
     return Reflection(H=tuple(H.tolist()), h_mag=h_mag, A=A, B=B,
                       pref=pref, v0=mean_potential_meV(crystal))
 
 
 _SIGNS = np.array([1.0, -1.0])
+
+
+def _point_setup(geom: DiffractionGeometry, theta: float, rho: float):
+    """(g0, gH, alpha0, beta, u_hat, w) of kinematics() and schwinger_axis()
+    at one point, as two copies, bit for bit.  IEEE +, -, *, / and sqrt
+    round alike at any array size, so k and the spin axis are formed in
+    floats in those functions' order; only k.H, k.n and (k + H).n, which
+    BLAS rounds for two or more points, stay on the (2, 3) array."""
+    k_mag, n, (h0, h1, h2) = geom.k_mag, geom.n, geom.H
+    norm = math.sqrt(1.0 + (theta * theta + rho * rho))
+    k0, k1, k2 = k_mag / norm, theta * k_mag / norm, rho * k_mag / norm
+    k, H = np.array(((k0, k1, k2),) * 2), np.array(geom.H)
+    g0, gH, hh = k @ n, (k + H) @ n, float(H @ H)
+    if not all((*g0, *gH)):
+        raise DispersionError("grid touches an exactly grazing point")
+    alpha0 = -CONSTANTS.hbar2_over_2m_meV_A2 * (2.0 * (k @ H) + hh)
+    kmag = math.sqrt(k0 * k0 + (k1 * k1 + k2 * k2))
+    h_mag = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
+    if h_mag == 0.0 or not kmag:
+        raise CrystalError("schwinger_axis needs non-zero K and H")
+    c0, c1, c2 = k1 * h2 - k2 * h1, k2 * h0 - k0 * h2, k0 * h1 - k1 * h0
+    cmag = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    par = cmag <= 1e-12 * kmag * h_mag   # K || H: the lab z axis, w = 0
+    u_hat = (0.0, 0.0, 1.0) if par else (c0 / cmag, c1 / cmag, c2 / cmag)
+    w = 0.0 if par else cmag / hh
+    return g0, gH, alpha0, gH / g0, np.array((u_hat,) * 2), np.array((w,) * 2)
 
 
 def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
@@ -328,7 +356,8 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
     Offsets that broadcast to one point are computed as two copies of it
     (point is then their broadcast shape, else None): numpy rounds 0-d
     complex products and k @ v of one point differently, so only an array
-    of two or more points rounds as a grid does.
+    of two or more points rounds as a grid does.  The real set-up of such a
+    point is formed in Python floats (_point_setup).
 
     Returns a dict: point, alpha0, beta, b, g0, gH, w, u_hat, v0,
     energy_meV, kappa_scale over the points (...); p (channel, ...); y and
@@ -339,14 +368,15 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
     point = None
     if th.size == rh.size == 1:
         point = th.shape if th.ndim >= rh.ndim else rh.shape
-        th, rh = th.reshape(1).repeat(2), rh.reshape(())
+        g0, gH, alpha0, beta, u_hat, w = _point_setup(geom, th.item(), rh.item())
+    else:
+        k, g0, gH, alpha0 = geom.kinematics(th, rh)
+        if not (g0.all() and gH.all()):
+            raise DispersionError("grid touches an exactly grazing point")
+        beta = gH / g0
+        u_hat, w = schwinger_axis(k, geom.H)
+        del k  # free 24 B per point before the channel arrays are allocated
     k_mag = geom.k_mag
-    k, g0, gH, alpha0 = geom.kinematics(th, rh)
-    if not (g0.all() and gH.all()):
-        raise DispersionError("grid touches an exactly grazing point")
-    beta = gH / g0
-    u_hat, w = schwinger_axis(k, geom.H)
-    del k  # free 24 B per point before the channel arrays are allocated
 
     refl = _reflection(geom, crystal)
     pref, A, B, v0 = refl.pref, refl.A, refl.B, refl.v0

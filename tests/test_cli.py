@@ -332,6 +332,28 @@ def test_crystal_file_resolution_env(tmp_path, monkeypatch):
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("site, detail", [
+    (" X 0 nan 0 5.0 10", "site X: frac (0.0, nan, 0.0), b_fm 5.0 and form "
+     "factor FormFactor(a=(), b=(), c=1.0) must be finite"),
+    (" X 0 0 0 nan 10", "site X: frac (0.0, 0.0, 0.0), b_fm nan and form "
+     "factor FormFactor(a=(), b=(), c=1.0) must be finite"),
+], ids=["frac-nan", "b_fm-nan"])
+def test_non_finite_crystal_file_exits_config(tmp_path, capsys, site,
+                                              detail):
+    """A NaN coordinate or scattering length in a crystal file is a config
+    error naming the site, not an all-NaN artifact or a physics error
+    about the axes or the thickness."""
+    (tmp_path / "c.crystal").write_text(
+        f"material t\nlattice\n 4 0 0\n 0 4 0\n 0 0 4\nsites\n{site}\nend\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.replace("builtin = quartz110", "file = c.crystal"))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": detail}
+    assert not out.exists() or not any(out.iterdir())
+
+
 def backscattering_config(kind: str, analyses: str, n: int = 9) -> str:
     """MINIMAL at the backscattering wavelength of a 0.2 mm crystal, on an
     n x n grid of +-0.3 deg about zero, with the given [analysis] blocks."""
@@ -606,6 +628,69 @@ def test_unused_rho_half_width_accepted(quartz, half):
              "center": "zero", "rho_points": "1", "rho_half_deg": half}
     _, rho, _ = cli._build_axes(block, quartz, geom)
     assert rho.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("mode, setting, detail", [
+    *(pytest.param("instrument", f"resolution_sigma_factor = {v}",
+                   "key 'resolution_sigma_factor': expected a positive "
+                   f"finite factor, got {v}", id=f"sigma_factor-{v}")
+      for v in ("nan", "inf", "0", "-1")),
+    *(pytest.param("coil-model", f"{key} = {v}", f"key '{key}': expected a "
+                   f"finite number, got {v}", id=f"{key}-{v}")
+      for key, values in (("coil_tilt_deg", ("nan", "inf")),
+                          ("guide_field_mT", ("nan", "inf", "-inf")))
+      for v in values),
+    *(pytest.param("coil-model", f"alpha_max_deg = {v}", "key "
+                   "'alpha_max_deg': expected a positive finite angle, got "
+                   f"{v}", id=f"alpha_max-{v}")
+      for v in ("-2", "0", "nan", "inf")),
+    *(pytest.param("coil-model", f"alpha_points = {v}", "key "
+                   f"'alpha_points': expected at least 1, got {v}",
+                   id=f"alpha_points-{v}")
+      for v in ("-3", "0")),
+])
+def test_instrument_and_coil_settings_rejected_before_any_scan(
+        tmp_path, capsys, monkeypatch, mode, setting, detail):
+    """A resolution factor that is not positive and finite, a coil tilt or
+    guide field that is not finite, an alpha range that is not positive
+    and finite and fewer than one alpha point are config errors (exit 2,
+    one JSON line) raised when the config is parsed: before the grid of
+    an earlier analysis block is scanned and before any artifact."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the config was checked")
+
+    monkeypatch.setattr(wf, "grid_scan", no_scan)
+    block = "[analysis]\nmode = polarization\nbeams = reflected\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.replace(
+        block, f"{block}\n[analysis]\nmode = {mode}\n{setting}\n"))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "config", "detail": detail}]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_negative_guide_field_accepted(tmp_path):
+    """A guide field of either sign is valid: a reversed field reverses the
+    guide precession's part of the phase."""
+    metrics = {}
+    for field in ("1", "-1"):
+        out = tmp_path / field
+        cfg = tmp_path / f"{field}.cfg"
+        cfg.write_text(MINIMAL.replace(
+            "mode = polarization\nbeams = reflected",
+            f"mode = coil-model\nguide_field_mT = {field}\nalpha_points = 5"))
+        assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+        metrics[field] = json.loads(
+            (out / "run1_coil-model_coil_metrics.json").read_text())["metrics"]
+    up, down = metrics["1"], metrics["-1"]
+    assert down["pair_sum_no_guide_rad"] == up["pair_sum_no_guide_rad"]
+    guide = up["pair_sum_guide_rad"] - up["pair_sum_no_guide_rad"]
+    assert guide != 0.0
+    assert down["pair_sum_guide_rad"] - down["pair_sum_no_guide_rad"] == \
+        pytest.approx(-guide, rel=1e-12)
 
 
 def test_wall_excludes_grid_build(tmp_path, capsys, monkeypatch):

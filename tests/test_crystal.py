@@ -270,6 +270,38 @@ def test_material_file_errors(tmp_path):
         cr.load_crystal(bad)
 
 
+def _with_value(crystal, where, value):
+    """crystal with one number replaced by value: a lattice component, a
+    fractional coordinate, b_fm or a form-factor coefficient of site 0."""
+    site = crystal.sites[0]
+    ff = cr.FormFactor(a=(6.0, 3.0), b=(2.0, 30.0), c=1.0)
+    if where == "lattice":
+        rows = [list(row) for row in crystal.lattice]
+        rows[1][1] = value
+        return dataclasses.replace(crystal,
+                                   lattice=tuple(map(tuple, rows)))
+    if where == "frac":
+        site = dataclasses.replace(site, frac=(0.0, value, 0.0))
+    elif where == "b_fm":
+        site = dataclasses.replace(site, b_fm=value)
+    else:
+        site = dataclasses.replace(site, form_factor=dataclasses.replace(
+            ff, **{where: value if where == "c" else (6.0, value)}))
+    return dataclasses.replace(crystal, sites=(site,) + crystal.sites[1:])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["lattice", "frac", "b_fm", "a", "b", "c"])
+def test_non_finite_crystal_data_rejected(quartz, where, value):
+    """A non-finite lattice component, fractional coordinate, scattering
+    length or form-factor coefficient is a CrystalError when the crystal
+    is made, also through dataclasses.replace; nothing warns first.  The
+    same crystal with finite numbers there is accepted."""
+    _with_value(quartz, where, 0.25 if where != "lattice" else 4.0)
+    with pytest.raises(cr.CrystalError, match="must be finite"):
+        _with_value(quartz, where, value)
+
+
 def test_crystal_hash_cached_per_instance_not_pickled():
     """Equal models built apart hash equal, with the value of the field
     tuple the dataclass hash is defined by.  The hash is kept on the

@@ -256,6 +256,93 @@ def test_one_point_equals_grid_point(quartz, kind, u0):
                     line[key][i].tobytes(), key
 
 
+POINT_SETUP_OFFSETS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                       (3e-6, 0.0), (-0.0, -2e-5), (1e-3, -2e-3)] + [
+    tuple(v) for v in np.random.default_rng(11).normal(scale=3e-4,
+                                                       size=(6, 2))]
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+@pytest.mark.parametrize("wavelength", ["thermal", "backscattering"])
+@pytest.mark.parametrize("spin_orbit", [True, False], ids=["so", "scalar"])
+def test_point_setup_equals_kinematics_and_axis(quartz, kind, wavelength,
+                                                spin_orbit):
+    """_point_setup forms the set-up of one point in floats, with the bits
+    that kinematics() and schwinger_axis() give that point's two copies:
+    g0, gH, alpha0, beta, u_hat and w, in the thermal frame and in both
+    backscattering frames (H on the x axis; n = +x for Bragg, where
+    theta = rho = 0 puts K || H, and n = -y for Laue, where theta = 0 is
+    grazing and both refuse it), at offsets of either zero sign and at
+    random ones."""
+    crystal = quartz if spin_orbit else quartz.without_schwinger()
+    lam = (2.0 if wavelength == "thermal"
+           else dp.backscattering_wavelength(crystal, (1, 1, 0), kind))
+    g = dp.make_geometry(crystal, (1, 1, 0), lam, kind, 1e6)
+    parallel = 0
+    for theta, rho in POINT_SETUP_OFFSETS:
+        k, g0, gH, alpha0 = g.kinematics(np.full(2, theta), np.asarray(rho))
+        if not (g0.all() and gH.all()):
+            with pytest.raises(dp.DispersionError, match="grazing"):
+                dp._point_setup(g, theta, rho)
+            continue
+        ref = (g0, gH, alpha0, gH / g0, *cr.schwinger_axis(k, g.H))
+        got = dp._point_setup(g, theta, rho)
+        for name, a, b in zip(("g0", "gH", "alpha0", "beta", "u_hat", "w"),
+                              got, ref):
+            assert (a.shape, a.dtype, a.tobytes()) == \
+                (b.shape, b.dtype, b.tobytes()), (name, theta, rho)
+        parallel += not got[-1].any()
+    # K || H at theta = rho = 0 of Bragg backscattering, and only there
+    assert parallel == (4 if (kind, wavelength) == (dp.BRAGG,
+                                                    "backscattering") else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    crystal_kind=st.sampled_from(["random", "quartz"]),
+    b=st.tuples(st.floats(1.0, 9.0), st.floats(1.0, 9.0)),
+    frac=st.tuples(*[st.floats(0.05, 0.95)] * 3),
+    lam_frac=st.floats(0.15, 0.999), kind=st.sampled_from([dp.BRAGG, dp.LAUE]),
+    logD=st.floats(4.0, 7.5), engine=st.sampled_from(["amplitudes",
+                                                      "coherences"]),
+    shape=st.sampled_from([(), (1,), (1, 1)]),
+    offsets=st.tuples(*[st.floats(-1e-3, 1e-3)] * 4),
+)
+def test_one_point_call_equals_two_point_call(crystal_kind, b, frac,
+                                              lam_frac, kind, logD, engine,
+                                              shape, offsets):
+    """For random two-site crystals and for quartz with its spin-orbit
+    term, with either kind and either engine, a one-point call (0-d, (1,)
+    or (1, 1) offsets) gives the bytes of its point in a two-point call,
+    on the miss that marks the point, the miss that stores it and the
+    hit.  Near grazing incidence the fields overflow; that changes no
+    byte either, so the overflow warnings are silenced."""
+    from hypothesis import assume
+
+    if crystal_kind == "quartz":
+        crystal = cr.reference_quartz()
+    else:
+        crystal = cr.CrystalModel(
+            "random", ((4.2, 0, 0), (0.3, 5.1, 0), (0, 0, 6.3)),
+            (cr.AtomSite("A", (0.0, 0.0, 0.0), b[0], 12),
+             cr.AtomSite("B", frac, b[1], 24)))
+    lam = lam_frac * 2.0 * crystal.d_spacing((1, 1, 0))
+    g = dp.make_geometry(crystal, (1, 1, 0), lam, kind, 10.0**logD)
+    theta, rho, theta2, rho2 = offsets
+    _, g0, gH, _ = g.kinematics(np.array([theta, theta2]),
+                                np.array([rho, rho2]))
+    assume(g0.all() and gH.all())
+    u0 = np.array([0.6 - 0.3j, -0.2 + 0.7j]) / np.sqrt(0.98)
+    ((_, call),) = [c for c in engine_calls(crystal, u0) if c[0] == engine]
+    with np.errstate(all="ignore"):
+        pair = call(g, np.array([theta, theta2]), np.array([rho, rho2]))
+        dp._CHANNEL_CACHE.clear()
+        for _ in range(3):
+            one = call(g, np.full(shape, theta), np.full(shape, rho))
+            assert_same_bits(one, {key: v[0].reshape(shape + v.shape[1:])
+                                   for key, v in pair.items()})
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     b1=st.floats(1.0, 8.0), b2=st.floats(1.0, 8.0),
@@ -489,9 +576,9 @@ def counting_structure_sums(monkeypatch):
     calls = []
     real = dp.structure_sums
 
-    def counted(crystal, H):
+    def counted(crystal, H, *h_mag):
         calls.append(crystal)
-        return real(crystal, H)
+        return real(crystal, H, *h_mag)
 
     monkeypatch.setattr(dp, "structure_sums", counted)
     return calls

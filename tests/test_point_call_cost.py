@@ -10,7 +10,8 @@ SCRIPT = ROOT / "scripts" / "point_call_cost.py"
 
 
 def test_reports_every_cost_of_both_calls(tmp_path):
-    """Every cost of the Laue and Bragg calls and the random case."""
+    """Every cost of the Laue and Bragg calls and the random and
+    reflection cases."""
     out = tmp_path / "cost.json"
     done = subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT / "src"), "--calls", "2",
@@ -21,7 +22,7 @@ def test_reports_every_cost_of_both_calls(tmp_path):
     assert [row[:2] for row in rows] == [
         [case, cost] for case in ("laue[]", "bragg[1]")
         for cost in ("hit", "first_miss", "second_miss")] + [
-        ["random", "first_miss"]]
+        ["random", "first_miss"], ["reflection", "first_miss"]]
     assert all(float(row[2]) > 0.0 for row in rows)
     record = json.loads(out.read_text())
     (best,) = record["best"].values()
