@@ -62,10 +62,6 @@ _SCHEMA = {
     "output": {"directory", "format", "precision"},
 }
 
-_ANALYSIS_MODES = {"polarization", "polarization-map", "oam", "interference",
-                   "phase-map", "instrument", "coil-model"}
-
-
 @dataclass
 class RunConfig:
     crystal: dict
@@ -121,11 +117,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config declares no [analysis] section")
     for blk in analyses:
         mode = blk.get("mode")
-        if mode not in _ANALYSIS_MODES:
+        if mode not in _ANALYSIS_DISPATCH:
             raise ConfigError(f"analysis mode must be one of "
-                              f"{sorted(_ANALYSIS_MODES)}, got {mode!r}")
-        if mode in _SETTINGS:
-            _SETTINGS[mode](blk)
+                              f"{sorted(_ANALYSIS_DISPATCH)}, got {mode!r}")
+        _ANALYSIS_DISPATCH[mode][0](blk)
     return RunConfig(crystal=sections["crystal"], geometry=sections["geometry"],
                      scan=sections["scan"], analyses=analyses,
                      output=sections["output"], text=text)
@@ -289,22 +284,25 @@ class _Writer:
         return path
 
 
-def _grid(blk, ctx):
-    """The block's exit grid: the thickness ensemble for ensemble = true,
-    else the pure exit spinors."""
-    ensemble = _get_bool(blk, "ensemble")
-    if ensemble and blk["mode"] == "phase-map":
-        raise ConfigError("phase-map needs ensemble = false: a thickness "
-                          "ensemble has no phase")
-    return ctx["grid"](ensemble)
+# _ANALYSIS_DISPATCH maps each mode to (settings, analysis): settings checks
+# a block's values and returns them parsed for the analysis.  parse_config
+# calls it for every block, so a bad value fails before any scan or artifact.
+
+_BEAMS = (wave.REFLECTED, wave.TRANSMITTED)
+_COMPONENTS = ("flipped", "non-flipped")
 
 
-def _analysis_polarization(blk, ctx, writer, tag):
-    beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
-                        (wave.REFLECTED, wave.TRANSMITTED))
-    grid = _grid(blk, ctx)
+def _beam_settings(blk, beams=_BEAMS) -> dict:
+    """beams (default: beams) and ensemble of a block that reads the exit
+    grid."""
+    return {"beams": _parse_list(blk, "beams", _BEAMS, beams),
+            "ensemble": _get_bool(blk, "ensemble")}
+
+
+def _analysis_polarization(s, ctx, writer, tag):
+    grid = ctx["grid"](s["ensemble"])
     summary = {}
-    for beam in beams:
+    for beam in s["beams"]:
         curve = wave.polarization_curve(grid, beam, "theta")
         name = f"{tag}_{beam}.csv"
         writer.csv(name, {
@@ -316,12 +314,10 @@ def _analysis_polarization(blk, ctx, writer, tag):
     return summary
 
 
-def _analysis_polarization_map(blk, ctx, writer, tag):
-    beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
-                        (wave.TRANSMITTED,))
-    grid = _grid(blk, ctx)
+def _analysis_polarization_map(s, ctx, writer, tag):
+    grid = ctx["grid"](s["ensemble"])
     summary = {}
-    for beam in beams:
+    for beam in s["beams"]:
         pm = wave.polarization_map(grid, beam)
         name = f"{tag}_{beam}.csv"
         writer.csv(name, {"theta_rad": grid.theta[:, None],
@@ -332,10 +328,10 @@ def _analysis_polarization_map(blk, ctx, writer, tag):
     return summary
 
 
-def _oam_settings(blk):
-    """(truncation_L, n_phi, n_r, r_max in rad or None) of an oam or
-    interference block, checked when the config is parsed, before any
-    scan."""
+def _oam_settings(blk) -> dict:
+    """beams, components, ensemble, physical_only and the polar settings
+    of analyse_grid (L, n_phi, n_r, r_max in rad or None) of an oam or
+    interference block."""
     L = _get_int(blk, "truncation_L", 32)
     n_phi = _get_int(blk, "n_phi", 256)
     n_r = _get_int(blk, "n_r", 128)
@@ -355,25 +351,23 @@ def _oam_settings(blk):
     if r_max is not None and not 0.0 < r_max < np.inf:
         raise ConfigError(f"key 'r_max_deg': expected a positive finite "
                           f"angle, got {blk['r_max_deg']}")
-    return L, n_phi, n_r, r_max
+    return {**_beam_settings(blk, (wave.TRANSMITTED,)),
+            "components": _parse_list(blk, "components", _COMPONENTS,
+                                      _COMPONENTS),
+            "physical_only": _get_bool(blk, "physical_only", True),
+            "polar": {"L": L, "n_phi": n_phi, "n_r": n_r, "r_max": r_max}}
 
 
-def _analysis_oam(blk, ctx, writer, tag, interference: bool):
-    beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
-                        (wave.TRANSMITTED,))
-    comps = _parse_list(blk, "components", ("flipped", "non-flipped"),
-                        ("flipped", "non-flipped"))
-    L, n_phi, n_r, r_max = _oam_settings(blk)
-    physical_only = _get_bool(blk, "physical_only", True)
-    grid = _grid(blk, ctx)
+def _analysis_oam(s, ctx, writer, tag, interference: bool):
+    grid = ctx["grid"](s["ensemble"])
     summary = {}
-    for beam in beams:
+    for beam in s["beams"]:
         cols = {}
         stats = {}
-        for what in (["interference"] if interference else comps):
+        for what in (["interference"] if interference else s["components"]):
             dist, lz, coverage = oam_mod.analyse_grid(
-                grid, beam, what, L=L, n_r=n_r, n_phi=n_phi, r_max=r_max,
-                center=(ctx["center"], 0.0), physical_only=physical_only)
+                grid, beam, what, center=(ctx["center"], 0.0),
+                physical_only=s["physical_only"], **s["polar"])
             cols["ell"] = dist.ells
             cols[f"p_{what.replace('-', '_')}"] = dist.p
             stats[what] = {"mean": dist.mean, "residual": dist.residual,
@@ -383,27 +377,37 @@ def _analysis_oam(blk, ctx, writer, tag, interference: bool):
     return summary
 
 
-def _analysis_phase_map(blk, ctx, writer, tag):
-    beams = _parse_list(blk, "beams", (wave.REFLECTED, wave.TRANSMITTED),
-                        (wave.REFLECTED, wave.TRANSMITTED))
-    comps = _parse_list(blk, "components", ("flipped", "non-flipped"),
-                        ("flipped", "non-flipped"))
+def _phase_map_settings(blk) -> dict:
+    """beams, ensemble (false), components, loop_margins and frame of a
+    phase-map block."""
+    settings = _beam_settings(blk)
+    if settings["ensemble"]:
+        raise ConfigError("phase-map needs ensemble = false: a thickness "
+                          "ensemble has no phase")
     margins = [_get_int({"loop_margins": tok}, "loop_margins")
                for tok in blk.get("loop_margins", "20 60 100").split()]
     if any(m < 0 for m in margins):
         raise ConfigError("key 'loop_margins': expected margins >= 0")
     frame = blk.get("frame", "beam")
-    grid = _grid(blk, ctx)
+    if frame not in ("beam", "lab"):
+        raise ConfigError(f"key 'frame': expected beam or lab, got {frame!r}")
+    return {**settings, "components": _parse_list(blk, "components",
+                                                  _COMPONENTS, _COMPONENTS),
+            "loop_margins": margins, "frame": frame}
+
+
+def _analysis_phase_map(s, ctx, writer, tag):
+    grid = ctx["grid"](s["ensemble"])
     summary = {}
-    for beam in beams:
-        for comp in comps:
-            pm = wave.phase_map(grid, comp, beam, frame=frame)
+    for beam in s["beams"]:
+        for comp in s["components"]:
+            pm = wave.phase_map(grid, comp, beam, frame=s["frame"])
             writer.csv(f"{tag}_{beam}_{comp}.csv",
                        {"theta_rad": grid.theta[:, None],
                         "rho_rad": pm["rho"][None, :],
                         "phase_rad": pm["phase"]})
             winds = []
-            for m in margins:
+            for m in s["loop_margins"]:
                 loop = wave.rectangle_loop(pm["phase"].shape, m)
                 winds.append(wave.winding_number(pm["phase"], loop, pm["mask"]))
             summary[f"{beam}/{comp}"] = {"windings": winds,
@@ -411,16 +415,18 @@ def _analysis_phase_map(blk, ctx, writer, tag):
     return summary
 
 
-def _instrument_settings(blk):
-    return _get_finite(blk, "resolution_sigma_factor", 5.0, "factor")
+def _instrument_settings(blk) -> dict:
+    """resolution_sigma_factor and ensemble of an instrument block."""
+    return {"factor": _get_finite(blk, "resolution_sigma_factor", 5.0,
+                                  "factor"),
+            "ensemble": _get_bool(blk, "ensemble")}
 
 
-def _analysis_instrument(blk, ctx, writer, tag):
-    factor = _instrument_settings(blk)
-    grid = _grid(blk, ctx)
+def _analysis_instrument(s, ctx, writer, tag):
+    grid = ctx["grid"](s["ensemble"])
     curve = wave.polarization_curve(grid, wave.REFLECTED, "theta")
     fwhm = disp.darwin_fwhm_rad(ctx["crystal"], ctx["geometry"])
-    sigma = factor * fwhm
+    sigma = s["factor"] * fwhm
     kernel = instr.ResolutionKernel(sigma_rad=sigma)
     smeared, inten = instr.convolve_resolution(curve.abscissa, curve.Py,
                                                curve.weight, kernel)
@@ -432,7 +438,7 @@ def _analysis_instrument(blk, ctx, writer, tag):
             "darwin_fwhm_asec": fwhm / ARCSEC_TO_RAD}
 
 
-def _coil_settings(blk):
+def _coil_settings(blk) -> tuple:
     """(tilt in rad, guide field in mT of either sign, alpha_max in rad,
     alpha_points) of a coil-model block."""
     npts = _get_int(blk, "alpha_points", 401)
@@ -443,8 +449,8 @@ def _coil_settings(blk):
             _get_finite(blk, "alpha_max_deg", 2.0, "angle") * DEG_TO_RAD, npts)
 
 
-def _analysis_coil(blk, ctx, writer, tag):
-    tilt, guide_mT, amax, npts = _coil_settings(blk)
+def _analysis_coil(s, ctx, writer, tag):
+    tilt, guide_mT, amax, npts = s
     alpha = np.linspace(-amax, amax, npts)
     m0 = instr.CoilModel(tilt_rad=tilt)
     mg = instr.CoilModel(tilt_rad=tilt, guide_field_T=guide_mT * 1e-3)
@@ -462,17 +468,17 @@ def _analysis_coil(blk, ctx, writer, tag):
     return metrics
 
 
-_SETTINGS = {"oam": _oam_settings, "interference": _oam_settings,
-             "instrument": _instrument_settings, "coil-model": _coil_settings}
-
 _ANALYSIS_DISPATCH = {
-    "polarization": _analysis_polarization,
-    "polarization-map": _analysis_polarization_map,
-    "oam": lambda blk, ctx, w, t: _analysis_oam(blk, ctx, w, t, False),
-    "interference": lambda blk, ctx, w, t: _analysis_oam(blk, ctx, w, t, True),
-    "phase-map": _analysis_phase_map,
-    "instrument": _analysis_instrument,
-    "coil-model": _analysis_coil,
+    "polarization": (_beam_settings, _analysis_polarization),
+    "polarization-map": (lambda blk: _beam_settings(blk, (wave.TRANSMITTED,)),
+                         _analysis_polarization_map),
+    "oam": (_oam_settings,
+            lambda s, ctx, w, t: _analysis_oam(s, ctx, w, t, False)),
+    "interference": (_oam_settings,
+                     lambda s, ctx, w, t: _analysis_oam(s, ctx, w, t, True)),
+    "phase-map": (_phase_map_settings, _analysis_phase_map),
+    "instrument": (_instrument_settings, _analysis_instrument),
+    "coil-model": (_coil_settings, _analysis_coil),
 }
 
 
@@ -509,7 +515,8 @@ def run_config(cfg: RunConfig, out_dir: Path, config_dir: Path) -> int:
         tag = f"run{i}_{mode}"
         build_s.clear()
         t0 = time.perf_counter()
-        summary = _ANALYSIS_DISPATCH[mode](blk, ctx, writer, tag)
+        settings, analysis = _ANALYSIS_DISPATCH[mode]
+        summary = analysis(settings(blk), ctx, writer, tag)
         dt = time.perf_counter() - t0 - sum(build_s)
         build = f"  build {sum(build_s):.2f}s" if build_s else ""
         keys = _summary_scalars(summary)

@@ -31,7 +31,6 @@ import math
 import operator
 import struct
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -268,14 +267,9 @@ def _backward_error(beta, b, p, y):
 
 
 _REFLECTION_CACHE_SIZE = 32
-# one-point _channels results (read-only, never returned: see _point) and
-# first-miss marks kept by _reused_channels.  A thickness sweep needs one entry
-# (point_sweep's Pendelloesung group and criterion 10 each sweep one point);
-# 16 is not tuned to any measured traffic.
-_CHANNEL_CACHE_SIZE = 16
-_CHANNEL_CACHE: OrderedDict = OrderedDict()
+# the last one-point key of _solve_amplitudes and its entry (see there)
+_CHANNEL_SLOT: tuple = (None, None)
 _CHANNEL_LOCK = threading.Lock()
-_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -395,60 +389,6 @@ def _channels(geom: DiffractionGeometry, crystal: CrystalModel, theta,
             "y": y, "X": X}
 
 
-def _reused_channels(geom: DiffractionGeometry, crystal: CrystalModel,
-                     theta, rho) -> dict:
-    """_channels(geom, crystal, theta, rho), taken from the channel cache
-    when the offsets broadcast to one point.
-
-    The cache is a bounded LRU shared by all threads.  Its key is
-    everything a _channels result reads except the thickness: the bits and
-    shapes of theta and rho, the bits of k0, H and n (so -0.0 and +0.0 are
-    different keys), kind, hkl and the crystal's value.  A key is stored
-    on its second miss; the first only marks it (value None), so a point
-    that never comes back (a rocking curve, a random crystal) skips
-    freezing its arrays and setting up its transfer factors: storing every
-    miss made point_sweep's random and Darwin groups about 8 % slower
-    (BENCH_19.json, store_every_miss).  A thickness sweep at one point
-    thus solves its channel problem twice and then reads it.
-
-    A stored entry also holds the rest of a call that does not depend on
-    the thickness: "setup", the _transfer_setup of its channels, and
-    "projections", a one-element list holding the channel projections of
-    the last incident spinor used at the point (see _projections).  A hit
-    thus leaves only the transfer factors and the assembly to its caller.
-    A stored entry's arrays are read-only, the beta, b, p and y that a 1 x 1
-    scan's root check reads among them; the caller gets a copy of the
-    dict, to which it may add keys, sharing the projections list.  Offsets
-    of two or more points (every scan tile but a 1 x 1 grid's) get a plain
-    _channels result, without a setup that would outlive its use.
-    """
-    th, rh = np.asarray(theta, float), np.asarray(rho, float)
-    if not th.size == rh.size == 1:
-        return _channels(geom, crystal, th, rh)
-    key = (th.shape, th.tobytes(), rh.shape, rh.tobytes(),
-           struct.pack("9d", *geom.k0, *geom.H, *geom.n), geom.kind,
-           geom.hkl, crystal)
-    with _CHANNEL_LOCK:
-        ch = _CHANNEL_CACHE.get(key, _UNSEEN)
-        if ch is not _UNSEEN:
-            _CHANNEL_CACHE.move_to_end(key)
-    if ch is not None and ch is not _UNSEEN:
-        return dict(ch)
-    admit = ch is None
-    ch = _channels(geom, crystal, th, rh)
-    if admit:
-        ch["setup"] = _transfer_setup(geom.kind, ch)
-        ch["projections"] = [None]
-        for v in (*ch.values(), *ch["setup"]):
-            if isinstance(v, np.ndarray):
-                v.setflags(write=False)
-    with _CHANNEL_LOCK:
-        _CHANNEL_CACHE[key] = ch if admit else None
-        if len(_CHANNEL_CACHE) > _CHANNEL_CACHE_SIZE:
-            _CHANNEL_CACHE.popitem(last=False)
-    return dict(ch) if admit else ch
-
-
 def _spin_axis(geom: DiffractionGeometry, theta, rho) -> np.ndarray:
     """u_hat of _channels over broadcast (theta, rho) of two or more points,
     without the channel solve."""
@@ -477,7 +417,7 @@ def _channel_projections(u_hat, u0_spinor) -> np.ndarray:
 
 def _projections(sol: dict, u0_spinor) -> np.ndarray:
     """_channel_projections of the incident spinor on the channels of the
-    solve sol.  A stored channel-cache entry (see _reused_channels) keeps
+    solve sol.  A stored channel-slot entry (see _solve_amplitudes) keeps
     those of the last spinor used at its point, read-only, keyed on the
     spinor's shape and complex128 bytes; the list item holding key and
     projections is replaced as one tuple, so no thread pairs one spinor's
@@ -551,20 +491,12 @@ def _transfer_factors(kind, setup, D):
 
 def _point(ch: dict, res: dict) -> dict:
     """res as it is, or, when _channels computed a single point twice, its
-    first copy in the shape of the call's offsets.  A read-only view there
-    is one of the channel cache's arrays (see _reused_channels), such as
-    the g0 of exit_coherence_maps, so it is copied: no array a caller
-    receives shares memory with the cache."""
+    first copy in the shape of the call's offsets."""
     point = ch["point"]
     if point is None:
         return res
     first = (0,) + (None,) * len(point)   # point is all ones
-    out = {}
-    for key, v in res.items():
-        v = v[first]
-        frozen = isinstance(v, np.ndarray) and not v.flags.writeable
-        out[key] = v.copy() if frozen else v
-    return out
+    return {key: v[first] for key, v in res.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +511,54 @@ def _point(ch: dict, res: dict) -> dict:
 
 def _solve_amplitudes(geom: DiffractionGeometry, crystal: CrystalModel,
                       theta, rho) -> dict:
-    """The _channels result, read through the one-point cache of
-    _reused_channels, with the transfer factors t and r (channel, ...) of
-    the geometry's thickness.  A stored entry's transfer setup is read,
-    not computed again."""
-    sol = _reused_channels(geom, crystal, theta, rho)
+    """The _channels result with the transfer factors t and r
+    (channel, ...) of the geometry's thickness.
+
+    The channel solve of one point does not depend on the thickness, so
+    offsets that broadcast to one point go through _CHANNEL_SLOT, which
+    holds the last such call's key: everything a _channels result reads
+    except the thickness, that is the bits and shapes of theta and rho,
+    the bits of k0, H and n (so -0.0 and +0.0 are different keys), kind,
+    hkl and the crystal's value.  A key's first miss only marks it (entry
+    None), so a point that never comes back (a rocking curve, a random
+    crystal) skips freezing its arrays and setting up its transfer
+    factors: storing every miss made point_sweep's random and Darwin
+    groups about 8 % slower (BENCH_19.json, store_every_miss).  Its second
+    miss stores the entry, and the calls after it read it until another
+    point takes the slot.  A thickness sweep at one point thus solves its
+    channel problem twice; one that interleaves two points never hits.
+
+    An entry also holds the rest of a call that does not depend on the
+    thickness: "setup", the _transfer_setup of its channels, and
+    "projections", a one-element list holding the channel projections of
+    the last incident spinor used at the point (see _projections).  Its
+    arrays are read-only, the beta, b, p and y that a 1 x 1 scan's root
+    check reads among them; the caller gets a copy of the dict, sharing
+    the projections list.  The slot is read and replaced under
+    _CHANNEL_LOCK: grid_scan retries singular points one by one from its
+    pool threads."""
+    global _CHANNEL_SLOT
+    th, rh = np.asarray(theta, float), np.asarray(rho, float)
+    if th.size == rh.size == 1:
+        key = (th.shape, th.tobytes(), rh.shape, rh.tobytes(),
+               struct.pack("9d", *geom.k0, *geom.H, *geom.n), geom.kind,
+               geom.hkl, crystal)
+        with _CHANNEL_LOCK:
+            last, entry = _CHANNEL_SLOT
+        seen = last == key
+        if entry is None or not seen:
+            entry = _channels(geom, crystal, th, rh)
+            if seen:   # the second miss: store the entry
+                entry["setup"] = _transfer_setup(geom.kind, entry)
+                entry["projections"] = [None]
+                for v in (*entry.values(), *entry["setup"]):
+                    if isinstance(v, np.ndarray):
+                        v.setflags(write=False)
+            with _CHANNEL_LOCK:
+                _CHANNEL_SLOT = (key, entry if seen else None)
+        sol = dict(entry) if seen else entry
+    else:
+        sol = _channels(geom, crystal, th, rh)
     sol["t"], sol["r"] = _transfer_factors(
         geom.kind, sol.get("setup") or _transfer_setup(geom.kind, sol),
         geom.thickness_A)
@@ -613,12 +588,12 @@ def exit_amplitude_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     sum_s t_s P_s is applied to the incident spinor in the fixed lab basis.
     A 0-d (theta, rho) gives the same values as that point of a grid.  The
     channel problem of one point does not depend on the thickness, so a
-    one-point call reads it from a small shared cache (see
-    _reused_channels): a thickness sweep at fixed (theta, rho) solves it,
-    sets up its transfer factors and projects the incident spinor on its
-    first two calls only (the projections are kept for the last spinor
-    used at the point), and the transfer factors and the assembly run on
-    every call, with the same bits as a solve.
+    one-point call keeps it for the next (see _solve_amplitudes): a
+    thickness sweep at fixed (theta, rho) solves it, sets up its transfer
+    factors and projects the incident spinor on its first two calls only
+    (the projections are kept for the last spinor used at the point), and
+    the transfer factors and the assembly run on every call, with the same
+    bits as a solve.
 
     Returns a dict of psi0, psiH (..., 2) and R, T and nothing else: the
     channel solve behind them is internal.
@@ -667,16 +642,14 @@ def _solve_coherences(geom: DiffractionGeometry, crystal: CrystalModel,
     channel amplitudes, C0 = <t_s conj(t_s')> and CH = <r_s conj(r_s')>,
     each (..., 2, 2) over the channels (s, s'), for exit_coherence_maps.
     A Bragg result also holds ensemble_phase, the call's largest
-    |g1| span_A (see _check_ensemble).  The channels are read as in
-    _solve_amplitudes."""
+    |g1| span_A (see _check_ensemble)."""
     if span_A is None:
         span_A = 1e-5 * geom.thickness_A
     elif not 0.0 <= span_A < np.inf:
         raise DispersionError(f"span_A must be finite and >= 0, got {span_A}")
-    sol = _reused_channels(geom, crystal, theta, rho)
+    sol = _channels(geom, crystal, theta, rho)
     shape = sol["g0"].shape
-    ig1, ig2, X1, X2, diff, prod = (sol.get("setup")
-                                    or _transfer_setup(geom.kind, sol))
+    ig1, ig2, X1, X2, diff, prod = _transfer_setup(geom.kind, sol)
 
     # stored channel pair first, so that each entry C[..., a, b] that the
     # ensemble writes and the assembly reads is contiguous
@@ -885,12 +858,8 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     (see _SHORT_NODE_X).  span_A (Angstrom, finite and >= 0) defaults to
     1e-5 of the thickness, far below any real tolerance yet enough to
     suppress the Laue branch beats below double precision; span_A = 0
-    gives the pure outer products.  One-point calls share the channel
-    cache of exit_amplitude_maps, so a thickness sweep at one (theta, rho)
-    solves its channel problem, sets up its branch wavenumbers and
-    projects the incident spinor on its first two calls only (the
-    projections are kept for the last spinor used at the point); the
-    ensemble and the assembly run on every call.
+    gives the pure outer products.  Every call solves its channel problem:
+    no caller sweeps one point's thickness ensemble.
 
     Returns dict with rho0, rhoH (..., 2, 2) per-beam coherence matrices
     (exactly Hermitian, with a real diagonal), fluxes R, T, and g0 (> 0
@@ -898,7 +867,8 @@ def exit_coherence_maps(geom: DiffractionGeometry, crystal: CrystalModel,
     """
     sol = _solve_coherences(geom, crystal, theta, rho, span_A)
     _check_ensemble("exit_coherence_maps", sol.get("ensemble_phase", 0.0))
-    res = _assemble_coherences(sol, _projections(sol, u0_spinor))
+    res = _assemble_coherences(sol, _channel_projections(sol["u_hat"],
+                                                         u0_spinor))
     return _point(sol, {**res, "g0": sol["g0"]})
 
 

@@ -135,15 +135,17 @@ def analyse(values, ky_axis, kz_axis, center=(0.0, 0.0), n_r: int = 128,
     Nodes outside the axes' span are zero: the field is taken to vanish
     beyond the computed window, which is the physical statement that the
     crystal only diffracts within the rocking width and the beam only
-    illuminates within its divergence.  L must stay below Nyquist,
-    n_phi // 2 - 1.  n_phi must be even: the <L_z> estimate is checked
-    against a re-estimate on every second azimuth, which for odd n_phi
-    wraps with a one-step gap.  A re-estimate more than 1e-3 away
-    relatively logs an 'under-resolved' warning.  One pass: each block of
-    radial rows is resampled, reduced and dropped before the next.
+    illuminates within its divergence.  L must be at least 0 and stay
+    below Nyquist, n_phi // 2 - 1.  n_phi must be even: the <L_z>
+    estimate is checked against a re-estimate on every second azimuth,
+    which for odd n_phi wraps with a one-step gap.  A re-estimate more
+    than 1e-3 away relatively logs an 'under-resolved' warning.  One pass:
+    each block of radial rows is resampled, reduced and dropped before the
+    next.
     """
-    if L > n_phi // 2 - 1:
-        raise OamError("truncation beyond Nyquist")
+    if not 0 <= L <= n_phi // 2 - 1:
+        raise OamError(f"truncation L must be 0 to n_phi/2 - 1 = "
+                       f"{n_phi // 2 - 1} (below Nyquist), got {L}")
     if n_phi % 2:
         raise OamError(f"the <L_z> oracle needs an even n_phi, got {n_phi}")
     nodes = _PolarNodes(values, ky_axis, kz_axis, center, n_r, n_phi, r_max,

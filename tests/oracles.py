@@ -172,7 +172,8 @@ def channel_diagnostics(geom, crystal, theta, rho):
     backward_error (root_backward_error) over the points, y and X
     (..., channel, branch), the transfer factors t and r (..., channel),
     and the scalars v0 and energy_meV.  A one-point call gives them in the
-    shape of its offsets, copied out of the channel cache."""
+    shape of its offsets, as read-only views where they come from the
+    entry of dispersion's channel slot."""
     sol = dp._solve_amplitudes(geom, crystal, theta, rho)
     sol["backward_error"] = root_backward_error(sol)
     # (branch, channel, ...) -> (..., channel, branch), as views

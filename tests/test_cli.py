@@ -672,6 +672,61 @@ def test_instrument_and_coil_settings_rejected_before_any_scan(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("mode, setting, detail", [
+    pytest.param("phase-map", "frame = sideways",
+                 "key 'frame': expected beam or lab, got 'sideways'",
+                 id="frame-sideways"),
+    pytest.param("phase-map", "ensemble = true", "phase-map needs ensemble "
+                 "= false: a thickness ensemble has no phase",
+                 id="ensemble-phase-map"),
+    pytest.param("phase-map", "loop_margins = 20 -1",
+                 "key 'loop_margins': expected margins >= 0",
+                 id="loop_margins-negative"),
+    pytest.param("phase-map", "loop_margins = 20 x",
+                 "key 'loop_margins': not a number: 'x'",
+                 id="loop_margins-text"),
+    *(pytest.param(mode, "beams = reflected sideways",
+                   "key 'beams': unknown entry 'sideways'", id=f"beams-{mode}")
+      for mode in ("polarization", "polarization-map", "oam", "interference",
+                   "phase-map")),
+    *(pytest.param(mode, "components = flipped spun",
+                   "key 'components': unknown entry 'spun'",
+                   id=f"components-{mode}")
+      for mode in ("oam", "phase-map")),
+    *(pytest.param(mode, "ensemble = maybe",
+                   "key 'ensemble': expected boolean, got 'maybe'",
+                   id=f"ensemble-{mode}")
+      for mode in ("polarization", "polarization-map", "oam", "interference",
+                   "instrument")),
+    *(pytest.param(mode, "physical_only = 2",
+                   "key 'physical_only': expected boolean, got '2'",
+                   id=f"physical_only-{mode}")
+      for mode in ("oam", "interference")),
+])
+def test_analysis_values_rejected_before_any_scan(tmp_path, capsys,
+                                                  monkeypatch, mode, setting,
+                                                  detail):
+    """A bad beam, component, frame, loop margin, ensemble or physical_only
+    value in the second [analysis] block is a config error (exit 2, one
+    JSON line) raised when the config is parsed: the first block scans no
+    grid and writes no CSV, and no manifest.json is written."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the config was checked")
+
+    monkeypatch.setattr(wf, "grid_scan", no_scan)
+    monkeypatch.setattr(wf, "coherence_scan", no_scan)
+    block = "[analysis]\nmode = polarization\nbeams = reflected\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL.replace(
+        block, f"{block}\n[analysis]\nmode = {mode}\n{setting}\n"))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "config", "detail": detail}]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_negative_guide_field_accepted(tmp_path):
     """A guide field of either sign is valid: a reversed field reverses the
     guide precession's part of the phase."""

@@ -23,6 +23,11 @@ def one_point(crystal, geom, theta, u0=(1.0, 0.0)):
                                   theta, 0.0)
 
 
+def empty_slot():
+    """Forget the one-point channel slot's key and entry."""
+    dp._CHANNEL_SLOT = (None, None)
+
+
 def with_diagnostics(geom, crystal, theta, rho, u0=(1.0, 0.0)):
     """Engine result at broadcast (theta, rho) with the channel_diagnostics
     of the same points."""
@@ -314,9 +319,10 @@ def test_one_point_call_equals_two_point_call(crystal_kind, b, frac,
     """For random two-site crystals and for quartz with its spin-orbit
     term, with either kind and either engine, a one-point call (0-d, (1,)
     or (1, 1) offsets) gives the bytes of its point in a two-point call,
-    on the miss that marks the point, the miss that stores it and the
-    hit.  Near grazing incidence the fields overflow; that changes no
-    byte either, so the overflow warnings are silenced."""
+    three times: for the amplitude engine the miss that marks the point,
+    the miss that stores it and the hit.  Near grazing incidence the
+    fields overflow; that changes no byte either, so the overflow warnings
+    are silenced."""
     from hypothesis import assume
 
     if crystal_kind == "quartz":
@@ -336,7 +342,7 @@ def test_one_point_call_equals_two_point_call(crystal_kind, b, frac,
     ((_, call),) = [c for c in engine_calls(crystal, u0) if c[0] == engine]
     with np.errstate(all="ignore"):
         pair = call(g, np.array([theta, theta2]), np.array([rho, rho2]))
-        dp._CHANNEL_CACHE.clear()
+        empty_slot()
         for _ in range(3):
             one = call(g, np.full(shape, theta), np.full(shape, rho))
             assert_same_bits(one, {key: v[0].reshape(shape + v.shape[1:])
@@ -599,7 +605,7 @@ def test_equal_crystal_parsed_again_hits_cache(monkeypatch):
     assert first is not second and first == second
     g = dp.make_geometry(first, (1, 1, 0), 2.0, dp.LAUE, 1e6)
     one_point(first, g, 1e-6)
-    dp._CHANNEL_CACHE.clear()
+    empty_slot()
     calls = counting_structure_sums(monkeypatch)
     one_point(second, g, 1e-6)
     assert calls == []
@@ -644,7 +650,7 @@ def test_hand_built_geometry_keyed_on_H(quartz):
 
     res = with_diagnostics(hand, quartz, 0.05, -0.02)
     dp._build_reflection.cache_clear()
-    dp._CHANNEL_CACHE.clear()
+    empty_slot()
     cold = with_diagnostics(hand, quartz, 0.05, -0.02)
     for key in ("psi0", "psiH", "R", "T", "y", "X"):
         assert np.array_equal(res[key], cold[key])
@@ -672,7 +678,7 @@ def test_cached_results_equal_uncached(quartz, u0_along_beam, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the one-point channel cache
+# the one-point channel slot
 # ---------------------------------------------------------------------------
 
 CACHE_THETA_SHAPES = pytest.mark.parametrize("shape", [(), (1,), (1, 1)],
@@ -699,13 +705,14 @@ def assert_same_bits(a, b):
 @CACHE_THETA_SHAPES
 def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
                                                       kind, shape):
-    """A one-point call that hits the channel cache gives the bytes of the
+    """A one-point call that hits the channel slot gives the bytes of the
     miss that marked its key, of the miss that stored it, of a miss at a
-    new thickness after the cache is cleared, and of that point of a
-    two-point grid, for every key of both engines' results and of the
-    channel_diagnostics; also after the thickness changes between the call
-    that stored the entry and the hit.  theta = +0.0 and -0.0 are two
-    entries."""
+    new thickness after the slot is emptied, and of that point of a
+    two-point grid, for every key of the amplitude engine's results and
+    of the channel_diagnostics; also after the thickness changes between
+    the call that stored the entry and the hit.  The coherence engine
+    gives those bytes on every call and leaves the slot as it is.
+    theta = +0.0 and -0.0 are two keys."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     thinner = dataclasses.replace(g, thickness_A=7.5e5)
     rh = np.zeros(shape)
@@ -714,59 +721,33 @@ def test_channel_cache_hit_equals_miss_and_grid_point(quartz, u0_along_beam,
     for theta in (1.5e-6, 0.0, -0.0):
         th = np.full(shape, theta)
         for name, call in calls:
-            dp._CHANNEL_CACHE.clear()
+            cached = name != "coherences"
+            empty_slot()
             marked = call(g, th, rh)
-            assert list(dp._CHANNEL_CACHE.values()) == [None], name
+            assert (dp._CHANNEL_SLOT[0] is not None) == cached, name
+            assert dp._CHANNEL_SLOT[1] is None, name
             stored = call(g, th, rh)
-            (entry,) = dp._CHANNEL_CACHE.values()
-            assert isinstance(entry, dict), name
+            entry = dp._CHANNEL_SLOT[1]
+            assert isinstance(entry, dict) == cached, name
             hit = call(g, th, rh)
             for res in (stored, hit):
                 assert_same_bits(res, marked)
             after_thickness = call(thinner, th, rh)   # a hit at a new D
-            assert list(dp._CHANNEL_CACHE.values()) == [entry], name
-            dp._CHANNEL_CACHE.clear()
+            assert dp._CHANNEL_SLOT[1] is entry, name
+            empty_slot()
             assert_same_bits(after_thickness, call(thinner, th, rh))
             line = call(g, np.array([theta, 2e-6]), 0.0)
             assert_same_bits(marked, {key: v[0].reshape(shape + v.shape[1:])
                                       if isinstance(v, np.ndarray) else v
                                       for key, v in line.items()})
-    dp._CHANNEL_CACHE.clear()
-    for th in (np.zeros(shape), np.full(shape, -0.0)) * 2:
+    empty_slot()
+    for th in (np.zeros(shape),) * 2 + (np.full(shape, -0.0),):
         dp.exit_amplitude_maps(g, quartz, u0_along_beam, th, rh)
-    assert len(dp._CHANNEL_CACHE) == 2
-    assert all(isinstance(v, dict) for v in dp._CHANNEL_CACHE.values())
+    assert dp._CHANNEL_SLOT[1] is None   # -0.0 marked, not read
 
 
-def test_thickness_sweep_solves_twice(quartz, u0_along_beam, monkeypatch):
-    """A key is stored on its second miss: a 50-thickness sweep at one
-    point solves its channel problem twice, and a point called once keeps
-    only a marker, no arrays."""
-    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
-    channels, solved = dp._channels, []
-
-    def counted(*args):
-        solved.append(args)
-        return channels(*args)
-
-    monkeypatch.setattr(dp, "_channels", counted)
-    dp._CHANNEL_CACHE.clear()
-    for D in np.linspace(1e5, 2e6, 50):
-        one_point(quartz, dataclasses.replace(g, thickness_A=D), 0.0)
-    assert len(solved) == 2
-    one_point(quartz, g, 1e-6)
-    assert list(dp._CHANNEL_CACHE.values())[-1] is None
-
-
-@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
-def test_thickness_sweep_hit_runs_thickness_work_only(quartz, u0_along_beam,
-                                                      monkeypatch, kind):
-    """A 50-thickness sweep at one point solves its channels, sets up their
-    transfer factors and projects the incident spinor twice each (on the
-    miss that marks the point and on the miss that stores it), with either
-    engine: a hit reads all three from the cache entry."""
-    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
-    names = ("_channels", "_transfer_setup", "_channel_projections")
+def counting(monkeypatch, *names):
+    """A dict that counts the calls of the named dispersion functions."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, real=getattr(dp, name), name=name):
@@ -774,45 +755,92 @@ def test_thickness_sweep_hit_runs_thickness_work_only(quartz, u0_along_beam,
             return real(*args)
 
         monkeypatch.setattr(dp, name, counted)
+    return counts
+
+
+def test_thickness_sweep_solves_twice(quartz, monkeypatch):
+    """A key is stored on its second miss: a 50-thickness sweep at one
+    point solves its channel problem twice, and a point called once keeps
+    only a mark, no arrays."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
+    counts = counting(monkeypatch, "_channels")
+    empty_slot()
+    for D in np.linspace(1e5, 2e6, 50):
+        one_point(quartz, dataclasses.replace(g, thickness_A=D), 0.0)
+    assert counts["_channels"] == 2
+    one_point(quartz, g, 1e-6)
+    assert dp._CHANNEL_SLOT[1] is None
+
+
+def test_sweep_fresh_points_sweep_solves_2_20_2(quartz, monkeypatch):
+    """A 50-thickness sweep at one point, then 20 points called once each,
+    then the sweep again solve 2 + 20 + 2 times: the fresh points only
+    mark the slot in turn, and the second sweep stores its point again."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.BRAGG, 1e6)
+    counts = counting(monkeypatch, "_channels")
+    sweep = [dataclasses.replace(g, thickness_A=D)
+             for D in np.linspace(1e5, 2e6, 50)]
+    empty_slot()
+    solved = []
+    for points in ([(geom, 1e-6) for geom in sweep],
+                   [(g, th) for th in np.linspace(2e-6, 4e-6, 20)],
+                   [(geom, 1e-6) for geom in sweep]):
+        counts["_channels"] = 0
+        for geom, th in points:
+            one_point(quartz, geom, th)
+        solved.append(counts["_channels"])
+    assert solved == [2, 20, 2]
+
+
+@pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
+def test_thickness_sweep_hit_runs_thickness_work_only(quartz, u0_along_beam,
+                                                      monkeypatch, kind):
+    """A 50-thickness sweep of the amplitude engine at one point solves
+    its channels, sets up their transfer factors and projects the
+    incident spinor twice each (on the miss that marks the point and on
+    the miss that stores it): a hit reads all three from the slot's
+    entry.  The coherence engine does all three on every call."""
+    g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
+    names = ("_channels", "_transfer_setup", "_channel_projections")
+    counts = counting(monkeypatch, *names)
     for engine, call in engine_calls(quartz, u0_along_beam):
-        dp._CHANNEL_CACHE.clear()
+        empty_slot()
         counts.update(dict.fromkeys(names, 0))
         for D in np.linspace(1e5, 2e6, 50):
             call(dataclasses.replace(g, thickness_A=D), 1e-6, 0.0)
-        assert counts == dict.fromkeys(names, 2), engine
+        calls = 2 if engine == "amplitudes" else 50
+        assert counts == dict.fromkeys(names, calls), engine
 
 
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
 def test_hit_with_new_spinor_projects_again(quartz, u0_along_beam, kind):
     """The entry keeps the projections of the last spinor used at its
-    point: a hit with another spinor projects that one, takes the slot and
-    gives the bytes of a miss with it, and so does a hit with the first
-    spinor after it."""
+    point: a hit with another spinor projects that one, takes the
+    projections' place and gives the bytes of a miss with it, and so does
+    a hit with the first spinor after it."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     other = np.array([0.6 - 0.3j, -0.2 + 0.7j])
     other /= np.linalg.norm(other)
-    others = dict(engine_calls(quartz, other))
-    for name, call in engine_calls(quartz, u0_along_beam):
-        dp._CHANNEL_CACHE.clear()
-        miss_other = others[name](g, 1e-6, 0.0)   # marks the point
-        miss_first = call(g, 1e-6, 0.0)           # stores it
-        (entry,) = dp._CHANNEL_CACHE.values()
-        (kept,) = entry["projections"]
-        hit_other = others[name](g, 1e-6, 0.0)
-        (now,) = entry["projections"]
-        assert now[0] != kept[0], name
-        assert np.array_equal(
-            now[1], dp._channel_projections(entry["u_hat"], other)), name
-        assert_same_bits(hit_other, miss_other)
-        hit_first = call(g, 1e-6, 0.0)
-        assert entry["projections"][0][0] == kept[0], name
-        assert_same_bits(hit_first, miss_first)
-        assert list(dp._CHANNEL_CACHE.values()) == [entry], name
+    empty_slot()
+    miss_other = dp.exit_amplitude_maps(g, quartz, other, 1e-6, 0.0)  # marks
+    miss_first = one_point(quartz, g, 1e-6, u0_along_beam)           # stores
+    entry = dp._CHANNEL_SLOT[1]
+    (kept,) = entry["projections"]
+    hit_other = dp.exit_amplitude_maps(g, quartz, other, 1e-6, 0.0)
+    (now,) = entry["projections"]
+    assert now[0] != kept[0]
+    assert np.array_equal(now[1], dp._channel_projections(entry["u_hat"],
+                                                          other))
+    assert_same_bits(hit_other, miss_other)
+    hit_first = one_point(quartz, g, 1e-6, u0_along_beam)
+    assert entry["projections"][0][0] == kept[0]
+    assert_same_bits(hit_first, miss_first)
+    assert dp._CHANNEL_SLOT[1] is entry
 
 
 def entry_arrays(value):
-    """Every array a channel-cache entry holds, through its dict, the
-    setup tuple and the projections slot."""
+    """Every array a slot entry holds, through its dict, the setup tuple
+    and the projections list."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, dict):
@@ -825,49 +853,52 @@ def entry_arrays(value):
 @pytest.mark.parametrize("kind", [dp.BRAGG, dp.LAUE])
 @CACHE_THETA_SHAPES
 def test_channel_cache_never_aliased(quartz, u0_along_beam, kind, shape):
-    """The cache's arrays, those of the transfer setup and the kept
-    projections included, are read-only and no returned array shares
-    memory with them: a caller that overwrites every array it received
-    does not change the next call's bytes."""
+    """The slot entry's arrays, those of the transfer setup and the kept
+    projections included, are read-only and no array either engine
+    returns shares memory with them: a caller that overwrites every array
+    it received does not change the next call's bytes."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6)
     th, rh = np.full(shape, 1.5e-6), np.zeros(shape)
-    for name, call in engine_calls(quartz, u0_along_beam):
-        dp._CHANNEL_CACHE.clear()
-        call(g, th, rh)
-        first = call(g, th, rh)   # stores the entry
+    calls = engine_calls(quartz, u0_along_beam)
+    empty_slot()
+    for _ in range(2):   # the second call stores the entry
+        dict(calls)["amplitudes"](g, th, rh)
+    cached = dp._CHANNEL_SLOT[1]
+    assert len(cached["setup"]) == 6
+    assert cached["projections"][0] is not None
+    stored = entry_arrays(cached)
+    assert not any(v.flags.writeable for v in stored)
+    for _, call in calls:
+        first = call(g, th, rh)
         expected = {key: np.array(v, copy=True) for key, v in first.items()}
-        (cached,) = dp._CHANNEL_CACHE.values()
-        assert len(cached["setup"]) == 6, name
-        assert cached["projections"][0] is not None, name
-        stored = entry_arrays(cached)
-        assert not any(v.flags.writeable for v in stored)
         for res in (first, call(g, th, rh)):
             for key, v in res.items():
                 if isinstance(v, np.ndarray):
                     assert not any(np.shares_memory(v, c) for c in stored), key
                     v[...] = np.nan
         assert_same_bits(call(g, th, rh), expected)
+    assert dp._CHANNEL_SLOT[1] is cached
 
 
-def test_channel_cache_bounded(quartz, u0_along_beam):
-    """Distinct one-point keys beyond _CHANNEL_CACHE_SIZE evict the least
-    recently used, stored entries and marks alike: the entry count never
-    exceeds it."""
+def test_channel_cache_bounded(quartz, monkeypatch):
+    """The slot holds the last one-point key only: a thickness sweep that
+    interleaves two points never hits, solving on every call and keeping
+    a mark, no arrays."""
     g = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
-    dp._CHANNEL_CACHE.clear()
-    for th in np.linspace(-2e-5, 2e-5, 3 * dp._CHANNEL_CACHE_SIZE):
-        for _ in range(2):
-            one_point(quartz, g, th)
-            assert len(dp._CHANNEL_CACHE) <= dp._CHANNEL_CACHE_SIZE
-    assert len(dp._CHANNEL_CACHE) == dp._CHANNEL_CACHE_SIZE
+    counts = counting(monkeypatch, "_channels")
+    empty_slot()
+    for D in np.linspace(1e5, 2e6, 10):
+        for th in (1e-6, 2e-6):
+            one_point(quartz, dataclasses.replace(g, thickness_A=D), th)
+            assert dp._CHANNEL_SLOT[1] is None
+    assert counts["_channels"] == 20
 
 
-def test_channel_cache_thread_safe(quartz, u0_along_beam, monkeypatch):
-    """Four threads sweeping the thickness of four geometries at once, on a
-    cache of two entries and with a thread switch every microsecond, give
-    the bytes of the same sweeps run one after the other, and the cache
-    never holds more than its size."""
-    monkeypatch.setattr(dp, "_CHANNEL_CACHE_SIZE", 2)
+def test_channel_cache_thread_safe(quartz, u0_along_beam):
+    """Four threads sweeping the thickness of four geometries at once, each
+    taking the slot from the others, with a thread switch every
+    microsecond, give the bytes of the same sweeps run one after the
+    other, and the slot holds one key and its entry or mark throughout."""
     sweeps = [(dp.make_geometry(quartz, (1, 1, 0), 2.0, kind, 1e6), theta)
               for kind in (dp.LAUE, dp.BRAGG) for theta in (0.0, 1e-6)]
     thicknesses = np.linspace(1e5, 2e6, 100)
@@ -878,12 +909,14 @@ def test_channel_cache_thread_safe(quartz, u0_along_beam, monkeypatch):
             out.append(dp.exit_amplitude_maps(
                 dataclasses.replace(geom, thickness_A=D), quartz,
                 u0_along_beam, theta, 0.0))
-            assert len(dp._CHANNEL_CACHE) <= 2
+            key, entry = dp._CHANNEL_SLOT
+            assert isinstance(key, tuple)
+            assert entry is None or isinstance(entry, dict)
         return out
 
-    dp._CHANNEL_CACHE.clear()
+    empty_slot()
     sequential = [sweep(*case) for case in sweeps]
-    dp._CHANNEL_CACHE.clear()
+    empty_slot()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -898,22 +931,27 @@ def test_channel_cache_thread_safe(quartz, u0_along_beam, monkeypatch):
 
 
 def test_scans_leave_channel_cache_alone(quartz, u0_along_beam, monkeypatch):
-    """grid_scan and coherence_scan neither read nor fill the cache, on row
-    tiles and on theta <-> rho fold bands of two or more points: the cache
-    holds one-point calls only."""
+    """grid_scan and coherence_scan neither read nor replace the slot, on
+    row tiles and on theta <-> rho fold bands of two or more points, and
+    nor does a 1 x 1 coherence_scan; a 1 x 1 grid_scan is a one-point
+    call of the amplitude engine and marks its point."""
     laue = dp.make_geometry(quartz, (1, 1, 0), 2.0, dp.LAUE, 1e6)
     lam = dp.backscattering_wavelength(quartz, (1, 1, 0), dp.BRAGG)
     back = dp.make_geometry(quartz, (1, 1, 0), lam, dp.BRAGG, 1e6)
     monkeypatch.setattr(wf, "_cpus", lambda: 2)
     monkeypatch.setattr(wf, "_TILE_POINTS", 4)
-    reused, sizes = dp._reused_channels, []
+    channels, sizes = dp._channels, []
 
     def counted(geom, crystal, theta, rho):
         sizes.append(np.broadcast(theta, rho).size)
-        return reused(geom, crystal, theta, rho)
+        return channels(geom, crystal, theta, rho)
 
-    monkeypatch.setattr(dp, "_reused_channels", counted)
-    dp._CHANNEL_CACHE.clear()
+    monkeypatch.setattr(dp, "_channels", counted)
+    empty_slot()
+    for _ in range(2):   # the second call stores the entry
+        one_point(quartz, laue, 3e-6, u0_along_beam)
+    before = dp._CHANNEL_SLOT
+    sizes.clear()
     for scan in (wf.grid_scan, wf.coherence_scan):
         # row tiles of 2 x 2 and 1 x 2 points
         scan(laue, quartz, u0_along_beam, np.linspace(-2e-5, 2e-5, 3),
@@ -922,7 +960,11 @@ def test_scans_leave_channel_cache_alone(quartz, u0_along_beam, monkeypatch):
         ax = np.deg2rad(0.45) * np.linspace(-1.0, 1.0, 3)
         scan(back, quartz, u0_along_beam, ax, ax)
     assert sorted(set(sizes)) == [2, 3, 4]
-    assert len(dp._CHANNEL_CACHE) == 0
+    wf.coherence_scan(laue, quartz, u0_along_beam, [1e-6], [0.0])
+    assert dp._CHANNEL_SLOT is before
+    wf.grid_scan(laue, quartz, u0_along_beam, [1e-6], [0.0])
+    assert dp._CHANNEL_SLOT[0] != before[0]
+    assert dp._CHANNEL_SLOT[1] is None
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,16 @@ def test_bad_r_max_rejected(r_max):
         oam.analyse(f, ax, ax, r_max=r_max)
 
 
+@pytest.mark.parametrize("L", [-1, -32, 128])
+def test_truncation_outside_range_rejected(L):
+    """A negative truncation is an error, as one at or beyond Nyquist is,
+    not an empty distribution with residual 1."""
+    f, ax = cartesian_vortex()
+    with pytest.raises(oam.OamError,
+                       match=f"= 127 \\(below Nyquist\\), got {L}$"):
+        oam.analyse(f, ax, ax, L=L)
+
+
 def test_handedness_mirrors_mean():
     f, ax = cartesian_vortex(ell=1)
     d_plus, _, _ = oam.analyse(f, ax, ax, handedness=+1, L=4)

@@ -354,9 +354,11 @@ def test_one_corrupted_root_rejected(quartz, thermal_bragg_100um,
     """One secular root off by 1e-9 relative, at the last point of the
     second tile (a theta <-> rho fold band, or a tile of theta rows),
     fails the scan: every tile checks the roots of its own solve.  The
-    one point of a 1 x 1 grid is first stored in the channel cache by two
-    one-point calls, which check nothing; its tile then reads the
-    corrupted root from the cache entry without solving again."""
+    one point of a 1 x 1 pure grid is first stored in the channel slot by
+    two one-point calls, which check nothing; its tile then reads the
+    corrupted root from the slot's entry without solving again.  A
+    one-point coherence call stores nothing, so after one of them the
+    1 x 1 coherence scan corrupts and checks its own solve."""
     monkeypatch.setattr(wf, "_TILE_POINTS", 40)
     monkeypatch.setattr(wf, "_cpus", lambda: 1)
     solve, solved = dp._solve_channel, []
@@ -379,12 +381,13 @@ def test_one_corrupted_root_rejected(quartz, thermal_bragg_100um,
         rh = th
     else:
         geom, th, rh = thermal_bragg_100um, np.array([1.3e-6]), np.zeros(1)
-        dp._CHANNEL_CACHE.clear()
+        dp._CHANNEL_SLOT = (None, None)
         one_point = {"grid": dp.exit_amplitude_maps,
                      "coherence": dp.exit_coherence_maps}[scan]
-        for _ in range(2):   # the first marks the point, the second stores
+        # a pure grid's first call marks the point, the second stores it
+        for _ in range(2 if scan == "grid" else 1):
             one_point(geom, quartz, u0_along_beam, th[:, None], rh[None, :])
-        assert isinstance(next(iter(dp._CHANNEL_CACHE.values())), dict)
+        assert isinstance(dp._CHANNEL_SLOT[1], dict) == (scan == "grid")
     assert wf._folds(geom, th, rh) == (case == "folded")
     with pytest.raises(wf.WaveGridError, match="backward error"):
         SCANS[scan][0](geom, quartz, u0_along_beam, th, rh)
@@ -406,7 +409,7 @@ def test_root_check_runs_in_scans_only(quartz, thermal_bragg_100um,
         return real(beta, b, p, y)
 
     monkeypatch.setattr(dp, "_backward_error", counted)
-    dp._CHANNEL_CACHE.clear()
+    dp._CHANNEL_SLOT = (None, None)
     for call in (dp.exit_amplitude_maps, dp.exit_coherence_maps):
         for th in (1e-6, 1e-6, 1e-6, 2e-6):
             call(thermal_bragg_100um, quartz, u0_along_beam, th, 0.0)
